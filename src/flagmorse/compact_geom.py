@@ -1,30 +1,170 @@
 """Numeric geometry of the compact real form.
 
 A frame packages the ordered real basis (Cartan block, isotropy root planes,
-tangent root planes), its bracket tensor, metric, and complex structure, all
-computed exactly through the complexified bracket and then frozen into
-float64.  Every tensor along a geodesic is reduced to constant coefficients
-in this frame, so transport is a single matrix exponential and all the
-pointwise identities become finite-dimensional residual checks.
+tangent root planes), its sparse structure-constant plan, metric, and complex
+structure.  The plan lists the nonzero constants ``[e_i, e_j] = c e_k`` as
+index arrays; each constant is summed exactly from the Chevalley pair action
+and frozen into float64 once.  Every bracket, adjoint matrix and identity
+check contracts through that one plan.  Every tensor along a geodesic is
+reduced to constant coefficients in this frame, so transport is a single
+matrix exponential and all the pointwise identities become
+finite-dimensional residual checks.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .chevalley import ChevalleyData, ComplexElement, bracket_c, build_chevalley
 from .errors import DegenerateCoefficients, NotInK, UnknownSuite
-from .exactnum import CSqrt2, Sqrt2
+from .exactnum import CSqrt2
 from .parabolic import ParabolicSplit
-from .rootsys import RootVector, build_root_system
+from .rootsys import RootVector, _invert_fraction_matrix, build_root_system, inner
+
+# ---------------------------------------------------------------------------
+# structure-constant plans
+
+
+class BracketPlan(NamedTuple):
+    """Nonzero structure constants of one block of the bracket.
+
+    Entry ``n`` says that ``[e_i[n], e_j[n]]`` has coefficient ``c[n]`` on
+    ``e_k[n]``, with inputs indexed in a space of size ``n_in`` and outputs in
+    one of size ``n_out``.  Entries are sorted by ``(k, i, j)``; ``heads`` are
+    the distinct output indices and ``starts`` where their runs begin.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    c: np.ndarray
+    heads: np.ndarray
+    starts: np.ndarray
+    n_in: int
+    n_out: int
+
+
+def _make_plan(i, j, k, c, n_in: int, n_out: int) -> BracketPlan:
+    order = np.lexsort((j, i, k))
+    i, j, k, c = (a[order] for a in (i, j, k, c))
+    first = np.ones(k.size, dtype=bool)
+    first[1:] = k[1:] != k[:-1]
+    return BracketPlan(i, j, k, c, k[first], np.flatnonzero(first), n_in, n_out)
+
+
+def _sub_plan(plan: BracketPlan, start: int, out_lo: int, out_hi: int) -> BracketPlan:
+    """Inputs from index ``start`` on, outputs in ``[out_lo, out_hi)``, all
+    re-indexed from zero."""
+    keep = (plan.i >= start) & (plan.j >= start) & (plan.k >= out_lo) & (plan.k < out_hi)
+    return _make_plan(plan.i[keep] - start, plan.j[keep] - start, plan.k[keep] - out_lo,
+                      plan.c[keep], plan.n_in - start, out_hi - out_lo)
+
+
+# Products per block of rows in ``_contract``: about 256 KB of float64, so the
+# gathered terms stay in cache between the multiply and the reduction.
+_BLOCK_TERMS = 1 << 15
+
+
+def _contract(plan: BracketPlan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bracket of coordinate vectors through a plan, batched over leading axes
+    (which broadcast): ``out[..., k] = sum x[..., i] * y[..., j] * c``."""
+    x, y = np.broadcast_arrays(x, y)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, plan.n_in)
+    y = y.reshape(-1, plan.n_in)
+    out = np.zeros((x.shape[0], plan.n_out), dtype=np.result_type(x, y, plan.c))
+    if plan.c.size:
+        rows = max(1, _BLOCK_TERMS // plan.c.size)
+        for s in range(0, x.shape[0], rows):
+            terms = x[s:s + rows, plan.i] * y[s:s + rows, plan.j]
+            terms *= plan.c
+            out[s:s + rows, plan.heads] = np.add.reduceat(terms, plan.starts, axis=1)
+    return out.reshape(lead + (plan.n_out,))
+
+
+def _ad(plan: BracketPlan, w: np.ndarray) -> np.ndarray:
+    """Matrix of ``x -> [w, x]`` through a plan, for a real vector ``w``.
+
+    The same triples as ``_contract``, scattered into ``(k, j)`` in O(nnz):
+    pushing the identity through the gather would build an ``n_in x nnz``
+    product.
+    """
+    flat = np.bincount(plan.k * plan.n_in + plan.j, weights=w[plan.i] * plan.c,
+                       minlength=plan.n_out * plan.n_in)
+    return flat.reshape(plan.n_out, plan.n_in)
+
+
+def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, int, int], object]:
+    """Exact constants over the real basis h_l = i s_l, X_a = E_a - E_-a,
+    Y_a = i(E_a + E_-a), keyed by (i, j, k), from the pair action alone.
+
+    For positive a, b = eps * beta with beta positive, s = a + b a root of
+    sign sigma and N = c_{a,b}: [X_a, X_beta] gets eps*sigma*N on X_|s|,
+    [X_a, Y_beta] gets N on Y_|s|, [Y_a, X_beta] gets eps*N on Y_|s| and
+    [Y_a, Y_beta] gets -sigma*N on X_|s|.  [X_a, Y_a] = 2i [E_a, E_-a] lands
+    in the Cartan block, and [h_l, X_a] = <a, s_l> Y_a, [h_l, Y_a] =
+    -<a, s_l> X_a.  Negative a adds nothing new: c_{-a,-b} = -c_{a,b}.
+    """
+    sys = chev.sys
+    simples_inv = _simples_inverse(sys)
+    acc: dict[tuple[int, int, int], object] = {}
+
+    def add(i: int, j: int, k: int, value) -> None:
+        key = (i, j, k)
+        acc[key] = acc[key] + value if key in acc else value
+
+    def signed_slot(r: RootVector):
+        slot = slots.get(r)
+        return (slot, 1) if slot is not None else (slots[-r], -1)
+
+    for (a, b), (s, value) in chev.pair_action.items():
+        slot_a = slots.get(a)
+        if slot_a is None:
+            continue
+        xa, ya = slot_a
+        if s is None:
+            for l, row in enumerate(simples_inv):
+                u_l = sum(r * t for r, t in zip(row, value) if t)
+                if u_l:
+                    add(xa, ya, l, 2 * u_l)
+                    add(ya, xa, l, -2 * u_l)
+            continue
+        (xb, yb), eps = signed_slot(b)
+        (xs, ys), sigma = signed_slot(s)
+        add(xa, xb, xs, value if eps * sigma > 0 else -value)
+        add(xa, yb, ys, value)
+        add(ya, xb, ys, value if eps > 0 else -value)
+        add(ya, yb, xs, -value if sigma > 0 else value)
+    for l, simple in enumerate(sys.simples):
+        for alpha, (xa, ya) in slots.items():
+            t = inner(sys, simple, alpha)
+            if t:
+                add(l, xa, ya, t)
+                add(xa, l, ya, -t)
+                add(l, ya, xa, -t)
+                add(ya, l, xa, t)
+    return acc
+
+
+def _simples_inverse(sys) -> list[list[Fraction]]:
+    """Exact left inverse of the simple roots: row l maps an unscaled ambient
+    vector w in their span to its coefficient u_l in w = sum_l u_l s_l."""
+    rank = sys.rank
+    cols = [s.unscaled() for s in sys.simples]
+    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(rank)]
+            for i in range(rank)]
+    gram_inv = _invert_fraction_matrix(gram)
+    return [
+        [sum(gram_inv[i][kk] * cols[kk][j] for kk in range(rank)) for j in range(sys.ambient_dim)]
+        for i in range(rank)
+    ]
+
 
 # ---------------------------------------------------------------------------
 # frame construction
@@ -41,7 +181,9 @@ class RealFormFrame:
     m_start: int
     m_pos: tuple[RootVector, ...]
     k_pos: tuple[RootVector, ...]
-    bracket_tensor: np.ndarray = field(repr=False)
+    plan: BracketPlan = field(repr=False)
+    plan_m: BracketPlan = field(repr=False)  # tangent x tangent -> tangent
+    plan_k: BracketPlan = field(repr=False)  # tangent x tangent -> isotropy
     metric: np.ndarray = field(repr=False)
     j_m: np.ndarray = field(repr=False)
     slots: dict[RootVector, tuple[int, int]] = field(repr=False)
@@ -74,12 +216,6 @@ class RealFormFrame:
         out[..., self.m_start:] = x_m
         return out
 
-    def m_part(self, x: np.ndarray) -> np.ndarray:
-        return x[..., self.m_start:]
-
-    def k_part(self, x: np.ndarray) -> np.ndarray:
-        return x[..., : self.m_start]
-
     def m_slot(self, alpha: RootVector) -> tuple[int, int]:
         ix, iy = self.slots[alpha]
         return ix - self.m_start, iy - self.m_start
@@ -87,20 +223,11 @@ class RealFormFrame:
     # -- algebra ------------------------------------------------------------
 
     def bracket_full(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if x.ndim == 1 and y.ndim == 1:
-            return np.einsum("i,j,ijk->k", x, y, self.bracket_tensor, optimize=True)
-        x2 = np.atleast_2d(x)
-        y2 = np.atleast_2d(y)
-        if x2.shape[0] == 1 and y2.shape[0] > 1:
-            x2 = np.broadcast_to(x2, y2.shape)
-        if y2.shape[0] == 1 and x2.shape[0] > 1:
-            y2 = np.broadcast_to(y2, x2.shape)
-        return np.einsum("ni,nj,ijk->nk", x2, y2, self.bracket_tensor, optimize=True)
+        return _contract(self.plan, x, y)
 
     def ad_matrix(self, w: np.ndarray) -> np.ndarray:
         """Matrix of x -> bracket(w, x) on the full frame."""
-        m = np.tensordot(w, self.bracket_tensor, axes=(0, 0))
-        return m.T
+        return _ad(self.plan, w)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("...i,ij,...j->...", x, self.metric, y)
@@ -121,40 +248,9 @@ class RealFormFrame:
         return rng.standard_normal(shape)
 
 
-def _project_exact(frame_data, z: ComplexElement):
-    """Split an exact bracket result over the real basis; returns float coords."""
-    sys, simples_inv, positives, slots, rank, dim = frame_data
-    coords = np.zeros(dim)
-    half = Fraction(1, 2)
-    for mu in positives:
-        c_plus = z.coeffs.get(mu)
-        c_minus = z.coeffs.get(-mu)
-        if c_plus is None and c_minus is None:
-            continue
-        c_plus = c_plus if c_plus is not None else CSqrt2.of(0)
-        c_minus = c_minus if c_minus is not None else CSqrt2.of(0)
-        x = (c_plus - c_minus) * half
-        y = (c_plus + c_minus) * CSqrt2.make(0, -half)
-        if not x.im.is_zero() or not y.im.is_zero():
-            raise ValueError(f"bracket left the real form at {mu}")
-        ix, iy = slots[mu]
-        coords[ix] = float(x.re)
-        coords[iy] = float(y.re)
-    if any(not h.is_zero() for h in z.h_part):
-        w = []
-        for h in z.h_part:
-            if not h.re.is_zero():
-                raise ValueError("bracket left the real form in the Cartan block")
-            w.append(h.im)
-        u = [sum((simples_inv[i][j] * w_j for j, w_j in enumerate(w)), Sqrt2.of(0))
-             for i in range(rank)]
-        for i, u_i in enumerate(u):
-            coords[i] = float(u_i)
-    return coords
-
-
 def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> RealFormFrame:
-    """Bracket table, metric and complex structure over the ordered real basis."""
+    """Structure-constant plan, metric and complex structure over the ordered
+    real basis."""
     sys = split.sys
     if chev is None:
         chev = build_chevalley(sys)
@@ -170,50 +266,16 @@ def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> 
     dim = len(labels)
     m_start = rank + 2 * len(k_pos)
 
-    i1 = CSqrt2.make(0, 1)
-    elements = []
-    for lab in labels:
-        kind, payload = lab
-        if kind == "h":
-            coords = tuple(CSqrt2.make(0, c) for c in sys.simples[payload].unscaled())
-            elements.append(ComplexElement.cartan(sys, coords))
-        elif kind == "X":
-            e = ComplexElement.root_vector(sys, payload)
-            f = ComplexElement.root_vector(sys, -payload)
-            elements.append(e - f)
-        else:
-            e = ComplexElement.root_vector(sys, payload, i1)
-            f = ComplexElement.root_vector(sys, -payload, i1)
-            elements.append(e + f)
-
-    # exact pseudo-solver for the Cartan block: w = sum u_j * simple_j (unscaled)
-    cols = [s.unscaled() for s in sys.simples]
-    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(rank)]
-            for i in range(rank)]
-    from .rootsys import _invert_fraction_matrix
-
-    gram_inv = _invert_fraction_matrix(gram)
-    mt = [[cols[i][j] for j in range(sys.ambient_dim)] for i in range(rank)]
-    simples_inv = [
-        [sum(gram_inv[i][kk] * mt[kk][j] for kk in range(rank)) for j in range(sys.ambient_dim)]
-        for i in range(rank)
-    ]
-    frame_data = (sys, simples_inv, (*k_pos, *m_pos), slots, rank, dim)
-
-    tensor = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            z = bracket_c(chev, elements[i], elements[j])
-            coords = _project_exact(frame_data, z)
-            tensor[i, j] = coords
-            tensor[j, i] = -coords
+    exact = _structure_constants(chev, slots)
+    ijk = np.array(list(exact), dtype=np.int32).reshape(-1, 3)
+    c = np.array([float(value) for value in exact.values()], dtype=np.float64)
+    nonzero = c != 0.0  # an exact constant is zero iff its float is
+    plan = _make_plan(*ijk[nonzero].T, c[nonzero], dim, dim)
 
     metric = np.zeros((dim, dim))
-    for i in range(rank):
-        for j in range(rank):
-            metric[i, j] = float(
-                sys.norm_scale * sum(a * b for a, b in zip(cols[i], cols[j]))
-            )
+    for i, si in enumerate(sys.simples):
+        for j, sj in enumerate(sys.simples):
+            metric[i, j] = float(inner(sys, si, sj))
     for alpha in (*k_pos, *m_pos):
         ix, iy = slots[alpha]
         metric[ix, ix] = 2.0
@@ -235,7 +297,9 @@ def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> 
         m_start=m_start,
         m_pos=m_pos,
         k_pos=k_pos,
-        bracket_tensor=tensor,
+        plan=plan,
+        plan_m=_sub_plan(plan, m_start, m_start, dim),
+        plan_k=_sub_plan(plan, m_start, 0, m_start),
         metric=metric,
         j_m=j_m,
         slots=slots,
@@ -267,52 +331,26 @@ def _frame_cached(family: str, rank: int, painted: tuple) -> RealFormFrame:
 
 def bracket_m(frame: RealFormFrame, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
     """Tangent-block part of the bracket of two tangent vectors."""
-    full = frame.bracket_full(frame.embed_m(x_m), frame.embed_m(y_m))
-    return frame.m_part(full)
+    return _contract(frame.plan_m, x_m, y_m)
 
 
 def bracket_k(frame: RealFormFrame, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
     """Isotropy-block part of the bracket of two tangent vectors."""
-    full = frame.bracket_full(frame.embed_m(x_m), frame.embed_m(y_m))
-    return frame.k_part(full)
-
-
-def _ad_m_to_m(frame: RealFormFrame, w_m: np.ndarray) -> np.ndarray:
-    ad = frame.ad_matrix(frame.embed_m(w_m))
-    return ad[frame.m_start:, frame.m_start:]
-
-
-def _ad_m_to_k(frame: RealFormFrame, w_m: np.ndarray) -> np.ndarray:
-    ad = frame.ad_matrix(frame.embed_m(w_m))
-    return ad[: frame.m_start, frame.m_start:]
+    return _contract(frame.plan_k, x_m, y_m)
 
 
 def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix of X -> [gdot, X]_m + J [J gdot, X]_m on the tangent block."""
     if not np.any(gdot):
         raise ValueError("velocity must be nonzero")
-    a1 = _ad_m_to_m(frame, gdot)
-    a2 = _ad_m_to_m(frame, frame.j_m @ gdot)
+    a1 = _ad(frame.plan_m, gdot)
+    a2 = _ad(frame.plan_m, frame.j_m @ gdot)
     return a1 + frame.j_m @ a2
-
-
-@dataclass(frozen=True)
-class HatTransport:
-    """Transport along a geodesic as a one-parameter matrix family."""
-
-    r_matrix: np.ndarray
-
-    def __call__(self, t: float) -> np.ndarray:
-        return expm(-0.5 * t * self.r_matrix)
-
-
-def make_hat_transport(frame: RealFormFrame, gdot: np.ndarray) -> HatTransport:
-    return HatTransport(r_operator(frame, gdot))
 
 
 def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarray:
     """Transport matrix at time t (identity at t = 0)."""
-    return make_hat_transport(frame, gdot)(t)
+    return expm(-0.5 * t * r_operator(frame, gdot))
 
 
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +362,7 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _hessian_integrand_factory(frame: RealFormFrame, gdot: np.ndarray):
     """Per-time quadratic terms of the energy Hessian on transported fields."""
     r = r_operator(frame, gdot)
-    ad_k = _ad_m_to_k(frame, gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
+    ad_k = _ad(frame.plan_k, gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
     g_k = frame.metric[: frame.m_start, : frame.m_start]
     j = frame.j_m
 
@@ -413,18 +451,14 @@ def map_I(
     for alpha, beta in pairs:
         if alpha + beta != delta:
             raise ValueError(f"pair {(alpha, beta)} does not sum to {delta}")
-    tilde = tilde_vector(frame, delta, a, b)
+    ad = frame.ad_matrix(tilde_vector(frame, delta, a, b))
     scale = float(np.hypot(a, b))
     n = 4 * len(pairs)
     out = np.zeros((n, n))
     for p, (alpha, beta) in enumerate(pairs):
         idx = [*frame.slots[alpha], *frame.slots[beta]]
         c = abs(float(frame.chev.constant(alpha, beta)))
-        for col in range(4):
-            basis = np.zeros(frame.dim)
-            basis[idx[col]] = 1.0
-            w = frame.bracket_full(tilde, basis)
-            out[4 * p: 4 * p + 4, 4 * p + col] = w[idx] / (scale * c)
+        out[4 * p: 4 * p + 4, 4 * p: 4 * p + 4] = ad[np.ix_(idx, idx)] / (scale * c)
     return out
 
 
@@ -530,11 +564,7 @@ def k_search(
         e_part -= w * (terms(xt) + terms(yt))
         a_part += w * (frame.m_norm2(xt) + frame.m_norm2(yt))
         p_slice = frame.m_inner(
-            frame.m_part(frame.bracket_full(frame.embed_m(yt), frame.embed_m(xt)))
-            - frame.m_part(
-                frame.bracket_full(frame.embed_m(yt @ j.T), frame.embed_m(xt @ j.T))
-            ),
-            gdot,
+            bracket_m(frame, yt, xt) - bracket_m(frame, yt @ j.T, xt @ j.T), gdot
         )
         b_part += w * p_slice
 
@@ -645,33 +675,15 @@ def _max_norm(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _brk(frame, x, y):
-    return np.einsum("ni,nj,ijk->nk", x, y, frame.bracket_tensor, optimize=True)
-
-
-def _embed_batch(frame, x_m):
-    out = np.zeros((x_m.shape[0], frame.dim), dtype=x_m.dtype)
-    out[:, frame.m_start:] = x_m
-    return out
-
-
-def _brk_m(frame, x_m, y_m):
-    return _brk(frame, _embed_batch(frame, x_m), _embed_batch(frame, y_m))[:, frame.m_start:]
-
-
-def _brk_k(frame, x_m, y_m):
-    return _brk(frame, _embed_batch(frame, x_m), _embed_batch(frame, y_m))[:, : frame.m_start]
-
-
 def _check_integrability(frame: RealFormFrame, rng, trials: int) -> CheckResult:
     j = frame.j_m
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
     res = (
-        _brk_m(frame, x, y)
-        + _brk_m(frame, x @ j.T, y) @ j.T
-        + _brk_m(frame, x, y @ j.T) @ j.T
-        - _brk_m(frame, x @ j.T, y @ j.T)
+        bracket_m(frame, x, y)
+        + bracket_m(frame, x @ j.T, y) @ j.T
+        + bracket_m(frame, x, y @ j.T) @ j.T
+        - bracket_m(frame, x @ j.T, y @ j.T)
     )
     return CheckResult(
         "integrability-defect",
@@ -688,7 +700,7 @@ def _split_10(frame, x_m):
 def _check_holomorphic_closure(frame, rng, trials) -> CheckResult:
     x10 = _split_10(frame, frame.random_m(rng, trials))
     y10 = _split_10(frame, frame.random_m(rng, trials))
-    z = _brk_m(frame, x10, y10)
+    z = bracket_m(frame, x10, y10)
     res = z @ frame.j_m.T - 1j * z
     return CheckResult(
         "holomorphic-closure",
@@ -701,8 +713,8 @@ def _check_r_operator_form(frame, rng, trials) -> CheckResult:
     j = frame.j_m
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
-    r_val = _brk_m(frame, y, x) + _brk_m(frame, y @ j.T, x) @ j.T
-    w = _brk_m(frame, _split_10(frame, x), _split_10(frame, y).conj())
+    r_val = bracket_m(frame, y, x) + bracket_m(frame, y @ j.T, x) @ j.T
+    w = bracket_m(frame, _split_10(frame, x), _split_10(frame, y).conj())
     z = w - 1j * (w @ j.T)
     res = r_val + (z + z.conj()).real
     return CheckResult(
@@ -715,7 +727,7 @@ def _check_r_operator_form(frame, rng, trials) -> CheckResult:
 def _check_isotropy_vanishing(frame, rng, trials) -> CheckResult:
     x10 = _split_10(frame, frame.random_m(rng, trials))
     y10 = _split_10(frame, frame.random_m(rng, trials))
-    res = _brk_k(frame, x10, y10)
+    res = bracket_k(frame, x10, y10)
     return CheckResult(
         "isotropy-vanishing",
         "brackets of two (1,0) fields have no isotropy part",
@@ -728,11 +740,13 @@ def _check_isotropy_pairing(frame, rng, trials) -> CheckResult:
     g_k = frame.metric[: frame.m_start, : frame.m_start]
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
+    kxy = bracket_k(frame, x, y)
+    kjxy = bracket_k(frame, x @ j.T, y)
     lhs = (
-        np.einsum("ni,ij,nj->n", _brk_k(frame, x, y), g_k, _brk_k(frame, x, y))
-        + np.einsum("ni,ij,nj->n", _brk_k(frame, x @ j.T, y), g_k, _brk_k(frame, x @ j.T, y))
+        np.einsum("ni,ij,nj->n", kxy, g_k, kxy)
+        + np.einsum("ni,ij,nj->n", kjxy, g_k, kjxy)
     )
-    w = _brk_k(frame, _split_10(frame, x), _split_10(frame, y).conj())
+    w = bracket_k(frame, _split_10(frame, x), _split_10(frame, y).conj())
     rhs = 4.0 * np.einsum("ni,ij,nj->n", w, g_k, w.conj()).real
     return CheckResult(
         "isotropy-pairing",
@@ -767,7 +781,6 @@ def _conditioned_pair(frame, rng):
 
 def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
     j = frame.j_m
-    res = 0.0
     xs, ys = [], []
     for _ in range(trials):
         x, y = _conditioned_pair(frame, rng)
@@ -775,7 +788,7 @@ def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
         ys.append(y)
     x = np.array(xs)
     y = np.array(ys)
-    res = _brk_m(frame, y, x) @ j.T - _brk_m(frame, y @ j.T, x)
+    res = bracket_m(frame, y, x) @ j.T - bracket_m(frame, y @ j.T, x)
     return CheckResult(
         "conditioned-commutation",
         "complex structure passes through the bracket when the transport "
@@ -793,8 +806,8 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
         ys.append(y)
     x = np.array(xs)
     y = np.array(ys)
-    z = _brk_m(frame, _split_10(frame, y), _split_10(frame, x))
-    res = _brk_m(frame, y, x) @ j.T + _brk_m(frame, y, x @ j.T) + 4.0 * z.imag
+    z = bracket_m(frame, _split_10(frame, y), _split_10(frame, x))
+    res = bracket_m(frame, y, x) @ j.T + bracket_m(frame, y, x @ j.T) + 4.0 * z.imag
     return CheckResult(
         "conditioned-skew",
         "the anti-linear defect of the bracket reduces to holomorphic terms",
@@ -840,10 +853,10 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
             x = rng.standard_normal((per, 4))
             full = np.zeros((per, frame.dim))
             full[:, idx] = x
-            once = _brk(frame, np.broadcast_to(tilde, full.shape), full)
+            once = frame.bracket_full(tilde, full)
             proj = np.zeros_like(full)
             proj[:, idx] = once[:, idx]
-            twice = _brk(frame, np.broadcast_to(tilde, full.shape), proj)[:, idx]
+            twice = frame.bracket_full(tilde, proj)[:, idx]
             res = twice + (a * a + b * b) * c2 * x
             worst = max(worst, _max_norm(res))
             total += per
@@ -917,7 +930,7 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
         full[:, emb_full] = x @ i_mat.T
         full2 = np.zeros((per, frame.dim))
         full2[:, emb_full] = x
-        br = _brk(frame, full, full2)
+        br = frame.bracket_full(full, full2)
         val = np.einsum("ni,ij,j->n", br, frame.metric, tilde)
         norms = 2.0 * np.einsum("ni,ni->n", x, x)
         excess = val + n0 * np.hypot(a, b) * norms
@@ -927,7 +940,7 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
         j_full[frame.m_start:, frame.m_start:] = frame.j_m
         p_val = np.einsum(
             "ni,ij,j->n",
-            _brk(frame, full, full2) - _brk(frame, full @ j_full.T, full2 @ j_full.T),
+            br - frame.bracket_full(full @ j_full.T, full2 @ j_full.T),
             frame.metric, tilde,
         )
         excess2 = p_val + 2.0 * n0 * np.hypot(a, b) * norms
@@ -970,13 +983,12 @@ def curvature_quadratic(frame: RealFormFrame, x_m, y_m) -> np.ndarray:
     """<R(x, y) y, x> = (1/4)|[x, y]_m|^2 + |[x, y]_k|^2."""
     x2 = np.atleast_2d(x_m)
     y2 = np.atleast_2d(y_m)
-    bm = _brk_m(frame, x2, y2)
-    bk = _brk_k(frame, x2, y2)
+    bm = bracket_m(frame, x2, y2)
+    bk = bracket_k(frame, x2, y2)
     g_k = frame.metric[: frame.m_start, : frame.m_start]
-    out = 0.25 * 2.0 * np.einsum("ni,ni->n", bm, bm) + np.einsum(
+    return 0.25 * 2.0 * np.einsum("ni,ni->n", bm, bm) + np.einsum(
         "ni,ij,nj->n", bk, g_k, bk
     )
-    return out if np.ndim(x_m) > 1 else out
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:
@@ -985,16 +997,16 @@ def _check_hessian_chain(frame, rng, trials) -> CheckResult:
     a_f = frame.random_m(rng, trials)
     x = frame.random_m(rng, trials)
     g = frame.random_m(rng, trials)
-    bm = _brk_m(frame, g, x)
-    bmj = _brk_m(frame, g, x @ j.T)
+    bm = bracket_m(frame, g, x)
+    bmj = bracket_m(frame, g, x @ j.T)
     lhs = (
         frame.m_norm2(a_f + 0.5 * bm)
         + frame.m_norm2(a_f @ j.T + 0.5 * bmj)
         - curvature_quadratic(frame, g, x)
         - curvature_quadratic(frame, g, x @ j.T)
     )
-    kx = _brk_k(frame, x, g)
-    kjx = _brk_k(frame, x @ j.T, g)
+    kx = bracket_k(frame, x, g)
+    kjx = bracket_k(frame, x @ j.T, g)
     rhs = (
         2.0 * frame.m_norm2(a_f)
         + frame.m_inner(a_f, bm - bmj @ j.T)
@@ -1022,13 +1034,9 @@ SUITES: dict[str, tuple[Callable, ...]] = {
     "ceh-chain": (_check_hessian_chain,),
 }
 
-
-def thread_count() -> int:
-    raw = os.environ.get("FLAGMORSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Each check draws from default_rng([seed, its position in the "all" order]),
+# so a check sees the same inputs whichever suite runs it.
+_CHECK_STREAMS = {fn: n for n, fn in enumerate(fn for fns in SUITES.values() for fn in fns)}
 
 
 def identity_suite(
@@ -1043,22 +1051,8 @@ def identity_suite(
         raise UnknownSuite(f"unknown suite {suite_name!r}; "
                            f"choose from {sorted(SUITES)} or 'all'")
     start = time.perf_counter()
-    checks: list[CheckResult] = []
-    jobs = []
-    for name in names:
-        for ordinal, fn in enumerate(SUITES[name]):
-            jobs.append((name, ordinal, fn))
-    workers = thread_count()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fn, frame, np.random.default_rng([seed, i]), trials)
-                for i, (_, _, fn) in enumerate(jobs)
-            ]
-            checks = [f.result() for f in futures]
-    else:
-        for i, (_, _, fn) in enumerate(jobs):
-            checks.append(fn(frame, np.random.default_rng([seed, i]), trials))
+    checks = [fn(frame, np.random.default_rng([seed, _CHECK_STREAMS[fn]]), trials)
+              for name in names for fn in SUITES[name]]
     elapsed = (time.perf_counter() - start) * 1000.0
     return Report(
         suite=suite_name,
@@ -1081,14 +1075,14 @@ def validate_frame(frame: RealFormFrame, trials: int = 2000, seed: int = 1) -> d
     x = rng.standard_normal((trials, d))
     y = rng.standard_normal((trials, d))
     z = rng.standard_normal((trials, d))
-    bxy = _brk(frame, x, y)
-    assoc = np.einsum("ni,ij,nj->n", x, frame.metric, _brk(frame, y, z)) - np.einsum(
+    bxy = frame.bracket_full(x, y)
+    assoc = np.einsum("ni,ij,nj->n", x, frame.metric, frame.bracket_full(y, z)) - np.einsum(
         "ni,ij,nj->n", bxy, frame.metric, z
     )
     jac = (
-        _brk(frame, x, _brk(frame, y, z))
-        + _brk(frame, y, _brk(frame, z, x))
-        + _brk(frame, z, bxy)
+        frame.bracket_full(x, frame.bracket_full(y, z))
+        + frame.bracket_full(y, frame.bracket_full(z, x))
+        + frame.bracket_full(z, bxy)
     )
     xm = frame.random_m(rng, trials)
     ym = frame.random_m(rng, trials)

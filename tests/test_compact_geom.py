@@ -1,11 +1,12 @@
-import os
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from flagmorse.chevalley import n0_constant
+from flagmorse.chevalley import ComplexElement, bracket_c, n0_constant
 from flagmorse.compact_geom import (
+    SUITES,
     CheckResult,
     adjoint_perturb,
     bracket_k,
@@ -19,7 +20,6 @@ from flagmorse.compact_geom import (
     holomorphic_kernel_classification,
     identity_suite,
     k_search,
-    make_hat_transport,
     map_I,
     p_bound,
     p_pairing,
@@ -30,10 +30,12 @@ from flagmorse.compact_geom import (
     validate_frame,
 )
 from flagmorse.errors import DegenerateCoefficients, NotInK, UnknownSuite
+from flagmorse.exactnum import CSqrt2, Sqrt2
 from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
-from flagmorse.rootsys import build_root_system, is_long
+from flagmorse.rootsys import _invert_fraction_matrix, build_root_system, is_long
 
+from conftest import SMALL_SYSTEMS
 from test_rootsys import rv
 
 TOL = 1e-10
@@ -55,6 +57,113 @@ def _delta_and_gdot(frame, a=1.1, b=-0.7, long_only=True):
     candidates = [r for r in frame.m_pos if not long_only or is_long(sys_, r)]
     delta = max(candidates, key=lambda r: (sys_.height(r), r.coords))
     return delta, _plane_vector(frame, delta, a, b)
+
+
+# -- the structure-constant plan against the exact bracket ----------------------
+
+
+def _exact_basis(frame):
+    """The real basis as complexified elements: h_j = i * simple_j,
+    X_a = E_a - E_-a and Y_a = i (E_a + E_-a)."""
+    sys_ = frame.sys
+    i1 = CSqrt2.make(0, 1)
+    out = []
+    for kind, payload in frame.labels:
+        if kind == "h":
+            coords = tuple(CSqrt2.make(0, c) for c in sys_.simples[payload].unscaled())
+            out.append(ComplexElement.cartan(sys_, coords))
+        elif kind == "X":
+            out.append(ComplexElement.root_vector(sys_, payload)
+                       - ComplexElement.root_vector(sys_, -payload))
+        else:
+            out.append(ComplexElement.root_vector(sys_, payload, i1)
+                       + ComplexElement.root_vector(sys_, -payload, i1))
+    return out
+
+
+def _simples_inv(sys_):
+    """Exact left inverse of the simple roots in unscaled ambient coordinates."""
+    rank = sys_.rank
+    cols = [s.unscaled() for s in sys_.simples]
+    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(rank)]
+            for i in range(rank)]
+    gram_inv = _invert_fraction_matrix(gram)
+    return [[sum(gram_inv[i][k] * cols[k][j] for k in range(rank))
+             for j in range(sys_.ambient_dim)] for i in range(rank)]
+
+
+def _project_exact(frame, simples_inv, z):
+    """Real frame coordinates of an exact bracket result, each one exact
+    until a single float conversion; raises if z leaves the real form."""
+    coords = np.zeros(frame.dim)
+    half = Fraction(1, 2)
+    zero = CSqrt2.of(0)
+    for mu, (ix, iy) in frame.slots.items():
+        c_plus = z.coeffs.get(mu, zero)
+        c_minus = z.coeffs.get(-mu, zero)
+        x = (c_plus - c_minus) * half
+        y = (c_plus + c_minus) * CSqrt2.make(0, -half)
+        if not x.im.is_zero() or not y.im.is_zero():
+            raise ValueError(f"bracket left the real form at {mu}")
+        coords[ix] = float(x.re)
+        coords[iy] = float(y.re)
+    if any(not h.re.is_zero() for h in z.h_part):
+        raise ValueError("bracket left the real form in the Cartan block")
+    w = [h.im for h in z.h_part]
+    for i in range(frame.sys.rank):
+        coords[i] = float(sum((simples_inv[i][j] * w_j for j, w_j in enumerate(w)),
+                              Sqrt2.of(0)))
+    return coords
+
+
+ORACLE_FRAMES = [(f, r, ()) for f, r in SMALL_SYSTEMS] + [("B", 3, (1,)), ("D", 4, (0, 3))]
+
+
+@pytest.mark.parametrize("family,rank,painted", ORACLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in ORACLE_FRAMES])
+def test_plan_matches_exact_bracket(family, rank, painted):
+    # every plan entry is the float of the exact projected bracket, bit for bit
+    frame = frame_for(family, rank, painted)
+    plan = frame.plan
+    triples = set(zip(plan.i.tolist(), plan.j.tolist(), plan.k.tolist()))
+    assert len(triples) == plan.c.size and np.all(plan.c != 0.0)
+    assert np.all(np.diff(plan.k) >= 0)
+    dense = np.zeros((frame.dim,) * 3)
+    dense[plan.i, plan.j, plan.k] = plan.c
+    basis = _exact_basis(frame)
+    simples_inv = _simples_inv(frame.sys)
+    for i, j in itertools.product(range(frame.dim), repeat=2):
+        want = _project_exact(frame, simples_inv, bracket_c(frame.chev, basis[i], basis[j]))
+        assert np.array_equal(dense[i, j], want), (i, j)
+    # the tangent sub-plans are the matching blocks of the same triples
+    m = frame.m_start
+    assert np.array_equal(dense[m:, m:, m:], _densify(frame.plan_m))
+    assert np.array_equal(dense[m:, m:, :m], _densify(frame.plan_k))
+
+
+def _densify(plan):
+    out = np.zeros((plan.n_in, plan.n_in, plan.n_out))
+    out[plan.i, plan.j, plan.k] = plan.c
+    return out
+
+
+def _array_bytes(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_array_bytes(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v) for v in obj)
+    return 0
+
+
+def test_e8_borel_frame():
+    # the 248-dimensional frame builds, satisfies its invariants, and stays small
+    frame = build_frame(borel_split(build_root_system("E", 8)))
+    assert frame.dim == 248
+    res = validate_frame(frame, trials=32)
+    assert all(v < 1e-10 for v in res.values()), res
+    assert _array_bytes(vars(frame)) < 5 * 2**20
 
 
 # -- frame invariants ---------------------------------------------------------
@@ -168,7 +277,9 @@ def test_r_operator_moves_ascending_planes(borel_frame):
 def test_hat_transport_contract(borel_frame, rng):
     frame = borel_frame
     delta, gdot = _delta_and_gdot(frame)
-    tau = make_hat_transport(frame, gdot)
+    def tau(t):
+        return hat_transport(frame, gdot, t)
+
     assert np.max(np.abs(tau(0.0) - np.eye(frame.m_dim))) < 1e-14
     assert np.max(np.abs(tau(0.3) @ tau(0.45) - tau(0.75))) < 1e-10
     for _ in range(100):
@@ -502,14 +613,13 @@ def test_identity_suite_deterministic():
     assert d1 == d2
 
 
-def test_identity_suite_threaded_matches(monkeypatch):
-    frame = frame_for("A", 2)
-    base = identity_suite(frame, "all", trials=400, seed=3)
-    monkeypatch.setenv("FLAGMORSE_THREADS", "4")
-    threaded = identity_suite(frame, "all", trials=400, seed=3)
-    for a, b in zip(base.checks, threaded.checks):
-        assert a.name == b.name
-        assert a.max_residual == b.max_residual
+def test_identity_suite_single_matches_all():
+    # each check draws from its own stream, whichever suite asked for it
+    frame = frame_for("A", 3)
+    full = {c.name: c for c in identity_suite(frame, "all", trials=300, seed=5).checks}
+    for name in SUITES:
+        for check in identity_suite(frame, name, trials=300, seed=5).checks:
+            assert check == full[check.name], (name, check.name)
 
 
 def test_curvature_quadratic_nonnegative(borel_frame, rng):
