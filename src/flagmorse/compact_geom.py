@@ -8,7 +8,9 @@ and frozen into float64 once.  Every bracket, adjoint matrix and identity
 check contracts through that one plan.  Every tensor along a geodesic is
 reduced to constant coefficients in this frame, so transport is a single
 matrix exponential and all the pointwise identities become
-finite-dimensional residual checks.
+finite-dimensional residual checks.  The averaged Hessian and the twist
+pairing are quadratic in the transported fields, so one Gauss-Legendre kernel
+integrates both through matrices built once per velocity.
 """
 
 from __future__ import annotations
@@ -359,23 +361,54 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _hessian_integrand_factory(frame: RealFormFrame, gdot: np.ndarray):
-    """Per-time quadratic terms of the energy Hessian on transported fields."""
+def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
+    """Matrix p of the bracket pairing, P(x, y) = <[y, x]_m - [Jy, Jx]_m, gdot>
+    = x.p.y.  By ad-invariance of the metric <[y, x]_m, gdot> = y.C.x with
+    C = -2 ad_m(gdot), so no bracket is evaluated."""
+    c = -2.0 * _ad(frame.plan_m, gdot)
+    j = frame.j_m
+    return (c - j.T @ c @ j).T
+
+
+def _forms(frame: RealFormFrame, gdot: np.ndarray):
+    """Transport generator r and the two quadratic integrands of one velocity:
+    x.h.x = |r x|^2 + |[x, gdot]_k|^2_g + |[Jx, gdot]_k|^2_g (the energy
+    Hessian) and the pairing matrix p."""
     r = r_operator(frame, gdot)
     ad_k = _ad(frame.plan_k, gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
     g_k = frame.metric[: frame.m_start, : frame.m_start]
+    kk = ad_k.T @ g_k @ ad_k
     j = frame.j_m
+    h = r.T @ r + kk + j.T @ kk @ j
+    return r, h, _pairing_matrix(frame, gdot)
 
-    def terms(x_m: np.ndarray) -> np.ndarray:
-        rx = x_m @ r.T
-        t1 = 0.5 * 2.0 * np.einsum("...i,...i->...", rx, rx)
-        kx = x_m @ ad_k.T
-        kjx = (x_m @ j.T) @ ad_k.T
-        t2 = np.einsum("...i,ij,...j->...", kx, g_k, kx)
-        t3 = np.einsum("...i,ij,...j->...", kjx, g_k, kjx)
-        return t1 + t2 + t3
 
-    return r, terms
+def _quadrature(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray,
+                y0: np.ndarray, nodes: int):
+    """Gauss-Legendre averages over [0, 1] of the fields x0, y0 (one row per
+    configuration) transported by exp(-t r / 2): e = -int h(x_t) + h(y_t),
+    a = int |x_t|^2 + |y_t|^2 in the tangent metric, and b = int P(x_t, y_t).
+
+    The twisted form at rate k is e + 2 k^2 a + 2 k b.  ``a`` stays an
+    integral: for a generic velocity the transport is not an isometry.
+    """
+    if nodes < 16:
+        raise ValueError("use at least 16 quadrature nodes")
+    r, h, p = _forms(frame, gdot)
+    e = np.zeros(x0.shape[0])
+    a = np.zeros(x0.shape[0])
+    b = np.zeros(x0.shape[0])
+    for t, w in zip(*gauss_nodes(nodes)):
+        tau = expm(-0.5 * t * r)
+        xt, yt = x0 @ tau.T, y0 @ tau.T
+        e -= w * (np.einsum("ni,ni->n", xt @ h, xt) + np.einsum("ni,ni->n", yt @ h, yt))
+        a += w * (frame.m_norm2(xt) + frame.m_norm2(yt))
+        b += w * np.einsum("ni,ni->n", xt @ p, yt)
+    return e, a, b
+
+
+def _twisted(e, a, b, k: float):
+    return e + 2.0 * k * k * a + 2.0 * k * b
 
 
 def complex_hessian(
@@ -396,15 +429,7 @@ def complex_hessian_many(
     x0_batch: np.ndarray,
     quadrature_nodes: int = 64,
 ) -> np.ndarray:
-    if quadrature_nodes < 16:
-        raise ValueError("use at least 16 quadrature nodes")
-    r, terms = _hessian_integrand_factory(frame, gdot)
-    ts, ws = gauss_nodes(quadrature_nodes)
-    total = np.zeros(x0_batch.shape[0])
-    for t, w in zip(ts, ws):
-        xt = x0_batch @ expm(-0.5 * t * r).T
-        total += w * terms(xt)
-    return -total
+    return _quadrature(frame, gdot, x0_batch, np.zeros(x0_batch.shape), quadrature_nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +491,13 @@ def p_pairing(
     frame: RealFormFrame, x: np.ndarray, y: np.ndarray, gdot: np.ndarray
 ) -> float:
     """Slice value of the mixed bracket pairing against the velocity."""
-    j = frame.j_m
-    term = bracket_m(frame, y, x) - bracket_m(frame, j @ y, j @ x)
-    return float(frame.m_inner(term, gdot))
+    return float(x @ _pairing_matrix(frame, gdot) @ y)
 
 
 def p_bound(frame: RealFormFrame, gdot: np.ndarray) -> float:
     """Operator-norm bound N with |P(x, y)| <= N |x| |y|."""
-    d = frame.m_dim
-    j = frame.j_m
-    basis = np.eye(d)
-    # P(e_p, e_q) = <[e_q, e_p]_m - [J e_q, J e_p]_m, gdot>, filled by columns
-    b_mat = np.zeros((d, d))
-    for q in range(d):
-        yq = basis[q]
-        t1 = bracket_m(frame, np.tile(yq, (d, 1)), basis)
-        t2 = bracket_m(frame, np.tile(j @ yq, (d, 1)), basis @ j.T)
-        b_mat[:, q] = frame.m_inner(t1 - t2, gdot)
-    # metric is 2*identity on the block: normalized bound is ||B||_2 / 2
-    return float(np.linalg.norm(b_mat, 2) / 2.0)
+    # metric is 2*identity on the block: normalized bound is ||p||_2 / 2
+    return float(np.linalg.norm(_pairing_matrix(frame, gdot), 2) / 2.0)
 
 
 def q_form(
@@ -509,24 +522,9 @@ def q_form(
         iw0[emb] = i_map @ w_s0
     else:
         iw0 = np.zeros_like(w0)
-    xbar0 = x0 + w0
-    ybar0 = y0 + iw0
-    r, terms = _hessian_integrand_factory(frame, gdot)
-    ts, ws = gauss_nodes(quadrature_nodes)
-    j = frame.j_m
-    hess = 0.0
-    twist = 0.0
-    for t, w in zip(ts, ws):
-        e = expm(-0.5 * t * r)
-        xt, yt = e @ xbar0, e @ ybar0
-        hess -= w * (terms(xt) + terms(yt))
-        p_slice = frame.m_inner(
-            bracket_m(frame, yt, xt) - bracket_m(frame, j @ yt, j @ xt), gdot
-        )
-        twist += w * (
-            2.0 * k * k * (frame.m_norm2(xt) + frame.m_norm2(yt)) + 2.0 * k * p_slice
-        )
-    return float(hess + twist)
+    e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0 + w0), np.atleast_2d(y0 + iw0),
+                          quadrature_nodes)
+    return float(_twisted(e, a, b, k)[0])
 
 
 @dataclass(frozen=True)
@@ -550,32 +548,13 @@ def k_search(
     The form is quadratic in the rate, so the per-configuration coefficients
     are integrated once and the bisection runs on the closed forms.
     """
-    r, terms = _hessian_integrand_factory(frame, gdot)
-    ts, ws = gauss_nodes(quadrature_nodes)
-    j = frame.j_m
-    xb = np.array([c[0] for c in configs])
-    yb = np.array([c[1] for c in configs])
-    e_part = np.zeros(len(configs))
-    a_part = np.zeros(len(configs))
-    b_part = np.zeros(len(configs))
-    for t, w in zip(ts, ws):
-        e = expm(-0.5 * t * r)
-        xt, yt = xb @ e.T, yb @ e.T
-        e_part -= w * (terms(xt) + terms(yt))
-        a_part += w * (frame.m_norm2(xt) + frame.m_norm2(yt))
-        p_slice = frame.m_inner(
-            bracket_m(frame, yt, xt) - bracket_m(frame, yt @ j.T, xt @ j.T), gdot
-        )
-        b_part += w * p_slice
-
-    def worst(k: float) -> float:
-        return float(np.max(e_part + 2.0 * k * k * a_part + 2.0 * k * b_part))
-
+    e, a, b = _quadrature(frame, gdot, np.array([c[0] for c in configs]),
+                          np.array([c[1] for c in configs]), quadrature_nodes)
     k = k_start
     for _ in range(max_halvings):
-        value = worst(k)
+        qs = _twisted(e, a, b, k)
+        value = float(np.max(qs))
         if value < 0:
-            qs = e_part + 2.0 * k * k * a_part + 2.0 * k * b_part
             return KSearchResult(k=k, margin=-value, q_values=tuple(qs))
         k /= 2.0
     raise RuntimeError("no negative twisting rate found; configurations degenerate?")
@@ -763,31 +742,26 @@ def _kernel_supports(frame, delta):
             if (alpha - delta) not in frame.split.delta_m_pos]
 
 
-def _conditioned_pair(frame, rng):
-    """Random (x, y) with y in one root plane and x supported so that the
+def _conditioned_batch(frame, rng, trials):
+    """Random (x, y) rows with y in one root plane and x supported so that the
     mixed-type bracket stays anti-holomorphic in the tangent block."""
     deltas = frame.m_pos
-    delta = deltas[rng.integers(len(deltas))]
-    a, b = rng.standard_normal(2)
-    y = np.zeros(frame.m_dim)
-    ix, iy = frame.m_slot(delta)
-    y[ix], y[iy] = a, b
-    x = np.zeros(frame.m_dim)
-    for alpha in _kernel_supports(frame, delta):
-        jx, jy = frame.m_slot(alpha)
-        x[jx], x[jy] = rng.standard_normal(2)
+    x = np.zeros((trials, frame.m_dim))
+    y = np.zeros((trials, frame.m_dim))
+    support: dict[int, list[int]] = {}
+    for n in range(trials):
+        pick = int(rng.integers(len(deltas)))
+        y[n, list(frame.m_slot(deltas[pick]))] = rng.standard_normal(2)
+        if pick not in support:
+            support[pick] = [s for alpha in _kernel_supports(frame, deltas[pick])
+                             for s in frame.m_slot(alpha)]
+        x[n, support[pick]] = rng.standard_normal(len(support[pick]))
     return x, y
 
 
 def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
     j = frame.j_m
-    xs, ys = [], []
-    for _ in range(trials):
-        x, y = _conditioned_pair(frame, rng)
-        xs.append(x)
-        ys.append(y)
-    x = np.array(xs)
-    y = np.array(ys)
+    x, y = _conditioned_batch(frame, rng, trials)
     res = bracket_m(frame, y, x) @ j.T - bracket_m(frame, y @ j.T, x)
     return CheckResult(
         "conditioned-commutation",
@@ -799,13 +773,7 @@ def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
 
 def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
     j = frame.j_m
-    xs, ys = [], []
-    for _ in range(trials):
-        x, y = _conditioned_pair(frame, rng)
-        xs.append(x)
-        ys.append(y)
-    x = np.array(xs)
-    y = np.array(ys)
+    x, y = _conditioned_batch(frame, rng, trials)
     z = bracket_m(frame, _split_10(frame, y), _split_10(frame, x))
     res = bracket_m(frame, y, x) @ j.T + bracket_m(frame, y, x @ j.T) + 4.0 * z.imag
     return CheckResult(
@@ -816,22 +784,22 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
 
 
 def _pair_sets(frame):
-    """All unordered positive pairs summing to each tangent-positive root."""
+    """All unordered positive pairs summing to each tangent-positive root, read
+    from the pair action, which stores the sum of every pair."""
     sys = frame.sys
-    out = {}
-    for delta in frame.m_pos:
-        pairs = []
-        seen = set()
-        for alpha in sys.positives:
-            beta = delta - alpha
-            if alpha in seen:
-                continue
-            if sys.is_positive(beta) and sys.contains(beta):
-                pairs.append((min(alpha, beta), max(alpha, beta)))
-                seen.update((alpha, beta))
-        if pairs:
-            out[delta] = tuple(sorted(pairs))
-    return out
+    m_pos = frame.split.delta_m_pos
+    found: dict[RootVector, list] = {}
+    for (alpha, beta), (s, _) in frame.chev.pair_action.items():
+        if s in m_pos and alpha < beta and sys.is_positive(alpha) and sys.is_positive(beta):
+            found.setdefault(s, []).append((alpha, beta))
+    return {delta: tuple(sorted(found[delta])) for delta in frame.m_pos if delta in found}
+
+
+def _usable_pair_sets(frame):
+    """The pair sets whose roots all lie in the tangent block."""
+    m_pos = frame.split.delta_m_pos
+    return {d: p for d, p in _pair_sets(frame).items()
+            if all(x in m_pos and y in m_pos for x, y in p)}
 
 
 def _check_double_bracket(frame, rng, trials) -> CheckResult:
@@ -870,10 +838,7 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
 
 def _check_quarter_turn(frame, rng, trials) -> CheckResult:
     """Involution, anticommutation and isometry of the pair-space operator."""
-    pair_sets = _pair_sets(frame)
-    usable = {d: p for d, p in pair_sets.items()
-              if all(x in frame.split.delta_m_pos and y in frame.split.delta_m_pos
-                     for x, y in p)}
+    usable = _usable_pair_sets(frame)
     if not usable:
         return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
     worst = 0.0
@@ -907,10 +872,7 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     """Lower bound of the bracket pairing on pair spaces, slice level."""
     from .chevalley import n0_constant
 
-    pair_sets = _pair_sets(frame)
-    usable = {d: p for d, p in pair_sets.items()
-              if all(x in frame.split.delta_m_pos and y in frame.split.delta_m_pos
-                     for x, y in p)}
+    usable = _usable_pair_sets(frame)
     if not usable:
         return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
     worst = 0.0

@@ -8,6 +8,7 @@ from flagmorse.chevalley import ComplexElement, bracket_c, n0_constant
 from flagmorse.compact_geom import (
     SUITES,
     CheckResult,
+    _pair_sets,
     adjoint_perturb,
     bracket_k,
     bracket_m,
@@ -16,6 +17,7 @@ from flagmorse.compact_geom import (
     complex_hessian_many,
     curvature_quadratic,
     frame_for,
+    gauss_nodes,
     hat_transport,
     holomorphic_kernel_classification,
     identity_suite,
@@ -532,6 +534,93 @@ def test_k_search_non_borel(family, rank):
     assert result.k > 0 and max(result.q_values) < 0
 
 
+def test_quadrature_node_count_checked():
+    frame = frame_for("A", 3)
+    _, gdot = _delta_and_gdot(frame)
+    x = np.ones(frame.m_dim)
+    zero = np.zeros(frame.m_dim)
+    calls = (
+        lambda: complex_hessian_many(frame, gdot, x[None], 4),
+        lambda: q_form(frame, gdot, x, x, zero, 0.5, 4),
+        lambda: k_search(frame, gdot, [(x, x)], 4),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="16 quadrature nodes"):
+            call()
+
+
+def _reference_parts(frame, gdot, x0, y0, nodes=64):
+    """Node by node with brackets: e = -int h(x_t) + h(y_t), a = int |x_t|^2 +
+    |y_t|^2 and b = int P(x_t, y_t), the fields moved by ``hat_transport``."""
+    j = frame.j_m
+
+    def hessian_integrand(x):
+        rx = bracket_m(frame, gdot, x) + bracket_m(frame, j @ gdot, x) @ j.T
+        kx = bracket_k(frame, x, gdot)
+        kjx = bracket_k(frame, x @ j.T, gdot)
+        return 0.5 * frame.m_norm2(rx) + frame.k_inner(kx, kx) + frame.k_inner(kjx, kjx)
+
+    e = a = b = 0.0
+    for t, w in zip(*gauss_nodes(nodes)):
+        tau = hat_transport(frame, gdot, t)
+        xt, yt = x0 @ tau.T, y0 @ tau.T
+        e = e - w * (hessian_integrand(xt) + hessian_integrand(yt))
+        a = a + w * (frame.m_norm2(xt) + frame.m_norm2(yt))
+        pairing = bracket_m(frame, yt, xt) - bracket_m(frame, yt @ j.T, xt @ j.T)
+        b = b + w * frame.m_inner(pairing, gdot)
+    return e, a, b
+
+
+def _assert_relative(got, want, scale, rel=1e-12):
+    assert np.max(np.abs(np.asarray(got) - want)) <= rel * np.max(scale)
+
+
+@pytest.mark.parametrize("family,rank,painted", ORACLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in ORACLE_FRAMES])
+def test_quadrature_matches_per_node_brackets(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    rng = np.random.default_rng(41)
+    gdot = _unit(frame, frame.random_m(rng))  # generic, not one root plane
+    fields = frame.random_m(rng, 6)
+    e, _, _ = _reference_parts(frame, gdot, fields, np.zeros_like(fields))
+    _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
+
+    xs, ys = frame.random_m(rng, 4), frame.random_m(rng, 4)
+    result = k_search(frame, gdot, list(zip(xs, ys)))
+    e, a, b = _reference_parts(frame, gdot, xs, ys)
+    k = result.k
+    _assert_relative(result.q_values, e + 2 * k * k * a + 2 * k * b,
+                     np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
+
+    # q_form through the pair-space operator of the highest tangent root
+    x0, y0 = xs[0], ys[0]
+    delta = max(frame.m_pos, key=lambda r: (frame.sys.height(r), r.coords))
+    pairs = _s_pairs(frame, delta)
+    assert pairs or rank == 1
+    w0 = np.zeros(frame.m_dim)
+    iw0 = np.zeros(frame.m_dim)
+    i_mat = None
+    if pairs:
+        i_mat = map_I(frame, delta, 0.9, -0.5, pairs)
+        emb = s0_embedding(frame, pairs) - frame.m_start
+        w0[emb] = rng.standard_normal(len(emb))
+        iw0[emb] = i_mat @ w0[emb]
+    k = 0.3
+    e, a, b = _reference_parts(frame, gdot, (x0 + w0)[None], (y0 + iw0)[None])
+    got = q_form(frame, gdot, x0, y0, w0, k, i_map=i_mat, pair_set=pairs)
+    _assert_relative(got, e + 2 * k * k * a + 2 * k * b,
+                     np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
+
+    j = frame.j_m
+    want = frame.m_inner(bracket_m(frame, y0, x0) - bracket_m(frame, j @ y0, j @ x0), gdot)
+    _assert_relative(p_pairing(frame, x0, y0, gdot), want, abs(want))
+
+    basis = np.eye(frame.m_dim)
+    tiles = np.array([[p_pairing(frame, ep, eq, gdot) for eq in basis] for ep in basis])
+    bound = np.linalg.norm(tiles, 2) / 2.0
+    _assert_relative(p_bound(frame, gdot), bound, bound)
+
+
 # -- slice pairing -----------------------------------------------------------------
 
 
@@ -620,6 +709,25 @@ def test_identity_suite_single_matches_all():
     for name in SUITES:
         for check in identity_suite(frame, name, trials=300, seed=5).checks:
             assert check == full[check.name], (name, check.name)
+
+
+PAIR_SET_FRAMES = ORACLE_FRAMES + [("E", 6, ())]
+
+
+@pytest.mark.parametrize("family,rank,painted", PAIR_SET_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in PAIR_SET_FRAMES])
+def test_pair_sets_list_each_decomposition_once(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    sys_ = frame.sys
+    pair_sets = _pair_sets(frame)
+    for delta in frame.m_pos:
+        want = {frozenset((alpha, delta - alpha)) for alpha in sys_.positives
+                if sys_.is_positive(delta - alpha)}
+        got = pair_sets.get(delta, ())
+        assert len(got) == len(want), delta
+        assert {frozenset(p) for p in got} == want, delta
+        assert all(alpha < beta for alpha, beta in got)
+    assert set(pair_sets) <= set(frame.m_pos)
 
 
 def test_curvature_quadratic_nonnegative(borel_frame, rng):
