@@ -3,12 +3,16 @@
 Two tables are kept per system:
 
 * ``c_classical`` -- integer constants with the textbook chain magnitude
-  |c| = p + 1, seeded with + signs on extraspecial pairs and propagated by
-  antisymmetry, negation symmetry and the Jacobi identity.
-* ``c`` -- the same basis rescaled so that [E_a, E_-a] is the metric dual
-  of a (equivalently the invariant pairing of E_a with E_-a is 1).  In this
-  normalization the cyclic identity c_{a,b} = c_{b,-d} = c_{-d,a} holds with
-  no length weights, at the cost of sqrt(2)-valued entries in the C family.
+  |c| = p + 1 on every ordered pair with a positive sum, seeded with + signs
+  on extraspecial pairs and propagated by antisymmetry, negation symmetry and
+  the Jacobi identity.
+* ``pair_action`` -- every ordered root pair that brackets to something
+  nonzero.  A pair with a root sum holds that sum and its normalized constant:
+  the basis rescaled so that [E_a, E_-a] is the metric dual of a (the
+  invariant pairing of E_a with E_-a is 1).  In this normalization the cyclic
+  identity c_{a,b} = c_{b,-d} = c_{-d,a} holds with no length weights, at the
+  cost of sqrt(2)-valued entries in the C family.  A pair (a, -a) holds the
+  dual of a.
 
 All arithmetic is exact.
 """
@@ -31,24 +35,21 @@ class ChevalleyData:
     """Exact structure constants and coroots for one root system."""
 
     sys: RootSystem
-    # tables cover ordered pairs (a, b) with a + b a POSITIVE root;
-    # all other sign combinations reduce through c(a,b) = -c(-a,-b).
+    # (a, b) -> integer constant, for ordered pairs with a + b a POSITIVE
+    # root; the other sign reduces through c(a,b) = -c(-a,-b).
     c_classical: dict[tuple[RootVector, RootVector], Fraction] = field(repr=False)
-    c_norm: dict[tuple[RootVector, RootVector], Sqrt2] = field(repr=False)
-    coroots: dict[RootVector, tuple[Fraction, ...]] = field(repr=False)
-    # (a, b) -> (sum_root, constant) | (None, dual of a); absent pairs bracket
-    # to zero.  Precomputed once; this is the bracket's hot path.
-    pair_action: dict = field(repr=False, default=None)
+    # (a, b) -> (a + b, normalized constant) for every ordered pair with a
+    # root sum, or (None, dual of a) for b = -a; absent pairs bracket to
+    # zero.  The single store of normalized constants and coroots, and the
+    # bracket's hot path.
+    pair_action: dict = field(repr=False)
 
     def constant(self, a: RootVector, b: RootVector) -> Sqrt2:
         """Normalized constant c_{a,b} for roots with a + b again a root."""
-        key = (a, b)
-        if key in self.c_norm:
-            return self.c_norm[key]
-        key = (-a, -b)
-        if key in self.c_norm:
-            return -self.c_norm[key]
-        raise KeyError(f"{a} + {b} is not a root")
+        s, value = self.pair_action.get((a, b), (None, None))
+        if s is None:
+            raise KeyError(f"{a} + {b} is not a root")
+        return value
 
     def classical_constant(self, a: RootVector, b: RootVector) -> Fraction:
         key = (a, b)
@@ -59,16 +60,9 @@ class ChevalleyData:
             return -self.c_classical[key]
         raise KeyError(f"{a} + {b} is not a root")
 
-    def stored_pairs(self) -> list[tuple[RootVector, RootVector]]:
-        return sorted(self.c_norm.keys())
-
     def all_pairs(self) -> list[tuple[RootVector, RootVector]]:
         """Every ordered root pair whose sum is a root."""
-        out = []
-        for a, b in self.c_norm:
-            out.append((a, b))
-            out.append((-a, -b))
-        return sorted(out)
+        return sorted(pair for pair, (s, _) in self.pair_action.items() if s is not None)
 
 
 def _chain_down_length(sys: RootSystem, alpha: RootVector, beta: RootVector) -> int:
@@ -112,7 +106,8 @@ class _ClassicalBuilder:
         ratio = inner(sys, c, c) / inner(sys, a, a)
         return -ratio * self.lookup(-b, c)
 
-    def build(self) -> dict[tuple[RootVector, RootVector], Fraction]:
+    def fill(self) -> "_ClassicalBuilder":
+        """Store every pair of positive roots with a root sum."""
         sys = self.sys
         by_height = sorted(sys.positives, key=lambda r: (sys.height(r), r.coords))
         for delta in by_height:
@@ -139,42 +134,30 @@ class _ClassicalBuilder:
                 if sys.contains(xi - alpha):
                     total += self.lookup(-alpha, xi) * self.lookup(xi - alpha, eta)
                 self._store(xi, eta, -total / denom)
-        # extend the store to every ordered pair with a positive sum
-        full: dict[tuple[RootVector, RootVector], Fraction] = {}
-        for a in sys.roots:
-            for b in sys.roots:
-                s = a + b
-                if sys.contains(s) and sys.is_positive(s):
-                    full[(a, b)] = self.lookup(a, b)
-        return full
-
-
-def _half_length(sys: RootSystem, a: RootVector) -> Fraction:
-    return inner(sys, a, a) / 2
+        return self
 
 
 @lru_cache(maxsize=None)
 def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
     sys = build_root_system(family, rank)
-    classical = _ClassicalBuilder(sys).build()
-    norm: dict[tuple[RootVector, RootVector], Sqrt2] = {}
-    for (a, b), value in classical.items():
-        ratio = _half_length(sys, a) * _half_length(sys, b) / _half_length(sys, a + b)
-        norm[(a, b)] = Sqrt2.sqrt_of_rational(ratio) * Sqrt2.of(value)
-    coroots = {a: a.unscaled() for a in sys.roots}
+    builder = _ClassicalBuilder(sys).fill()
+    half = {a: inner(sys, a, a) / 2 for a in sys.roots}
+    classical: dict[tuple[RootVector, RootVector], Fraction] = {}
     pair_action: dict = {}
+    # one walk over the ordered pairs; the normalized constant rescales the
+    # classical one by sqrt(|a|^2 |b|^2 / (2 |a+b|^2))
     for a in sys.roots:
         for b in sys.roots:
             s = a + b
-            if all(c == 0 for c in s.coords):
-                pair_action[(a, b)] = (None, coroots[a])
+            if not any(s.coords):
+                pair_action[(a, b)] = (None, a.unscaled())
             elif sys.contains(s):
-                value = norm.get((a, b))
-                if value is None:
-                    value = -norm[(-a, -b)]
-                pair_action[(a, b)] = (s, value)
-    return ChevalleyData(sys=sys, c_classical=classical, c_norm=norm,
-                         coroots=coroots, pair_action=pair_action)
+                value = builder.lookup(a, b)
+                if sys.is_positive(s):
+                    classical[(a, b)] = value
+                ratio = half[a] * half[b] / half[s]
+                pair_action[(a, b)] = (s, Sqrt2.sqrt_of_rational(ratio) * Sqrt2.of(value))
+    return ChevalleyData(sys=sys, c_classical=classical, pair_action=pair_action)
 
 
 def build_chevalley(sys: RootSystem) -> ChevalleyData:
@@ -184,7 +167,7 @@ def build_chevalley(sys: RootSystem) -> ChevalleyData:
 
 def coroot(data: ChevalleyData, alpha: RootVector) -> tuple[Fraction, ...]:
     """Dual vector t_a of a root under the normalized invariant form."""
-    return data.coroots[alpha]
+    return data.pair_action[(alpha, -alpha)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +321,7 @@ def n0_constant(data: ChevalleyData, pair_set=()) -> float:
             a, b = tuple(pair)
             values.append(abs(float(data.constant(a, b))))
     else:
-        values = [abs(float(v)) for v in data.c_norm.values()]
+        values = [abs(float(v)) for s, v in data.pair_action.values() if s is not None]
     return min(values)
 
 

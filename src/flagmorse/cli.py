@@ -92,6 +92,14 @@ def _build_split(args):
     return make_split(sys_, PaintedDiagram.of(sys_, painted))
 
 
+def _build_frame(args):
+    """Frame of a validated split; the frame needs a tangent block."""
+    sp = _build_split(args)
+    if not sp.delta_m_pos:
+        raise UsageError("every node is painted; the frame has no tangent block")
+    return geom.frame_for(sp.sys.family, sp.sys.rank, sp.sigma_k)
+
+
 def _render_root(sp, root: RootVector) -> str:
     return ",".join(str(Fraction(c, 2)) for c in root.coords)
 
@@ -133,13 +141,13 @@ def cmd_chevalley(args) -> int:
         "family": sys_.family,
         "rank": sys_.rank,
         "pairs": len(rows),
-        "n0": n0_constant(data),
+        # A1 has no pair with a root sum, so no minimal constant
+        "n0": n0_constant(data) if rows else None,
         "csv": args.csv or None,
     }
-    plain = (
-        f"{sys_.name}: {len(rows)} bracket pairs, minimal |c| = {payload['n0']}"
-        + (f"\nwrote {args.csv}" if args.csv else "")
-    )
+    summary = (f"{len(rows)} bracket pairs, minimal |c| = {payload['n0']}"
+               if rows else "no bracket pairs")
+    plain = f"{sys_.name}: {summary}" + (f"\nwrote {args.csv}" if args.csv else "")
     _emit(args, payload, plain)
     return EXIT_OK
 
@@ -286,7 +294,7 @@ def cmd_index_bound(args) -> int:
 
 
 def cmd_check(args) -> int:
-    frame = geom.frame_for(args.family, args.rank, _parse_painted(args.painted or ""))
+    frame = _build_frame(args)
     report = geom.identity_suite(frame, args.suite, trials=args.trials, seed=args.seed)
     payload = report.to_json_dict()
     if args.json:
@@ -306,7 +314,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_hessian(args) -> int:
-    frame = geom.frame_for(args.family, args.rank, _parse_painted(args.painted or ""))
+    frame = _build_frame(args)
     gamma_exact = _parse_gamma(args.gamma)
     field_exact = _parse_gamma(args.field)
     for root in (*gamma_exact, *field_exact):

@@ -27,7 +27,7 @@ from .chevalley import ChevalleyData, ComplexElement, bracket_c, build_chevalley
 from .errors import DegenerateCoefficients, NotInK, UnknownSuite
 from .exactnum import CSqrt2
 from .parabolic import ParabolicSplit
-from .rootsys import RootVector, _invert_fraction_matrix, build_root_system, inner
+from .rootsys import RootVector, build_root_system, inner
 
 # ---------------------------------------------------------------------------
 # structure-constant plans
@@ -110,11 +110,12 @@ def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, in
     sign sigma and N = c_{a,b}: [X_a, X_beta] gets eps*sigma*N on X_|s|,
     [X_a, Y_beta] gets N on Y_|s|, [Y_a, X_beta] gets eps*N on Y_|s| and
     [Y_a, Y_beta] gets -sigma*N on X_|s|.  [X_a, Y_a] = 2i [E_a, E_-a] lands
-    in the Cartan block, and [h_l, X_a] = <a, s_l> Y_a, [h_l, Y_a] =
-    -<a, s_l> X_a.  Negative a adds nothing new: c_{-a,-b} = -c_{a,b}.
+    in the Cartan block: [E_a, E_-a] is the dual of a, whose coordinates
+    over the simple roots are the expansion n_l of a, so [X_a, Y_a] gets
+    2 n_l on h_l.  [h_l, X_a] = <a, s_l> Y_a and [h_l, Y_a] = -<a, s_l> X_a.
+    Negative a adds nothing new: c_{-a,-b} = -c_{a,b}.
     """
     sys = chev.sys
-    simples_inv = _simples_inverse(sys)
     acc: dict[tuple[int, int, int], object] = {}
 
     def add(i: int, j: int, k: int, value) -> None:
@@ -131,11 +132,10 @@ def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, in
             continue
         xa, ya = slot_a
         if s is None:
-            for l, row in enumerate(simples_inv):
-                u_l = sum(r * t for r, t in zip(row, value) if t)
-                if u_l:
-                    add(xa, ya, l, 2 * u_l)
-                    add(ya, xa, l, -2 * u_l)
+            for l, n_l in enumerate(sys.expansions[a]):
+                if n_l:
+                    add(xa, ya, l, 2 * n_l)
+                    add(ya, xa, l, -2 * n_l)
             continue
         (xb, yb), eps = signed_slot(b)
         (xs, ys), sigma = signed_slot(s)
@@ -152,20 +152,6 @@ def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, in
                 add(l, ya, xa, -t)
                 add(ya, l, xa, t)
     return acc
-
-
-def _simples_inverse(sys) -> list[list[Fraction]]:
-    """Exact left inverse of the simple roots: row l maps an unscaled ambient
-    vector w in their span to its coefficient u_l in w = sum_l u_l s_l."""
-    rank = sys.rank
-    cols = [s.unscaled() for s in sys.simples]
-    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(rank)]
-            for i in range(rank)]
-    gram_inv = _invert_fraction_matrix(gram)
-    return [
-        [sum(gram_inv[i][kk] * cols[kk][j] for kk in range(rank)) for j in range(sys.ambient_dim)]
-        for i in range(rank)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -819,12 +805,9 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
             idx = [*frame.slots[alpha], *frame.slots[beta]]
             c2 = float(frame.chev.constant(alpha, beta)) ** 2
             x = rng.standard_normal((per, 4))
-            full = np.zeros((per, frame.dim))
-            full[:, idx] = x
-            once = frame.bracket_full(tilde, full)
-            proj = np.zeros_like(full)
-            proj[:, idx] = once[:, idx]
-            twice = frame.bracket_full(tilde, proj)[:, idx]
+            # bracketing with tilde, projected back to the pair's root planes
+            blk = frame.ad_matrix(tilde)[np.ix_(idx, idx)]
+            twice = x @ (blk @ blk).T
             res = twice + (a * a + b * b) * c2 * x
             worst = max(worst, _max_norm(res))
             total += per

@@ -16,7 +16,7 @@ from flagmorse.chevalley import (
 )
 from flagmorse.chevalley import _chain_down_length
 from flagmorse.exactnum import CSqrt2, Sqrt2
-from flagmorse.rootsys import build_root_system
+from flagmorse.rootsys import build_root_system, inner
 
 from test_rootsys import rv
 
@@ -46,6 +46,30 @@ def test_classical_magnitude_is_chain_length(family, rank):
     for (a, b), value in data.c_classical.items():
         p = _chain_down_length(sys_, a, b)
         assert abs(value) == p + 1
+
+
+RANK_AT_MOST_4 = ([("A", r) for r in range(1, 5)] + [("B", 2), ("B", 3), ("B", 4),
+                                                      ("C", 3), ("C", 4), ("D", 4)])
+
+
+@pytest.mark.parametrize("family,rank", RANK_AT_MOST_4 + [("E", 6)])
+def test_pair_action_is_the_normalized_classical_table(family, rank):
+    data = chev(family, rank)
+    sys_ = data.sys
+    sums = {(a, b) for a in sys_.roots for b in sys_.roots if sys_.contains(a + b)}
+    assert set(data.all_pairs()) == sums
+    assert len(data.all_pairs()) == len(sums)
+    for a, b in sums:
+        half = [inner(sys_, r, r) / 2 for r in (a, b, a + b)]
+        ratio = half[0] * half[1] / half[2]
+        c, classical = data.constant(a, b), data.classical_constant(a, b)
+        assert c * c == ratio * classical * classical
+        assert c.sign() == (1 if classical > 0 else -1)
+    for a in sys_.roots:
+        assert coroot(data, a) == a.unscaled()
+        assert data.pair_action[(a, -a)] == (None, coroot(data, a))
+    assert set(data.pair_action) == sums | {(a, -a) for a in sys_.roots}
+    assert set(data.c_classical) == {(a, b) for a, b in sums if sys_.is_positive(a + b)}
 
 
 def test_a2_magnitudes():

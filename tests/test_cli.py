@@ -121,6 +121,17 @@ def test_usage_errors_exit_2():
     result = run_cli("hessian", "--family", "A", "--rank", "2",
                      "--gamma", "1,-1,0:1,0", "--field", "0,0,0:1,0")
     assert result.returncode == 2
+    # painted lists are checked by check and hessian as by the other commands
+    result = run_cli("check", "--family", "A", "--rank", "2", "--painted", "5")
+    assert result.returncode == 2
+    assert "painted node out of range for rank 2" in result.stderr
+    result = run_cli("check", "--family", "B", "--rank", "2", "--painted", "1,2")
+    assert result.returncode == 2
+    assert "every node is painted" in result.stderr
+    result = run_cli("hessian", "--family", "B", "--rank", "2", "--painted", "1,2",
+                     "--gamma", "1,0:1,0", "--field", "0,1:1,0")
+    assert result.returncode == 2
+    assert "every node is painted" in result.stderr
 
 
 def test_chevalley_csv(tmp_path):
@@ -130,3 +141,14 @@ def test_chevalley_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "alpha,beta,c"
     assert len(lines) == 1 + 24
+
+
+def test_chevalley_a1_has_no_bracket_pairs():
+    result = run_cli("chevalley", "--family", "A", "--rank", "1", "--json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["pairs"] == 0
+    assert payload["n0"] is None
+    plain = run_cli("chevalley", "--family", "A", "--rank", "1")
+    assert plain.returncode == 0
+    assert plain.stdout.strip() == "A1: no bracket pairs"
