@@ -2,10 +2,6 @@
 
 Two tables are kept per system:
 
-* ``c_classical`` -- integer constants with the textbook chain magnitude
-  |c| = p + 1 on every ordered pair with a positive sum, seeded with + signs
-  on extraspecial pairs and propagated by antisymmetry, negation symmetry and
-  the Jacobi identity.
 * ``pair_action`` -- every ordered root pair that brackets to something
   nonzero.  A pair with a root sum holds that sum and its normalized constant:
   the basis rescaled so that [E_a, E_-a] is the metric dual of a (the
@@ -13,6 +9,17 @@ Two tables are kept per system:
   identity c_{a,b} = c_{b,-d} = c_{-d,a} holds with no length weights, at the
   cost of sqrt(2)-valued entries in the C family.  A pair (a, -a) holds the
   dual of a.
+* ``c_classical`` -- the textbook integer constants on every ordered pair
+  with a positive sum: sign(c_{a,b}) (p + 1), where p is the largest integer
+  with b - p a a root (Chevalley's theorem).
+
+One height induction fills ``pair_action`` directly in the normalized basis.
+Each positive root d, in order of height, takes its extraspecial pair (a, b)
+with a + sign and magnitude sqrt(h(a) h(b) / h(d)) (p + 1), h being half
+the squared length; every other decomposition of d follows from the Jacobi
+identity on (E_xi, E_eta, E_-a), whose other constants have sums of lower
+height.  Each constant is written with its 12 images under the cyclic
+identity, antisymmetry and c_{-x,-y} = -c_{x,y}.
 
 All arithmetic is exact.
 """
@@ -75,88 +82,62 @@ def _chain_down_length(sys: RootSystem, alpha: RootVector, beta: RootVector) -> 
     return p
 
 
-class _ClassicalBuilder:
-    """Fills the integer table by height induction over positive sums."""
-
-    def __init__(self, sys: RootSystem):
-        self.sys = sys
-        self.table: dict[tuple[RootVector, RootVector], Fraction] = {}
-
-    def _store(self, a: RootVector, b: RootVector, value: Fraction) -> None:
-        self.table[(a, b)] = value
-        self.table[(b, a)] = -value
-
-    def lookup(self, a: RootVector, b: RootVector) -> Fraction:
-        """Constant for any root pair with a + b a root; reduces signs."""
-        sys = self.sys
-        key = (a, b)
-        if key in self.table:
-            return self.table[key]
-        a_pos, b_pos = sys.is_positive(a), sys.is_positive(b)
-        if a_pos and b_pos:
-            raise KeyError(f"positive pair {a}, {b} not yet filled")
-        if not a_pos and not b_pos:
-            return -self.lookup(-a, -b)
-        if not a_pos:
-            return -self.lookup(b, a)
-        c = a + b
-        if not sys.is_positive(c):
-            return -self.lookup(-a, -b)
-        # a > 0 > b with positive sum: reduce to the positive pair (-b, c).
-        ratio = inner(sys, c, c) / inner(sys, a, a)
-        return -ratio * self.lookup(-b, c)
-
-    def fill(self) -> "_ClassicalBuilder":
-        """Store every pair of positive roots with a root sum."""
-        sys = self.sys
-        by_height = sorted(sys.positives, key=lambda r: (sys.height(r), r.coords))
-        for delta in by_height:
-            halves = sorted(
-                a for a in sys.positives
-                if sys.is_positive(delta - a) and sys.contains(delta - a)
-            )
-            if not halves:
-                continue
-            alpha = halves[0]
-            beta = delta - alpha
-            p = _chain_down_length(sys, alpha, beta)
-            self._store(alpha, beta, Fraction(p + 1))
-            seen = {alpha, beta}
-            denom = self.lookup(delta, -alpha)
-            for xi in halves[1:]:
-                if xi in seen:
-                    continue
-                eta = delta - xi
-                seen.update((xi, eta))
-                total = Fraction(0)
-                if sys.contains(eta - alpha):
-                    total += self.lookup(eta, -alpha) * self.lookup(eta - alpha, xi)
-                if sys.contains(xi - alpha):
-                    total += self.lookup(-alpha, xi) * self.lookup(xi - alpha, eta)
-                self._store(xi, eta, -total / denom)
-        return self
-
-
 @lru_cache(maxsize=None)
 def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
     sys = build_root_system(family, rank)
-    builder = _ClassicalBuilder(sys).fill()
-    half = {a: inner(sys, a, a) / 2 for a in sys.roots}
-    classical: dict[tuple[RootVector, RootVector], Fraction] = {}
-    pair_action: dict = {}
-    # one walk over the ordered pairs; the normalized constant rescales the
-    # classical one by sqrt(|a|^2 |b|^2 / (2 |a+b|^2))
-    for a in sys.roots:
-        for b in sys.roots:
-            s = a + b
-            if not any(s.coords):
-                pair_action[(a, b)] = (None, a.unscaled())
-            elif sys.contains(s):
-                value = builder.lookup(a, b)
-                if sys.is_positive(s):
-                    classical[(a, b)] = value
-                ratio = half[a] * half[b] / half[s]
-                pair_action[(a, b)] = (s, Sqrt2.sqrt_of_rational(ratio) * Sqrt2.of(value))
+    # keys and sums are the instances in sys.roots, so the table holds no copies
+    root = {r: r for r in sys.roots}
+    neg = {r: root[-r] for r in sys.roots}
+    half = {r: inner(sys, r, r) / 2 for r in sys.roots}
+    pair_action: dict = {(a, neg[a]): (None, a.unscaled()) for a in sys.roots}
+
+    def store(x: RootVector, y: RootVector, z: RootVector, c: Sqrt2) -> None:
+        """c_{x,y} for x + y + z = 0 and its 12 images: the cyclic identity,
+        antisymmetry and c_{-x,-y} = -c_{x,y}."""
+        minus = -c
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            nu, nv, nw = neg[u], neg[v], neg[w]
+            pair_action[(u, v)] = (nw, c)
+            pair_action[(v, u)] = (nw, minus)
+            pair_action[(nu, nv)] = (w, minus)
+            pair_action[(nv, nu)] = (w, c)
+
+    def const(x: RootVector, y: RootVector) -> Sqrt2:
+        return pair_action[(x, y)][1]
+
+    by_height = sorted(sys.positives, key=lambda r: (sys.height(r), r.coords))
+    for delta in by_height:
+        halves = [a for a in sys.positives if sys.is_positive(delta - a)]
+        if not halves:
+            continue
+        # extraspecial pair: + sign, magnitude p + 1 rescaled to the basis
+        alpha = halves[0]
+        beta = root[delta - alpha]
+        p = _chain_down_length(sys, alpha, beta)
+        ratio = half[alpha] * half[beta] / half[delta]
+        store(alpha, beta, neg[delta], Sqrt2.sqrt_of_rational(ratio) * (p + 1))
+        denom = const(delta, neg[alpha])  # an image of the seed
+        seen = {alpha, beta}
+        for xi in halves[1:]:
+            if xi in seen:
+                continue
+            eta = root[delta - xi]
+            seen.update((xi, eta))
+            # Jacobi on (E_xi, E_eta, E_-alpha); every other constant has a
+            # sum of lower height, so it is stored
+            total = Sqrt2(0)
+            if sys.contains(eta - alpha):
+                total += const(eta, neg[alpha]) * const(eta - alpha, xi)
+            if sys.contains(xi - alpha):
+                total += const(neg[alpha], xi) * const(xi - alpha, eta)
+            store(xi, eta, neg[delta], -total / denom)
+
+    # Chevalley's theorem: |c| = p + 1 in the classical basis
+    classical = {
+        (a, b): Fraction(c.sign() * (_chain_down_length(sys, a, b) + 1))
+        for (a, b), (s, c) in pair_action.items()
+        if s is not None and sys.is_positive(s)
+    }
     return ChevalleyData(sys=sys, c_classical=classical, pair_action=pair_action)
 
 

@@ -100,7 +100,7 @@ def _build_frame(args):
     return geom.frame_for(sp.sys.family, sp.sys.rank, sp.sigma_k)
 
 
-def _render_root(sp, root: RootVector) -> str:
+def _render_root(root: RootVector) -> str:
     return ",".join(str(Fraction(c, 2)) for c in root.coords)
 
 
@@ -123,7 +123,7 @@ def cmd_roots(args) -> int:
         "simple roots:",
     ]
     for i, s in enumerate(sys_.simples, 1):
-        lines.append(f"  a{i}: {','.join(str(Fraction(c, 2)) for c in s.coords)}")
+        lines.append(f"  a{i}: {_render_root(s)}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -165,21 +165,20 @@ def cmd_parabolic(args) -> int:
 
 def cmd_ell(args) -> int:
     sp = _build_split(args)
+    gamma = None
     if args.gamma:
         coeffs = _parse_gamma(args.gamma)
         gamma = comb.GammaSet.of(coeffs.keys(),
                                  {r: (float(a), float(b)) for r, (a, b) in coeffs.items()})
-    elif args.delta and args.delta != "auto":
-        root = _parse_root(args.delta)
-        gamma = comb.GammaSet.singleton(root)
-    else:
-        raise UsageError("provide --gamma, --delta coordinates, or both")
-    if not args.delta or args.delta == "auto":
+    delta = _parse_root(args.delta) if args.delta and args.delta != "auto" else None
+    if gamma is None:
+        if delta is None:
+            raise UsageError("provide --gamma, --delta coordinates, or both")
+        gamma = comb.GammaSet.singleton(delta)
+    if delta is None:
         delta = comb.superminimal(sp, gamma)
-    else:
-        delta = _parse_root(args.delta)
-        if delta not in gamma.support:
-            raise UsageError("--delta must belong to the support of --gamma")
+    elif delta not in gamma.support:
+        raise UsageError("--delta must belong to the support of --gamma")
     sets = comb.st_sets(sp, gamma, delta)
     c1 = comb.condition1(sp, gamma, delta, sets.t_set)
     c2 = comb.condition2(sp, gamma, delta, sets.s_set)
@@ -187,17 +186,17 @@ def cmd_ell(args) -> int:
         "family": sp.sys.family,
         "rank": sp.sys.rank,
         "painted": sorted(sp.sigma_k),
-        "gamma": [_render_root(sp, r) for r in sorted(gamma.support)],
-        "delta": _render_root(sp, delta),
+        "gamma": [_render_root(r) for r in sorted(gamma.support)],
+        "delta": _render_root(delta),
         "delta_long": is_long(sp.sys, delta),
-        "s_set": [_render_root(sp, r) for r in sorted(sets.s_set)],
-        "t_set": [_render_root(sp, r) for r in sorted(sets.t_set)],
+        "s_set": [_render_root(r) for r in sorted(sets.s_set)],
+        "t_set": [_render_root(r) for r in sorted(sets.t_set)],
         "ell": sets.ell,
         "h": sets.h,
         "condition1": {"ok": c1.ok,
-                       "witness": [_render_root(sp, r) for r in c1.witness] if c1.witness else None},
+                       "witness": [_render_root(r) for r in c1.witness] if c1.witness else None},
         "condition2": {"ok": c2.ok,
-                       "witness": [_render_root(sp, r) for r in c2.witness] if c2.witness else None},
+                       "witness": [_render_root(r) for r in c2.witness] if c2.witness else None},
     }
     plain = "\n".join([
         f"{sp.sys.name} painted {payload['painted']}  delta = {payload['delta']}"
@@ -269,8 +268,8 @@ def cmd_index_bound(args) -> int:
     sp = _build_split(args)
     row = comb.ell_table(args.family, args.rank, special=args.special)
     v = sp.v
-    lam0 = comb.index_lower_bound(args.m, args.n, v, row.ell) - 1
     bound = comb.index_lower_bound(args.m, args.n, v, row.ell)
+    lam0 = bound - 1
     payload = {
         "family": sp.sys.family,
         "rank": sp.sys.rank,

@@ -239,6 +239,8 @@ class RealFormFrame:
 def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> RealFormFrame:
     """Structure-constant plan, metric and complex structure over the ordered
     real basis."""
+    if not split.delta_m_pos:
+        raise ValueError("every node is painted; the frame has no tangent block")
     sys = split.sys
     if chev is None:
         chev = build_chevalley(sys)

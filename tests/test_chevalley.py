@@ -18,6 +18,7 @@ from flagmorse.chevalley import _chain_down_length
 from flagmorse.exactnum import CSqrt2, Sqrt2
 from flagmorse.rootsys import build_root_system, inner
 
+from conftest import ALL_SYSTEMS
 from test_rootsys import rv
 
 
@@ -48,11 +49,7 @@ def test_classical_magnitude_is_chain_length(family, rank):
         assert abs(value) == p + 1
 
 
-RANK_AT_MOST_4 = ([("A", r) for r in range(1, 5)] + [("B", 2), ("B", 3), ("B", 4),
-                                                      ("C", 3), ("C", 4), ("D", 4)])
-
-
-@pytest.mark.parametrize("family,rank", RANK_AT_MOST_4 + [("E", 6)])
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_pair_action_is_the_normalized_classical_table(family, rank):
     data = chev(family, rank)
     sys_ = data.sys
@@ -69,6 +66,10 @@ def test_pair_action_is_the_normalized_classical_table(family, rank):
         assert coroot(data, a) == a.unscaled()
         assert data.pair_action[(a, -a)] == (None, coroot(data, a))
     assert set(data.pair_action) == sums | {(a, -a) for a in sys_.roots}
+    # keys and sums are the system's own root instances, not copies
+    shared = {id(r) for r in sys_.roots}
+    assert all(id(r) in shared for (a, b), (s, _) in data.pair_action.items()
+               for r in (a, b, s) if r is not None)
     assert set(data.c_classical) == {(a, b) for a, b in sums if sys_.is_positive(a + b)}
 
 

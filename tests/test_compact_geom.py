@@ -183,6 +183,12 @@ def test_frame_invariants_non_borel():
     assert all(v < 1e-12 for v in res.values()), res
 
 
+def test_frame_needs_a_tangent_block():
+    # painting every node leaves no tangent root
+    with pytest.raises(ValueError, match="every node is painted"):
+        frame_for("B", 2, (0, 1))
+
+
 def test_rank_one_frame_sanity():
     # smallest possible frame: one Cartan direction and one root plane
     frame = frame_for("A", 1)
