@@ -330,7 +330,7 @@ def cmd_hessian(args) -> int:
     norm = np.sqrt(frame.m_norm2(x0))
     if norm == 0:
         raise UsageError("zero variation field")
-    value = geom.complex_hessian(frame, gdot, x0 / norm, args.nodes)
+    value = geom.complex_hessian(frame, gdot, x0 / norm)
     degenerate = geom.holomorphic_kernel_classification(frame, gamma_exact, field_exact)
     numeric_degenerate = abs(value) < 1e-8
     agree = degenerate == numeric_degenerate
@@ -341,7 +341,6 @@ def cmd_hessian(args) -> int:
         "hessian": value,
         "classification": "degenerate" if degenerate else "negative",
         "numeric_matches_classification": agree,
-        "nodes": args.nodes,
     }
     plain = (
         f"averaged second variation (unit field): {value:.12e}\n"
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="velocity list root:a,b;... (ambient coordinates)")
     p.add_argument("--field", required=True,
                    help="variation field list root:a,b;...")
-    p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hessian)
 

@@ -8,9 +8,10 @@ and frozen into float64 once.  Every bracket, adjoint matrix and identity
 check contracts through that one plan.  Every tensor along a geodesic is
 reduced to constant coefficients in this frame, so transport is a single
 matrix exponential and all the pointwise identities become
-finite-dimensional residual checks.  The averaged Hessian and the twist
-pairing are quadratic in the transported fields, so one Gauss-Legendre kernel
-integrates both through matrices built once per velocity.
+finite-dimensional residual checks.  The averaged Hessian, the tangent norm
+and the twist pairing are forms in the initial fields: each averaged matrix
+int_0^1 exp(tA)^T M exp(tA) dt is read off one block exponential (Van Loan),
+exactly in t, so no time grid or node count is involved.
 """
 
 from __future__ import annotations
@@ -343,12 +344,6 @@ def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarra
     return expm(-0.5 * t * r_operator(frame, gdot))
 
 
-def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix p of the bracket pairing, P(x, y) = <[y, x]_m - [Jy, Jx]_m, gdot>
     = x.p.y.  By ad-invariance of the metric <[y, x]_m, gdot> = y.C.x with
@@ -371,53 +366,51 @@ def _forms(frame: RealFormFrame, gdot: np.ndarray):
     return r, h, _pairing_matrix(frame, gdot)
 
 
-def _quadrature(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray,
-                y0: np.ndarray, nodes: int):
-    """Gauss-Legendre averages over [0, 1] of the fields x0, y0 (one row per
-    configuration) transported by exp(-t r / 2): e = -int h(x_t) + h(y_t),
+def _averaged(gen: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """int_0^1 exp(t gen)^T m exp(t gen) dt, exact in t: with
+    F = expm([[-gen^T, m], [0, gen]]) it is F22^T F12 (Van Loan, IEEE TAC
+    23(3), 1978)."""
+    n = gen.shape[0]
+    f = expm(np.block([[-gen.T, m], [np.zeros_like(gen), gen]]))
+    return f[n:, n:].T @ f[:n, n:]
+
+
+def _form(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x.m.y."""
+    return np.einsum("ni,ni->n", x @ m, y)
+
+
+def _quadrature(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray, y0: np.ndarray):
+    """Averages over [0, 1] of the fields x0, y0 (one row per configuration)
+    transported by exp(-t r / 2): e = -int h(x_t) + h(y_t),
     a = int |x_t|^2 + |y_t|^2 in the tangent metric, and b = int P(x_t, y_t).
 
-    The twisted form at rate k is e + 2 k^2 a + 2 k b.  ``a`` stays an
-    integral: for a generic velocity the transport is not an isometry.
+    Each is a form in the initial fields whose matrix ``_averaged`` integrates
+    exactly, so no time grid is involved.  The twisted form at rate k is
+    e + 2 k^2 a + 2 k b.  ``a`` stays an integral: for a generic velocity the
+    transport is not an isometry.
     """
-    if nodes < 16:
-        raise ValueError("use at least 16 quadrature nodes")
     r, h, p = _forms(frame, gdot)
-    e = np.zeros(x0.shape[0])
-    a = np.zeros(x0.shape[0])
-    b = np.zeros(x0.shape[0])
-    for t, w in zip(*gauss_nodes(nodes)):
-        tau = expm(-0.5 * t * r)
-        xt, yt = x0 @ tau.T, y0 @ tau.T
-        e -= w * (np.einsum("ni,ni->n", xt @ h, xt) + np.einsum("ni,ni->n", yt @ h, yt))
-        a += w * (frame.m_norm2(xt) + frame.m_norm2(yt))
-        b += w * np.einsum("ni,ni->n", xt @ p, yt)
-    return e, a, b
+    h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m) for m in (h, 2.0 * np.eye(frame.m_dim), p))
+    e = -(_form(x0, h_bar, x0) + _form(y0, h_bar, y0))
+    a = _form(x0, g_bar, x0) + _form(y0, g_bar, y0)
+    return e, a, _form(x0, p_bar, y0)
 
 
 def _twisted(e, a, b, k: float):
     return e + 2.0 * k * k * a + 2.0 * k * b
 
 
-def complex_hessian(
-    frame: RealFormFrame,
-    gdot: np.ndarray,
-    x0: np.ndarray,
-    quadrature_nodes: int = 64,
-) -> float:
+def complex_hessian(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray) -> float:
     """Averaged second-variation value on a transport-parallel field."""
-    return float(
-        complex_hessian_many(frame, gdot, np.atleast_2d(x0), quadrature_nodes)[0]
-    )
+    return float(complex_hessian_many(frame, gdot, np.atleast_2d(x0))[0])
 
 
-def complex_hessian_many(
-    frame: RealFormFrame,
-    gdot: np.ndarray,
-    x0_batch: np.ndarray,
-    quadrature_nodes: int = 64,
-) -> np.ndarray:
-    return _quadrature(frame, gdot, x0_batch, np.zeros(x0_batch.shape), quadrature_nodes)[0]
+def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
+                         x0_batch: np.ndarray) -> np.ndarray:
+    # the e part of _quadrature alone: one block exponential, not three
+    r, h, _ = _forms(frame, gdot)
+    return -_form(x0_batch, _averaged(-0.5 * r, h), x0_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +488,6 @@ def q_form(
     y0: np.ndarray,
     w0: np.ndarray,
     k: float,
-    quadrature_nodes: int = 64,
     *,
     i_map: Optional[np.ndarray] = None,
     pair_set=None,
@@ -510,8 +502,7 @@ def q_form(
         iw0[emb] = i_map @ w_s0
     else:
         iw0 = np.zeros_like(w0)
-    e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0 + w0), np.atleast_2d(y0 + iw0),
-                          quadrature_nodes)
+    e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0 + w0), np.atleast_2d(y0 + iw0))
     return float(_twisted(e, a, b, k)[0])
 
 
@@ -526,7 +517,7 @@ def k_search(
     frame: RealFormFrame,
     gdot: np.ndarray,
     configs: Sequence[tuple[np.ndarray, np.ndarray]],
-    quadrature_nodes: int = 64,
+    *,
     k_start: float = 1.0,
     max_halvings: int = 60,
 ) -> KSearchResult:
@@ -536,8 +527,10 @@ def k_search(
     The form is quadratic in the rate, so the per-configuration coefficients
     are integrated once and the bisection runs on the closed forms.
     """
+    if len(configs) == 0:
+        raise ValueError("k_search needs at least one configuration")
     e, a, b = _quadrature(frame, gdot, np.array([c[0] for c in configs]),
-                          np.array([c[1] for c in configs]), quadrature_nodes)
+                          np.array([c[1] for c in configs]))
     k = k_start
     for _ in range(max_halvings):
         qs = _twisted(e, a, b, k)

@@ -1,13 +1,14 @@
 import json
+import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import jsonschema
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json").read_text()
-)
+ROOT = pathlib.Path(__file__).parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def run_cli(*args):
@@ -132,6 +133,25 @@ def test_usage_errors_exit_2():
                      "--gamma", "1,0:1,0", "--field", "0,1:1,0")
     assert result.returncode == 2
     assert "every node is painted" in result.stderr
+    # the averages are exact in time, so there is no node count to set
+    result = run_cli("hessian", "--family", "A", "--rank", "3", "--gamma", "1,0,0,-1:1,0",
+                     "--field", "1,-1,0,0:1,1", "--nodes", "64")
+    assert result.returncode == 2
+    assert "--nodes" in result.stderr
+
+
+def test_readme_cli_examples_run(tmp_path):
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("flagmorse ")]
+    assert len(lines) == 8
+    # run from a temporary directory (one example writes a file), importing this tree
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+    for line in lines:
+        result = subprocess.run([sys.executable, "-m", "flagmorse", *shlex.split(line)[1:]],
+                                capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert result.returncode == 0, (line, result.stderr)
 
 
 def test_chevalley_csv(tmp_path):

@@ -17,7 +17,6 @@ from flagmorse.compact_geom import (
     complex_hessian_many,
     curvature_quadratic,
     frame_for,
-    gauss_nodes,
     hat_transport,
     holomorphic_kernel_classification,
     identity_suite,
@@ -340,10 +339,6 @@ def test_complex_hessian_dichotomy(borel_frame):
     x1 = _unit(frame, _plane_vector(frame, beta, 0.8, -0.6))
     val = complex_hessian(frame, gdot, x1)
     assert val < -1e-8
-    # quadrature self-check: doubling the nodes moves nothing
-    assert abs(
-        complex_hessian(frame, gdot, x1, 64) - complex_hessian(frame, gdot, x1, 128)
-    ) < 1e-10
 
 
 def test_complex_hessian_nonpositive(borel_frame, rng):
@@ -540,19 +535,15 @@ def test_k_search_non_borel(family, rank):
     assert result.k > 0 and max(result.q_values) < 0
 
 
-def test_quadrature_node_count_checked():
+def test_k_search_needs_a_configuration():
     frame = frame_for("A", 3)
     _, gdot = _delta_and_gdot(frame)
+    with pytest.raises(ValueError, match="at least one configuration"):
+        k_search(frame, gdot, [])
+    # a fourth positional argument (once a node count) is not taken as k_start
     x = np.ones(frame.m_dim)
-    zero = np.zeros(frame.m_dim)
-    calls = (
-        lambda: complex_hessian_many(frame, gdot, x[None], 4),
-        lambda: q_form(frame, gdot, x, x, zero, 0.5, 4),
-        lambda: k_search(frame, gdot, [(x, x)], 4),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="16 quadrature nodes"):
-            call()
+    with pytest.raises(TypeError):
+        k_search(frame, gdot, [(x, x)], 64)
 
 
 def _reference_parts(frame, gdot, x0, y0, nodes=64):
@@ -567,7 +558,8 @@ def _reference_parts(frame, gdot, x0, y0, nodes=64):
         return 0.5 * frame.m_norm2(rx) + frame.k_inner(kx, kx) + frame.k_inner(kjx, kjx)
 
     e = a = b = 0.0
-    for t, w in zip(*gauss_nodes(nodes)):
+    points, weights = np.polynomial.legendre.leggauss(nodes)  # Gauss-Legendre on [-1, 1]
+    for t, w in zip((points + 1.0) / 2.0, weights / 2.0):
         tau = hat_transport(frame, gdot, t)
         xt, yt = x0 @ tau.T, y0 @ tau.T
         e = e - w * (hessian_integrand(xt) + hessian_integrand(yt))
@@ -581,12 +573,14 @@ def _assert_relative(got, want, scale, rel=1e-12):
     assert np.max(np.abs(np.asarray(got) - want)) <= rel * np.max(scale)
 
 
-@pytest.mark.parametrize("family,rank,painted", ORACLE_FRAMES,
-                         ids=[f"{f}{r}{list(p)}" for f, r, p in ORACLE_FRAMES])
-def test_quadrature_matches_per_node_brackets(family, rank, painted):
+@pytest.mark.parametrize("family,rank,painted,speed", [
+    pytest.param(f, r, p, speed, id=f"{f}{r}{list(p)}{suffix}")
+    for speed, suffix in ((1.0, ""), (5.0, "-speed5")) for f, r, p in ORACLE_FRAMES
+])
+def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
     frame = frame_for(family, rank, painted)
     rng = np.random.default_rng(41)
-    gdot = _unit(frame, frame.random_m(rng))  # generic, not one root plane
+    gdot = speed * _unit(frame, frame.random_m(rng))  # generic, not one root plane
     fields = frame.random_m(rng, 6)
     e, _, _ = _reference_parts(frame, gdot, fields, np.zeros_like(fields))
     _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
