@@ -13,13 +13,14 @@ Two tables are kept per system:
   with a positive sum: sign(c_{a,b}) (p + 1), where p is the largest integer
   with b - p a a root (Chevalley's theorem).
 
-One height induction fills ``pair_action`` directly in the normalized basis.
-Each positive root d, in order of height, takes its extraspecial pair (a, b)
-with a + sign and magnitude sqrt(h(a) h(b) / h(d)) (p + 1), h being half
-the squared length; every other decomposition of d follows from the Jacobi
-identity on (E_xi, E_eta, E_-a), whose other constants have sums of lower
-height.  Each constant is written with its 12 images under the cyclic
-identity, antisymmetry and c_{-x,-y} = -c_{x,y}.
+One height induction, on root ids and the system's sum table, fills
+``pair_action`` in the normalized basis.  Each positive root d, in order of
+height, takes its extraspecial pair (a, b) with a + sign and magnitude
+sqrt(h(a) h(b) / h(d)) (p + 1), h being half the squared length; every other
+decomposition of d follows from the Jacobi identity on (E_xi, E_eta, E_-a),
+whose other constants have sums of lower height.  Each constant is written
+with its 12 images under the cyclic identity, antisymmetry and
+c_{-x,-y} = -c_{x,y}.
 
 All arithmetic is exact.
 """
@@ -30,9 +31,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DimensionMismatch
 from .exactnum import C_ZERO, CSqrt2, Sqrt2
-from .rootsys import RootSystem, RootVector, build_root_system, inner
+from .rootsys import RootSystem, RootVector, _positive_ids, build_root_system, inner
 
 HVector = tuple[CSqrt2, ...]
 
@@ -72,72 +75,77 @@ class ChevalleyData:
         return sorted(pair for pair, (s, _) in self.pair_action.items() if s is not None)
 
 
-def _chain_down_length(sys: RootSystem, alpha: RootVector, beta: RootVector) -> int:
-    """Largest p with beta - p*alpha still a root."""
+def _chain_down_length(sums: list, neg: list, a: int, b: int) -> int:
+    """Largest p with b - p*a still a root, for root ids and rows of the sum table."""
     p = 0
-    cur = beta - alpha
-    while sys.contains(cur):
+    cur = sums[b][neg[a]]
+    while cur >= 0:
         p += 1
-        cur = cur - alpha
+        cur = sums[cur][neg[a]]
     return p
 
 
 @lru_cache(maxsize=None)
 def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
     sys = build_root_system(family, rank)
-    # keys and sums are the instances in sys.roots, so the table holds no copies
-    root = {r: r for r in sys.roots}
-    neg = {r: root[-r] for r in sys.roots}
-    half = {r: inner(sys, r, r) / 2 for r in sys.roots}
-    pair_action: dict = {(a, neg[a]): (None, a.unscaled()) for a in sys.roots}
+    # the induction runs on root ids; keys and sums become the instances in
+    # sys.roots only at the end, so the tables hold no copies
+    roots, neg, sums = sys.roots, sys.neg.tolist(), sys.sums.tolist()
+    positive = sys.heights > 0
+    half = [inner(sys, r, r) / 2 for r in roots]
+    table: dict[tuple[int, int], Sqrt2] = {}
 
-    def store(x: RootVector, y: RootVector, z: RootVector, c: Sqrt2) -> None:
+    def store(x: int, y: int, z: int, c: Sqrt2) -> None:
         """c_{x,y} for x + y + z = 0 and its 12 images: the cyclic identity,
         antisymmetry and c_{-x,-y} = -c_{x,y}."""
         minus = -c
-        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            nu, nv, nw = neg[u], neg[v], neg[w]
-            pair_action[(u, v)] = (nw, c)
-            pair_action[(v, u)] = (nw, minus)
-            pair_action[(nu, nv)] = (w, minus)
-            pair_action[(nv, nu)] = (w, c)
+        for u, v in ((x, y), (y, z), (z, x)):
+            nu, nv = neg[u], neg[v]
+            table[u, v] = c
+            table[v, u] = minus
+            table[nu, nv] = minus
+            table[nv, nu] = c
 
-    def const(x: RootVector, y: RootVector) -> Sqrt2:
-        return pair_action[(x, y)][1]
-
-    by_height = sorted(sys.positives, key=lambda r: (sys.height(r), r.coords))
-    for delta in by_height:
-        halves = [a for a in sys.positives if sys.is_positive(delta - a)]
+    # positive ids in order of height, and by coordinates within a height
+    by_height = np.flatnonzero(positive)[np.argsort(sys.heights[positive], kind="stable")]
+    for delta in by_height.tolist():
+        rests = sys.sums[delta, sys.neg]  # by id: delta minus that root
+        halves = np.flatnonzero(positive & _positive_ids(sys, rests)).tolist()
         if not halves:
             continue
         # extraspecial pair: + sign, magnitude p + 1 rescaled to the basis
         alpha = halves[0]
-        beta = root[delta - alpha]
-        p = _chain_down_length(sys, alpha, beta)
+        beta = int(rests[alpha])
+        p = _chain_down_length(sums, neg, alpha, beta)
         ratio = half[alpha] * half[beta] / half[delta]
         store(alpha, beta, neg[delta], Sqrt2.sqrt_of_rational(ratio) * (p + 1))
-        denom = const(delta, neg[alpha])  # an image of the seed
+        denom = table[delta, neg[alpha]]  # an image of the seed
         seen = {alpha, beta}
         for xi in halves[1:]:
             if xi in seen:
                 continue
-            eta = root[delta - xi]
+            eta = int(rests[xi])
             seen.update((xi, eta))
             # Jacobi on (E_xi, E_eta, E_-alpha); every other constant has a
             # sum of lower height, so it is stored
             total = Sqrt2(0)
-            if sys.contains(eta - alpha):
-                total += const(eta, neg[alpha]) * const(eta - alpha, xi)
-            if sys.contains(xi - alpha):
-                total += const(neg[alpha], xi) * const(xi - alpha, eta)
+            down = sums[eta][neg[alpha]]
+            if down >= 0:
+                total += table[eta, neg[alpha]] * table[down, xi]
+            down = sums[xi][neg[alpha]]
+            if down >= 0:
+                total += table[neg[alpha], xi] * table[down, eta]
             store(xi, eta, neg[delta], -total / denom)
 
-    # Chevalley's theorem: |c| = p + 1 in the classical basis
-    classical = {
-        (a, b): Fraction(c.sign() * (_chain_down_length(sys, a, b) + 1))
-        for (a, b), (s, c) in pair_action.items()
-        if s is not None and sys.is_positive(s)
-    }
+    pair_action: dict = {(a, roots[neg[i]]): (None, a.unscaled()) for i, a in enumerate(roots)}
+    classical = {}
+    for (u, v), c in table.items():
+        s = sums[u][v]
+        pair_action[roots[u], roots[v]] = (roots[s], c)
+        if positive[s]:
+            # Chevalley's theorem: |c| = p + 1 in the classical basis
+            p = _chain_down_length(sums, neg, u, v)
+            classical[roots[u], roots[v]] = Fraction(c.sign() * (p + 1))
     return ChevalleyData(sys=sys, c_classical=classical, pair_action=pair_action)
 
 

@@ -28,7 +28,7 @@ from .chevalley import ChevalleyData, ComplexElement, bracket_c, build_chevalley
 from .errors import DegenerateCoefficients, NotInK, UnknownSuite
 from .exactnum import CSqrt2
 from .parabolic import ParabolicSplit
-from .rootsys import RootVector, build_root_system, inner
+from .rootsys import RootVector, _minus, build_root_system, inner
 
 # ---------------------------------------------------------------------------
 # structure-constant plans
@@ -61,12 +61,16 @@ def _make_plan(i, j, k, c, n_in: int, n_out: int) -> BracketPlan:
     return BracketPlan(i, j, k, c, k[first], np.flatnonzero(first), n_in, n_out)
 
 
-def _sub_plan(plan: BracketPlan, start: int, out_lo: int, out_hi: int) -> BracketPlan:
-    """Inputs from index ``start`` on, outputs in ``[out_lo, out_hi)``, all
-    re-indexed from zero."""
-    keep = (plan.i >= start) & (plan.j >= start) & (plan.k >= out_lo) & (plan.k < out_hi)
-    return _make_plan(plan.i[keep] - start, plan.j[keep] - start, plan.k[keep] - out_lo,
-                      plan.c[keep], plan.n_in - start, out_hi - out_lo)
+def _sub_plan(plan: BracketPlan, inputs: np.ndarray, outputs: np.ndarray) -> BracketPlan:
+    """The entries with both inputs among ``inputs`` and the output among
+    ``outputs``, re-indexed by position in those index arrays."""
+    at_in = np.full(plan.n_in, -1)
+    at_in[inputs] = np.arange(len(inputs))
+    at_out = np.full(plan.n_out, -1)
+    at_out[outputs] = np.arange(len(outputs))
+    i, j, k = at_in[plan.i], at_in[plan.j], at_out[plan.k]
+    keep = (i >= 0) & (j >= 0) & (k >= 0)
+    return _make_plan(i[keep], j[keep], k[keep], plan.c[keep], len(inputs), len(outputs))
 
 
 # Products per block of rows in ``_contract``: about 256 KB of float64, so the
@@ -289,8 +293,8 @@ def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> 
         m_pos=m_pos,
         k_pos=k_pos,
         plan=plan,
-        plan_m=_sub_plan(plan, m_start, m_start, dim),
-        plan_k=_sub_plan(plan, m_start, 0, m_start),
+        plan_m=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start, dim)),
+        plan_k=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start)),
         metric=metric,
         j_m=j_m,
         slots=slots,
@@ -454,8 +458,9 @@ def map_I(
     if a == 0 and b == 0:
         raise DegenerateCoefficients("both coefficients vanish")
     pairs = s0_indices(frame, pair_set)
+    ids = frame.sys.ids
     for alpha, beta in pairs:
-        if alpha + beta != delta:
+        if frame.sys.sums[ids[alpha], ids[beta]] != ids.get(delta):
             raise ValueError(f"pair {(alpha, beta)} does not sum to {delta}")
     ad = frame.ad_matrix(tilde_vector(frame, delta, a, b))
     scale = float(np.hypot(a, b))
@@ -719,8 +724,8 @@ def _kernel_supports(frame, delta):
     """Tangent-positive roots whose plane brackets the conjugate of the
     delta-plane back into anti-holomorphic directions only (after the tangent
     projection, which drops Cartan and isotropy parts)."""
-    return [alpha for alpha in frame.m_pos
-            if (alpha - delta) not in frame.split.delta_m_pos]
+    rests = [_minus(frame.sys, alpha, delta) for alpha in frame.m_pos]
+    return [alpha for alpha, r in zip(frame.m_pos, rests) if r < 0 or frame.split.part[r] != 1]
 
 
 def _conditioned_batch(frame, rng, trials):
@@ -862,27 +867,23 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
             a = 1.0
         n0 = n0_constant(frame.chev, [frozenset(p) for p in pairs])
         i_mat = map_I(frame, delta, a, b, pairs)
-        emb_full = s0_embedding(frame, pairs)
-        tilde = tilde_vector(frame, delta, a, b)
+        # the bracket from the pair coordinates onto delta's plane, which is
+        # all the metric pairing with the twist direction reads
+        emb = s0_embedding(frame, pairs)
+        plane = np.array(frame.slots[delta])
+        sub = _sub_plan(frame.plan, emb, plane)
+        twist = frame.metric[np.ix_(plane, plane)] @ (a, b)  # pairs with a*X_delta + b*Y_delta
+        j_s0 = frame.j_m[np.ix_(emb - frame.m_start, emb - frame.m_start)]
         per = -(-trials // len(usable))
         x = rng.standard_normal((per, i_mat.shape[0]))
-        full = np.zeros((per, frame.dim))
-        full[:, emb_full] = x @ i_mat.T
-        full2 = np.zeros((per, frame.dim))
-        full2[:, emb_full] = x
-        br = frame.bracket_full(full, full2)
-        val = np.einsum("ni,ij,j->n", br, frame.metric, tilde)
+        ix = x @ i_mat.T
+        br = _contract(sub, ix, x)
+        val = br @ twist
         norms = 2.0 * np.einsum("ni,ni->n", x, x)
         excess = val + n0 * np.hypot(a, b) * norms
         worst = max(worst, float(np.max(np.maximum(excess, 0.0))))
         # slice-level form of the twisted pairing bound (rate-free)
-        j_full = np.zeros((frame.dim, frame.dim))
-        j_full[frame.m_start:, frame.m_start:] = frame.j_m
-        p_val = np.einsum(
-            "ni,ij,j->n",
-            br - frame.bracket_full(full @ j_full.T, full2 @ j_full.T),
-            frame.metric, tilde,
-        )
+        p_val = (br - _contract(sub, ix @ j_s0.T, x @ j_s0.T)) @ twist
         excess2 = p_val + 2.0 * n0 * np.hypot(a, b) * norms
         worst = max(worst, float(np.max(np.maximum(excess2, 0.0))))
         total += per

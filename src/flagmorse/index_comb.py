@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
+import numpy as np
+
 from .errors import (
     HypothesisViolated,
     SuperminimalNotFound,
@@ -19,7 +21,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .parabolic import ParabolicSplit
-from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, precedes
+from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, _minus, _positive_ids, precedes
 
 Pair = tuple[float, float]
 
@@ -94,51 +96,67 @@ def superminimal(sp: ParabolicSplit, gamma: GammaSet) -> RootVector:
     """
     gamma.validate_against(sp)
     sys = sp.sys
-    support = gamma.support
-    candidates = []
-    for delta in sorted(support):
-        if any(lam != delta and precedes(sys, lam, delta) for lam in support):
+    minus_support = sys.neg[[sys.ids[r] for r in gamma.support]]
+    for delta in sorted(gamma.support):
+        plus = sys.sums[sys.ids[delta]]  # by id: delta plus that root
+        # no support root precedes delta (delta itself leaves zero) ...
+        if _positive_ids(sys, plus[minus_support]).any():
             continue
-        ok = True
-        for beta in sys.roots:
-            if not precedes(sys, beta, delta):
-                continue
-            if any(precedes(sys, lam, beta) for lam in support):
-                ok = False
-                break
-        if ok:
-            candidates.append(delta)
-    if not candidates:
-        raise SuperminimalNotFound(f"no superminimal element in {sorted(support)}")
-    return candidates[0]
+        # ... nor does one precede a root below delta
+        below = np.flatnonzero(_positive_ids(sys, plus[sys.neg]))
+        if not _positive_ids(sys, sys.sums[np.ix_(below, minus_support)]).any():
+            return delta
+    raise SuperminimalNotFound(f"no superminimal element in {sorted(gamma.support)}")
+
+
+def _st(sp: ParabolicSplit, delta: RootVector) -> tuple[set, set]:
+    """S and T of a tangent-positive root: a tangent-positive x with delta - x
+    a root is in S when delta - x is tangent-positive too, else in T (delta - x
+    negative, or in the painted span); T also holds delta."""
+    sys = sp.sys
+    d = sys.ids[delta]
+    m = [sys.ids[r] for r in sp.delta_m_pos]
+    rests = sys.sums[d, sys.neg[m]]  # delta - x, for x in delta_m_pos
+    root = rests >= 0
+    in_s = root & (sp.part[rests] == 1)
+    in_t = (root & ~in_s) | (np.array(m) == d)
+    return ({x for x, keep in zip(sp.delta_m_pos, in_s) if keep},
+            {x for x, keep in zip(sp.delta_m_pos, in_t) if keep})
 
 
 def st_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSets:
     """S and T sets of a chosen support element, with ell and h."""
+    gamma.validate_against(sp)
     if delta not in gamma.support:
         raise ValueError(f"{delta} is not in the support set")
-    sys = sp.sys
-    s_set = {
-        a for a in sp.delta_m_pos
-        if precedes(sys, a, delta) and (delta - a) in sp.delta_m_pos
-    }
-    t_set = {
-        b for b in sp.delta_m_pos
-        if b == delta or precedes(sys, delta, b) or sp.in_k(delta - b)
-    }
-    return STSets.make(delta, s_set, t_set)
+    return STSets.make(delta, *_st(sp, delta))
+
+
+def _plus_minus(sys: RootSystem, x: RootVector, y: RootVector, z: RootVector) -> int:
+    """Id of x + y - z for three roots, or a negative sentinel.  If it is a
+    root, one of x + y, x - z, y - z is a root or zero: else (x, y) >= 0,
+    (x, z) <= 0 and (y, z) <= 0, so |x + y - z|^2 >= 3 short^2 > long^2."""
+    sums, x, y, nz = sys.sums, sys.ids[x], sys.ids[y], sys.neg[sys.ids[z]]
+    for first, second, then in ((x, y, nz), (x, nz, y), (y, nz, x)):
+        s = sums[first, second]
+        if s >= 0:
+            return sums[s, then]
+        if s == -2:
+            return then
+    return -1
 
 
 def condition1(
     sp: ParabolicSplit, gamma: GammaSet, delta: RootVector, t_set: frozenset[RootVector]
 ) -> ConditionResult:
     """No two distinct non-delta T members may differ by delta minus a support root."""
+    sys = sp.sys
     others = set(t_set) - {delta}
     for beta1 in others:
         for lam in gamma.support:
-            beta0 = beta1 - lam + delta
-            if beta0 != beta1 and beta0 in others:
-                return ConditionResult(False, (beta0, beta1, lam))
+            beta0 = _plus_minus(sys, beta1, delta, lam)
+            if beta0 >= 0 and sys.roots[beta0] != beta1 and sys.roots[beta0] in others:
+                return ConditionResult(False, (sys.roots[beta0], beta1, lam))
     return ConditionResult(True, None)
 
 
@@ -146,6 +164,7 @@ def condition2(
     sp: ParabolicSplit, gamma: GammaSet, delta: RootVector, s_set: frozenset[RootVector]
 ) -> ConditionResult:
     """Sums of two S members meet the support exactly in delta."""
+    sys = sp.sys
     if s_set and delta not in gamma.support:
         alpha = next(iter(s_set))
         return ConditionResult(False, (alpha, delta - alpha, delta))
@@ -153,9 +172,9 @@ def condition2(
         for lam in gamma.support:
             if lam == delta:
                 continue
-            beta = lam - alpha
-            if beta in s_set:
-                return ConditionResult(False, (alpha, beta, lam))
+            beta = _minus(sys, lam, alpha)
+            if beta >= 0 and sys.roots[beta] in s_set:
+                return ConditionResult(False, (alpha, sys.roots[beta], lam))
     return ConditionResult(True, None)
 
 
@@ -274,14 +293,8 @@ def b_case_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSet
         _e_vector(sys, b) for b in range(i + 1, r)
         if _e_vector(sys, b) in sp.delta_m_pos and (delta - _e_vector(sys, b)) in sp.delta_k_pos
     }
-    s_set = {
-        a for a in sp.delta_m_pos
-        if precedes(sys, a, delta) and (delta - a) in sp.delta_m_pos
-    }
-    allowed = set()
-    for l in range(i + 1, r):
-        allowed.add(delta - _e_vector(sys, l))
-        allowed.add(_e_vector(sys, l))
+    s_set = _st(sp, delta)[0]
+    allowed = {x for l in range(i + 1, r) for x in (delta - _e_vector(sys, l), _e_vector(sys, l))}
     if not s_set <= allowed:
         raise RuntimeError(f"unexpected S membership: {sorted(s_set - allowed)}")
     sets = STSets.make(delta, s_set, u_set | v_set)

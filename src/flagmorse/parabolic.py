@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .rootsys import RootSystem, RootVector
 
 
@@ -41,6 +43,8 @@ class ParabolicSplit:
     delta_m_pos: frozenset[RootVector]
     m_pos_sorted: tuple[RootVector, ...] = field(repr=False)
     k_pos_sorted: tuple[RootVector, ...] = field(repr=False)
+    # by root id: 1 tangent positive, -1 tangent negative, 0 painted span
+    part: np.ndarray = field(repr=False, compare=False)
 
     @property
     def v(self) -> int:
@@ -69,10 +73,9 @@ def split(sys: RootSystem, painted: PaintedDiagram) -> ParabolicSplit:
     if painted.sys is not sys:
         raise ValueError("painted diagram belongs to a different system")
     sigma = painted.sigma_k
-    delta_k = frozenset(
-        r for r in sys.roots
-        if all(c == 0 for i, c in enumerate(sys.expansions[r]) if i not in sigma)
-    )
+    in_k = [all(c == 0 for i, c in enumerate(sys.expansions[r]) if i not in sigma)
+            for r in sys.roots]
+    delta_k = frozenset(r for r, k in zip(sys.roots, in_k) if k)
     k_pos = frozenset(r for r in delta_k if sys.is_positive(r))
     m_pos = frozenset(r for r in sys.positives if r not in delta_k)
     return ParabolicSplit(
@@ -83,6 +86,7 @@ def split(sys: RootSystem, painted: PaintedDiagram) -> ParabolicSplit:
         delta_m_pos=m_pos,
         m_pos_sorted=tuple(sorted(m_pos, key=lambda r: (sys.height(r), r.coords))),
         k_pos_sorted=tuple(sorted(k_pos, key=lambda r: (sys.height(r), r.coords))),
+        part=np.where(in_k, 0, np.sign(sys.heights)).astype(np.int8),
     )
 
 
@@ -95,11 +99,7 @@ def verify_m_closure(sp: ParabolicSplit) -> list[tuple[RootVector, RootVector]]:
 
     Expected empty for every valid split.
     """
-    sys = sp.sys
-    bad = []
-    for a in sp.m_pos_sorted:
-        for b in sp.m_pos_sorted:
-            s = a + b
-            if sys.contains(s) and s in sp.delta_k:
-                bad.append((a, b))
-    return bad
+    m = [sp.sys.ids[r] for r in sp.m_pos_sorted]
+    s = sp.sys.sums[np.ix_(m, m)]
+    bad = np.argwhere((s >= 0) & (sp.part[s] == 0))
+    return [(sp.m_pos_sorted[a], sp.m_pos_sorted[b]) for a, b in bad.tolist()]

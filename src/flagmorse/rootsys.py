@@ -4,6 +4,14 @@ Coordinates are ambient Euclidean coordinates scaled by a global factor of 2
 and stored as integers, so the half-integer entries of the E series stay
 exact.  The normalized bilinear form fixes every long root at squared length
 2; for the C family that requires a 1/2 scale on the raw dot product.
+
+The positive roots and their expansions come from a walk up from the simple
+roots, adding one simple root at a time while the sum stays in the ambient
+enumeration (E8's for E6 and E7, whose roots are the walk's closure).  Each
+system carries one integer root index that the exact code shares: a root's
+id is its position in ``roots``; ``neg``, ``heights`` and the sum table
+``sums`` are indexed by id, and ``sums[i, j]`` is -1 when the sum is not a
+root and -2 when it is zero.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedFamily
 
@@ -76,18 +86,22 @@ class RootSystem:
     simples: tuple[RootVector, ...]
     # coefficients of each root over the simple roots, by root
     expansions: dict[RootVector, tuple[int, ...]] = field(repr=False)
-    _root_set: frozenset[RootVector] = field(repr=False)
-    _positive_set: frozenset[RootVector] = field(repr=False)
+    # the root index: id of each root, and by id its negative, height and sums
+    ids: dict[RootVector, int] = field(repr=False)
+    neg: np.ndarray = field(repr=False, compare=False)
+    heights: np.ndarray = field(repr=False, compare=False)
+    sums: np.ndarray = field(repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
     def contains(self, x: RootVector) -> bool:
-        return x in self._root_set
+        return x in self.ids
 
     def is_positive(self, x: RootVector) -> bool:
-        return x in self._positive_set
+        i = self.ids.get(x)
+        return i is not None and self.heights[i] > 0
 
     def height(self, x: RootVector) -> int:
         return sum(self.expansions[x])
@@ -111,122 +125,75 @@ def _check_supported(family: str, rank: int) -> None:
         raise UnsupportedFamily(f"{fam}_{rank} is outside the supported range")
 
 
-def _basis_vector(dim: int, i: int, value: int) -> list[int]:
-    v = [0] * dim
-    v[i] = value
-    return v
-
-
 def _enumerate_scaled_roots(family: str, rank: int) -> tuple[int, list[RootVector]]:
-    """Return (ambient_dim, all roots) in scaled integer coordinates."""
+    """Return (ambient_dim, all roots) in scaled integer coordinates: e_i - e_j
+    for A; +-e_i +- e_j for B, C, D and E, with +-e_i for B, +-2 e_i for C and
+    the spinors (+-1/2, ..., +-1/2) with an even number of minus signs for E."""
+    dim = {"A": rank + 1, "E": 8}.get(family, rank)
+    signs = ((2, -2), (-2, 2)) if family == "A" else tuple(itertools.product((2, -2), repeat=2))
     out: list[tuple[int, ...]] = []
-    if family == "A":
-        dim = rank + 1
-        for i, j in itertools.permutations(range(dim), 2):
+    for i, j in itertools.combinations(range(dim), 2):
+        for si, sj in signs:
             v = [0] * dim
-            v[i], v[j] = 2, -2
+            v[i], v[j] = si, sj
             out.append(tuple(v))
-    elif family in ("B", "C", "D"):
-        dim = rank
-        for i, j in itertools.combinations(range(dim), 2):
-            for si, sj in itertools.product((2, -2), repeat=2):
-                v = [0] * dim
-                v[i], v[j] = si, sj
-                out.append(tuple(v))
-        if family == "B":
-            for i in range(dim):
-                out.append(tuple(_basis_vector(dim, i, 2)))
-                out.append(tuple(_basis_vector(dim, i, -2)))
-        elif family == "C":
-            for i in range(dim):
-                out.append(tuple(_basis_vector(dim, i, 4)))
-                out.append(tuple(_basis_vector(dim, i, -4)))
-    elif family == "E":
-        dim = 8
-        for i, j in itertools.combinations(range(8), 2):
-            for si, sj in itertools.product((2, -2), repeat=2):
-                v = [0] * 8
-                v[i], v[j] = si, sj
-                out.append(tuple(v))
-        for signs in itertools.product((1, -1), repeat=8):
-            if signs.count(-1) % 2 == 0:
-                out.append(signs)
-    else:  # pragma: no cover - guarded by _check_supported
-        raise UnsupportedFamily(family)
+    if family in ("B", "C"):
+        length = 2 if family == "B" else 4
+        out += [tuple(s * length * (k == i) for k in range(dim))
+                for i in range(dim) for s in (1, -1)]
+    if family == "E":
+        out += [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
     return dim, [RootVector(v) for v in out]
 
 
 def _simple_roots(family: str, rank: int, dim: int) -> list[RootVector]:
-    simples: list[list[int]] = []
-    if family == "A":
-        for i in range(rank):
-            v = [0] * dim
-            v[i], v[i + 1] = 2, -2
-            simples.append(v)
-    elif family in ("B", "C", "D"):
-        for i in range(rank - 1):
-            v = [0] * dim
-            v[i], v[i + 1] = 2, -2
-            simples.append(v)
+    def vec(*entries: tuple[int, int]) -> RootVector:
         v = [0] * dim
-        if family == "B":
-            v[rank - 1] = 2
-        elif family == "C":
-            v[rank - 1] = 4
-        else:
-            v[rank - 2], v[rank - 1] = 2, 2
-        simples.append(v)
-    elif family == "E":
+        for i, c in entries:
+            v[i] = c
+        return RootVector(tuple(v))
+
+    if family == "E":
         # Standard reference-table ordering in 8 ambient coordinates.
-        simples.append([1, -1, -1, -1, -1, -1, -1, 1])
-        simples.append([2, 2, 0, 0, 0, 0, 0, 0])
-        for i in range(rank - 2):
-            v = [0] * 8
-            v[i], v[i + 1] = -2, 2
-            simples.append(v)
-    return [RootVector(tuple(v)) for v in simples]
+        return ([RootVector((1, -1, -1, -1, -1, -1, -1, 1)), vec((0, 2), (1, 2))]
+                + [vec((i, -2), (i + 1, 2)) for i in range(rank - 2)])
+    chain = [vec((i, 2), (i + 1, -2)) for i in range(rank if family == "A" else rank - 1)]
+    last = {"A": [], "B": [vec((rank - 1, 2))], "C": [vec((rank - 1, 4))],
+            "D": [vec((rank - 2, 2), (rank - 1, 2))]}[family]
+    return chain + last
 
 
-def _expansion_solver(simples: list[RootVector]):
-    """Exact least-squares solver c with sum_j c_j * simple_j = root."""
-    cols = [s.coords for s in simples]
-    k = len(cols)
-    gram = [[sum(Fraction(a * b) for a, b in zip(cols[i], cols[j])) for j in range(k)] for i in range(k)]
-    inv = _invert_fraction_matrix(gram)
-
-    def solve(root: RootVector) -> tuple[int, ...]:
-        rhs = [sum(Fraction(c * x) for c, x in zip(col, root.coords)) for col in cols]
-        coeffs = [sum(inv[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"non-integral expansion for {root}: {coeffs}")
-            out.append(int(c))
-        # confirm the expansion reproduces the root (span membership)
-        recon = [0] * root.ambient_dim
-        for c, s in zip(out, simples):
-            for i, x in enumerate(s.coords):
-                recon[i] += c * x
-        if tuple(recon) != root.coords:
-            raise ValueError(f"{root} is outside the simple-root span")
-        return tuple(out)
-
-    return solve
+def _walk(simples: list[RootVector], ambient: frozenset[RootVector]) -> dict:
+    """Positive roots with their expansions, by height: each root of the next
+    height is one of this height plus a simple root, inside ``ambient``."""
+    rank = len(simples)
+    expansions = {s: tuple(int(i == l) for i in range(rank)) for l, s in enumerate(simples)}
+    layer = list(simples)
+    while layer:
+        above = []
+        for root in layer:
+            for l, s in enumerate(simples):
+                up = root + s
+                if up in ambient and up not in expansions:
+                    expansions[up] = tuple(c + (i == l) for i, c in enumerate(expansions[root]))
+                    above.append(up)
+        layer = above
+    return expansions
 
 
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _sum_table(roots: tuple[RootVector, ...]) -> np.ndarray:
+    """``sums[i, j]``: id of roots[i] + roots[j], -1 for no root, -2 for zero.
+
+    Filled row by row through linear keys: base-17 signed digits hold every
+    scaled coordinate of a sum of two roots (at most 8 in size), so two such
+    sums are equal exactly when their keys are.
+    """
+    keys = (np.array([r.coords for r in roots]) @ 17 ** np.arange(len(roots[0].coords))).tolist()
+    index = {0: -2, **{key: i for i, key in enumerate(keys)}}
+    table = np.empty((len(roots), len(roots)), dtype=np.int16)
+    for i, key in enumerate(keys):
+        table[i] = [index.get(key + other, -1) for other in keys]
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -234,38 +201,43 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system for a supported family/rank pair."""
     fam = family.upper()
     _check_supported(fam, rank)
-    dim, roots = _enumerate_scaled_roots(fam, rank)
+    dim, ambient = _enumerate_scaled_roots(fam, rank)
     simples = _simple_roots(fam, rank, dim)
+    walked = _walk(simples, frozenset(ambient))
     if fam == "E" and rank < 8:
-        # Restrict the rank-8 enumeration to the span of the leading simples.
-        full_solver = _expansion_solver(_simple_roots("E", 8, 8))
-        keep = []
-        for r in roots:
-            coeffs = full_solver(r)
-            if all(c == 0 for c in coeffs[rank:]):
-                keep.append(r)
-        roots = keep
-    solver = _expansion_solver(simples)
-    expansions = {r: solver(r) for r in roots}
-    for r, coeffs in expansions.items():
-        pos, neg = any(c > 0 for c in coeffs), any(c < 0 for c in coeffs)
-        if pos and neg:
-            raise ValueError(f"mixed-sign expansion for {r}; bad simple roots")
-    positives = [r for r in roots if sum(expansions[r]) > 0]
-    norm_scale = Fraction(1, 2) if fam == "C" else Fraction(1)
-    roots_sorted = tuple(sorted(roots))
+        ambient = [r for p in walked for r in (p, -p)]  # the walk's closure
+    if 2 * len(walked) != len(ambient):
+        raise ValueError(f"the simple-root walk reached {len(walked)} positive roots "
+                         f"of {len(ambient)} roots")
+    roots = tuple(sorted(ambient))
+    expansions = {r: walked[r] if r in walked else tuple(-c for c in walked[-r])
+                  for r in roots}
+    ids = {r: i for i, r in enumerate(roots)}
     return RootSystem(
         family=fam,
         rank=rank,
         ambient_dim=dim,
-        norm_scale=norm_scale,
-        roots=roots_sorted,
-        positives=tuple(sorted(positives)),
+        norm_scale=Fraction(1, 2) if fam == "C" else Fraction(1),
+        roots=roots,
+        positives=tuple(sorted(walked)),
         simples=tuple(simples),
         expansions=expansions,
-        _root_set=frozenset(roots),
-        _positive_set=frozenset(positives),
+        ids=ids,
+        neg=np.array([ids[-r] for r in roots]),
+        heights=np.array([sum(expansions[r]) for r in roots]),
+        sums=_sum_table(roots),
     )
+
+
+def _minus(sys: RootSystem, x: RootVector, y: RootVector) -> int:
+    """Id of x - y for two roots, or a -1/-2 sentinel."""
+    return sys.sums[sys.ids[x], sys.neg[sys.ids[y]]]
+
+
+def _positive_ids(sys: RootSystem, ids) -> np.ndarray:
+    """Mask of the entries of an id array that are positive roots (no sentinel is)."""
+    ids = np.asarray(ids)
+    return (ids >= 0) & (sys.heights[ids] > 0)
 
 
 def inner(sys: RootSystem, x: RootVector, y: RootVector) -> Fraction:
@@ -280,14 +252,14 @@ def is_root(sys: RootSystem, x: RootVector) -> bool:
 
 
 def add(sys: RootSystem, x: RootVector, y: RootVector) -> Optional[RootVector]:
-    """Sum of two vectors when it is again a root, else None."""
-    s = x + y
-    return s if sys.contains(s) else None
+    """Sum of two roots when it is again a root, else None."""
+    s = sys.sums[sys.ids[x], sys.ids[y]]
+    return sys.roots[s] if s >= 0 else None
 
 
 def precedes(sys: RootSystem, alpha: RootVector, delta: RootVector) -> bool:
     """The non-partial ordering: alpha < delta iff delta - alpha is positive."""
-    return sys.is_positive(delta - alpha)
+    return bool(_positive_ids(sys, _minus(sys, delta, alpha)))
 
 
 def is_long(sys: RootSystem, alpha: RootVector) -> bool:
@@ -327,12 +299,15 @@ def long_orbit_is_transitive(sys: RootSystem) -> bool:
 
 def w_set(sys: RootSystem, delta: RootVector) -> frozenset[RootVector]:
     """All roots alpha such that delta - alpha is again a root."""
-    return frozenset(a for a in sys.roots if sys.contains(delta - a))
+    rests = sys.sums[sys.ids[delta], sys.neg]
+    return frozenset(sys.roots[a] for a in np.flatnonzero(rests >= 0))
 
 
 def w_pairs(sys: RootSystem, delta: RootVector) -> frozenset[frozenset[RootVector]]:
     """Unordered root pairs {alpha, beta} with alpha + beta = delta."""
-    return frozenset(frozenset((a, delta - a)) for a in w_set(sys, delta))
+    rests = sys.sums[sys.ids[delta], sys.neg]
+    return frozenset(frozenset((sys.roots[a], sys.roots[rests[a]]))
+                     for a in np.flatnonzero(rests >= 0))
 
 
 def w_pair_count(sys: RootSystem, delta: RootVector) -> int:

@@ -140,6 +140,85 @@ def test_criterion_3_jacobi_exact():
                "all systems of rank <= 4 (exact arithmetic)")
 
 
+def _integer_chevalley(family, rank):
+    """The classical Chevalley basis as int64 arrays over root ids: the root
+    vectors e_a and the simple coroots h_i, with [e_a, e_b] = N[a, b] e_{a+b},
+    [e_a, e_-a] = h_a = sum_i cor[a, i] h_i and [h_i, e_b] = K[b, i] e_b."""
+    sys_ = build_root_system(family, rank)
+    data = build_chevalley(sys_)
+    roots, ids = sys_.roots, sys_.ids
+    n = len(roots)
+    table = np.zeros((n, n + 1), dtype=np.int64)  # column n: "no root sum"
+    for a, b in data.all_pairs():
+        table[ids[a], ids[b]] = int(data.classical_constant(a, b))
+    coords = np.array([r.coords for r in roots], dtype=np.int64)
+    gram = coords @ coords.T  # the form up to a positive scale, which cancels
+    sq = np.diag(gram)
+    assert np.all(2 * gram % sq == 0)
+    cartan = 2 * gram // sq  # cartan[x, y] = <x, y^vee>
+    simple = [ids[s] for s in sys_.simples]
+    # coroot of a over the simple coroots: n_i |s_i|^2 / |a|^2
+    exp = np.array([sys_.expansions[r] for r in roots], dtype=np.int64)
+    assert np.all(exp * sq[simple] % sq[:, None] == 0)
+    cor = exp * sq[simple] // sq[:, None]
+    sums = sys_.sums.astype(np.int64)
+    return {"N": table, "S": np.where(sums >= 0, sums, n), "zero": sums == -2,
+            "K": cartan, "Ks": cartan[:, simple], "cor": cor, "neg": sys_.neg}
+
+
+def _jacobi_violations(t):
+    """Basis triples whose Jacobi sum is not zero, counted per target entry.
+
+    Jacobi is trilinear and alternating, so checking every ordered triple of
+    basis elements proves it on the whole algebra.
+    """
+    N, S, zero, K, Ks, cor, neg = (t[k] for k in ("N", "S", "zero", "K", "Ks", "cor", "neg"))
+    n = len(neg)
+    bad = 0
+    for a in range(n):
+        # (e_a, e_b, e_c): every nonzero term is a multiple of e_{a+b+c}, and
+        # a pair summing to zero brackets to a coroot: [e_z, h_x] = -K[z, x] e_z
+        t1 = N[:, :n] * N[a, S] - zero * K[a][:, None]           # [e_a, [e_b, e_c]]
+        t2 = N[:, S[:, a]] * N[:, a][None, :]                      # [e_b, [e_c, e_a]]
+        t2[:, neg[a]] -= K[:, neg[a]]
+        t3 = N[:, S[a, :n]].T * N[a, :n][:, None]                 # [e_c, [e_a, e_b]]
+        t3[neg[a], :] -= K[:, a]
+        bad += np.count_nonzero(t1 + t2 + t3)
+        # a + b + c = 0: N(b,c) h_a + N(c,a) h_b + N(a,b) h_c on the coroots
+        b = np.flatnonzero(S[a, :n] < n)
+        c = neg[S[a, b]]
+        cartan = N[b, c][:, None] * cor[a] + N[c, a][:, None] * cor[b] + N[a, b][:, None] * cor[c]
+        bad += np.count_nonzero(cartan)
+    # (h_i, e_b, e_c): N(b,c) (<b+c, s_i^vee> - <b, s_i^vee> - <c, s_i^vee>) on
+    # e_{b+c}, and (-<-b, s_i^vee> - <b, s_i^vee>) h_b for c = -b
+    b, c = np.nonzero(S[:, :n] < n)
+    bad += np.count_nonzero(N[b, c][:, None] * (Ks[S[b, c]] - Ks[b] - Ks[c]))
+    bad += np.count_nonzero(Ks[neg] + Ks)
+    # (h_i, h_j, e_c) and (h_i, h_j, h_k) vanish identically: the Cartan
+    # block is abelian and acts diagonally on the root vectors
+    return bad
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_criterion_3_jacobi_integer_basis(family, rank):
+    # The classical table is integral (Chevalley), so this int64 check over
+    # every basis triple is exact.  pair_action is the same table in the basis
+    # E_a = sqrt(h(a)) e_a (test_pair_action_is_the_normalized_classical_table),
+    # where [E_a, E_-a] is the metric dual of a, and Jacobi does not depend on
+    # the basis.
+    assert _jacobi_violations(_integer_chevalley(family, rank)) == 0
+    _report(3, f"Jacobi exactly zero on every triple of the integer Chevalley "
+               f"basis of {family}{rank}, Cartan elements and Cartan-valued targets included")
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 3), ("E", 6)])
+def test_integer_jacobi_catches_one_flipped_constant(family, rank):
+    t = _integer_chevalley(family, rank)
+    i, j = np.argwhere(t["N"][:, :-1] != 0)[0]
+    t["N"][i, j] = -t["N"][i, j]
+    assert _jacobi_violations(t) > 0
+
+
 # -- criterion 4 ---------------------------------------------------------------
 
 

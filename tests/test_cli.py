@@ -138,6 +138,18 @@ def test_usage_errors_exit_2():
                      "--field", "1,-1,0,0:1,1", "--nodes", "64")
     assert result.returncode == 2
     assert "--nodes" in result.stderr
+    # ell checks a given delta and support against the split, as auto does
+    gamma = "1,-1,0,0:1,0;0,1,-1,0:1,0"
+    for delta in ("0,1,-1,0", "auto"):
+        result = run_cli("ell", "--family", "A", "--rank", "3", "--painted", "1",
+                         "--gamma", gamma, "--delta", delta)
+        assert result.returncode == 2
+        assert "support roots outside the tangent positives" in result.stderr
+        assert "(2, -2, 0, 0)" in result.stderr
+    result = run_cli("ell", "--family", "A", "--rank", "3", "--delta", "2,0,0,0")
+    assert result.returncode == 2
+    assert "outside the tangent positives: [RootVector((4, 0, 0, 0))]" in result.stderr
+    assert "does not contain it" not in result.stderr
 
 
 def test_readme_cli_examples_run(tmp_path):

@@ -34,7 +34,7 @@ from flagmorse.errors import DegenerateCoefficients, NotInK, UnknownSuite
 from flagmorse.exactnum import CSqrt2, Sqrt2
 from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
-from flagmorse.rootsys import _invert_fraction_matrix, build_root_system, is_long
+from flagmorse.rootsys import build_root_system, is_long
 
 from conftest import SMALL_SYSTEMS
 from test_rootsys import rv
@@ -82,13 +82,29 @@ def _exact_basis(frame):
     return out
 
 
+def _inverse(m):
+    """Exact inverse of a square Fraction matrix, by Gauss-Jordan elimination."""
+    n = len(m)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [x / pivot for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def _simples_inv(sys_):
     """Exact left inverse of the simple roots in unscaled ambient coordinates."""
     rank = sys_.rank
     cols = [s.unscaled() for s in sys_.simples]
     gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(rank)]
             for i in range(rank)]
-    gram_inv = _invert_fraction_matrix(gram)
+    gram_inv = _inverse(gram)
     return [[sum(gram_inv[i][k] * cols[k][j] for k in range(rank))
              for j in range(sys_.ambient_dim)] for i in range(rank)]
 

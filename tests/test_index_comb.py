@@ -103,6 +103,23 @@ def test_st_sets_d4_and_e8():
     assert st_sets(sp8, GammaSet.singleton(d8), d8).ell == 29
 
 
+def test_st_sets_checks_inputs_against_the_split():
+    sys_ = build_root_system("A", 3)
+    sp = split(sys_, PaintedDiagram.of(sys_, (0,)))
+    painted, tangent = rv(1, -1, 0, 0), rv(0, 1, -1, 0)
+    assert painted in sp.delta_k and tangent in sp.delta_m_pos
+    # a support root in the painted span
+    with pytest.raises(ValueError, match="outside the tangent positives"):
+        st_sets(sp, GammaSet.of([painted, tangent]), tangent)
+    # a delta that is not a root at all
+    bogus = rv(2, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"outside the tangent positives.*\(4, 0, 0, 0\)"):
+        st_sets(sp, GammaSet.singleton(bogus), bogus)
+    with pytest.raises(ValueError, match="not in the support set"):
+        st_sets(sp, GammaSet.singleton(tangent), rv(0, 0, 1, -1))
+    assert st_sets(sp, GammaSet.singleton(tangent), tangent).delta == tangent
+
+
 def test_st_sets_even_and_delta_member():
     for family, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
         sp = borel(family, rank)

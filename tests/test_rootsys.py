@@ -2,6 +2,7 @@ import json
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,33 @@ def test_root_counts_and_basic_invariants(family, rank):
     for alpha in mirrors:
         for beta in sys_.roots:
             assert sys_.contains(reflect(sys_, beta, alpha))
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_root_index(family, rank):
+    sys_ = build_root_system(family, rank)
+    roots = sys_.roots
+    n = len(roots)
+    assert n == CLOSED_FORM_COUNTS[family](rank) == 2 * len(sys_.positives)
+    assert sys_.ids == {r: i for i, r in enumerate(roots)}
+    # neg is negation, and an involution
+    assert [roots[j] for j in sys_.neg] == [-r for r in roots]
+    assert np.array_equal(sys_.neg[sys_.neg], np.arange(n))
+    # sums agree with addition and membership on every ordered pair:
+    # the id of a root sum, -2 for zero and -1 for any other vector
+    assert sys_.sums.shape == (n, n) and sys_.sums.dtype == np.int16
+    sums = sys_.sums.tolist()
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            s = a + b
+            assert sums[i][j] == sys_.ids.get(s, -1 if any(s.coords) else -2), (a, b)
+    # every root is the sum of the simple roots over its expansion, whose
+    # total is the root's height
+    for i, r in enumerate(roots):
+        coords = tuple(sum(n_l * s.coords[k] for n_l, s in zip(sys_.expansions[r], sys_.simples))
+                       for k in range(sys_.ambient_dim))
+        assert coords == r.coords
+        assert sys_.heights[i] == sum(sys_.expansions[r]) == sys_.height(r)
 
 
 def test_unsupported_families():
