@@ -72,7 +72,9 @@ class ChevalleyData:
 
     def all_pairs(self) -> list[tuple[RootVector, RootVector]]:
         """Every ordered root pair whose sum is a root."""
-        return sorted(pair for pair, (s, _) in self.pair_action.items() if s is not None)
+        # coordinate tuples order as RootVector's dataclass __lt__ does, at C speed
+        return sorted((pair for pair, (s, _) in self.pair_action.items() if s is not None),
+                      key=lambda pair: (pair[0].coords, pair[1].coords))
 
 
 def _chain_down_length(sums: list, neg: list, a: int, b: int) -> int:
@@ -215,7 +217,11 @@ class ComplexElement:
 
     def scaled(self, k) -> "ComplexElement":
         k = CSqrt2.of(k) if not isinstance(k, CSqrt2) else k
-        coeffs = {r: k * c for r, c in self.coeffs.items() if not (k * c).is_zero()}
+        coeffs = {}
+        for r, c in self.coeffs.items():
+            kc = k * c
+            if not kc.is_zero():
+                coeffs[r] = kc
         return ComplexElement(self.ambient_dim, tuple(k * h for h in self.h_part), coeffs)
 
     def is_zero(self) -> bool:
@@ -235,13 +241,15 @@ class ComplexElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _root_eval(sys: RootSystem, alpha: RootVector, h: HVector) -> CSqrt2:
-    """alpha(h) for h given in unscaled ambient coordinates."""
+def _root_eval(alpha: RootVector, h: HVector, half_scale: Sqrt2) -> CSqrt2:
+    """alpha(h) for h given in unscaled ambient coordinates; ``half_scale`` is
+    the system's norm_scale / 2, as alpha's integer coords are twice its
+    ambient ones."""
     total = C_ZERO
-    for a_i, h_i in zip(alpha.unscaled(), h):
-        if a_i != 0:
+    for a_i, h_i in zip(alpha.coords, h):
+        if a_i:
             total = total + h_i * a_i
-    return total * sys.norm_scale
+    return total * half_scale
 
 
 def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> ComplexElement:
@@ -259,14 +267,18 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
         else:
             out_coeffs[r] = s
 
+    x_cartan = any(not h.is_zero() for h in x.h_part)
+    y_cartan = any(not h.is_zero() for h in y.h_part)
+    if x_cartan or y_cartan:
+        half_scale = Sqrt2(sys.norm_scale) / 2
     # [h_x, E_b] terms
-    if any(not h.is_zero() for h in x.h_part):
+    if x_cartan:
         for b, cb in y.coeffs.items():
-            add_root(b, _root_eval(sys, b, x.h_part) * cb)
+            add_root(b, _root_eval(b, x.h_part, half_scale) * cb)
     # [E_a, h_y] terms
-    if any(not h.is_zero() for h in y.h_part):
+    if y_cartan:
         for a, ca in x.coeffs.items():
-            val = _root_eval(sys, a, y.h_part) * ca
+            val = _root_eval(a, y.h_part, half_scale) * ca
             add_root(a, -val)
     # root-root terms
     actions = data.pair_action

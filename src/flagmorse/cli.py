@@ -58,7 +58,7 @@ def _parse_gamma(text: str) -> dict[RootVector, tuple[Fraction, Fraction]]:
             try:
                 a_s, b_s = pair.split(",")
                 a, b = Fraction(a_s), Fraction(b_s)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad coefficient pair in {chunk!r}: {exc}") from None
         else:
             coords, (a, b) = chunk, (Fraction(1), Fraction(0))

@@ -3,7 +3,15 @@
 All structure constants live in the real quadratic field Q(sqrt(2)); only the
 C family ever produces a nonzero sqrt(2) part.  Complexified coefficients are
 pairs of such values.  Keeping these exact lets set-valued logic and Jacobi
-checks run with zero residual.  Plain __slots__ classes rather than
+checks run with zero residual.
+
+A value (p + q*sqrt(2))/d is stored as three Python ints p, q, d with d > 0
+and gcd(p, q, d) == 1, so each value has one representation: equality and
+hashing compare the triples, and zero is (0, 0, 1).  Each operation
+normalizes its result once, and skips the gcd when d == 1, the common case for
+integer coefficients.  No Fraction is built by the arithmetic, comparisons,
+``sign``, ``is_zero`` or ``hash``; ``.a`` and ``.b`` give the rational parts
+as Fractions for display and callers.  Plain __slots__ classes rather than
 dataclasses: these sit in the innermost loops of the exhaustive checks.
 """
 
@@ -14,129 +22,178 @@ from fractions import Fraction
 from numbers import Rational
 
 _SQRT2 = math.sqrt(2.0)
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_gcd = math.gcd
+_new = object.__new__
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, Rational)):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, as ints."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _make(p: int, q: int, d: int) -> "Sqrt2":
+    """(p + q*sqrt(2))/d for d > 0, reduced by gcd(p, q, d)."""
+    if d != 1:
+        g = _gcd(_gcd(p, q), d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    x = _new(Sqrt2)
+    x.p = p
+    x.q = q
+    x.d = d
+    return x
+
+
 class Sqrt2:
-    """Element a + b*sqrt(2) with exact rational components."""
+    """Element (p + q*sqrt(2))/d of Q(sqrt(2)), d > 0 and gcd(p, q, d) == 1."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
-    def __init__(self, a, b=_F0):
-        self.a = _frac(a)
-        self.b = _frac(b)
+    def __init__(self, a, b=0):
+        na, da = _ratio(a)
+        nb, db = _ratio(b)
+        x = _make(na * db, nb * da, da * db)
+        self.p, self.q, self.d = x.p, x.q, x.d
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(2)."""
+        return Fraction(self.q, self.d)
 
     @staticmethod
     def of(x) -> "Sqrt2":
         if isinstance(x, Sqrt2):
             return x
-        return Sqrt2(_frac(x))
+        return Sqrt2(x)
 
     @staticmethod
     def sqrt_of_rational(q) -> "Sqrt2":
         """Exact square root of a rational of the form r^2 or 2*r^2."""
-        q = _frac(q)
-        if q <= 0:
-            raise ValueError(f"square root of non-positive rational: {q}")
-        num, den = q.numerator, q.denominator
-        root = Fraction(math.isqrt(num), math.isqrt(den))
-        if root * root == q:
-            return Sqrt2(root)
-        half = q / 2
-        num, den = half.numerator, half.denominator
-        root = Fraction(math.isqrt(num), math.isqrt(den))
-        if root * root == half:
-            return Sqrt2(_F0, root)
-        raise ValueError(f"{q} is not of the form r^2 or 2 r^2")
+        num, den = _ratio(q)
+        if num <= 0:
+            raise ValueError(f"square root of non-positive rational: {Fraction(num, den)}")
+        g = _gcd(num, den)
+        num, den = num // g, den // g
+        # in lowest terms, num/den = r^2 iff num and den are squares, and
+        # num/den = 2 r^2 iff r^2 = num/(2 den), reduced, has square terms
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return _make(rn, 0, rd)
+        hn, hd = (num // 2, den) if num % 2 == 0 else (num, 2 * den)
+        rn, rd = math.isqrt(hn), math.isqrt(hd)
+        if rn * rn == hn and rd * rd == hd:
+            return _make(0, rn, rd)
+        raise ValueError(f"{Fraction(num, den)} is not of the form r^2 or 2 r^2")
 
     def __add__(self, other):
-        if not isinstance(other, Sqrt2):
+        if type(other) is not Sqrt2:
             other = Sqrt2.of(other)
-        return Sqrt2(self.a + other.a, self.b + other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p + other.p, self.q + other.q, d)
+        return _make(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
+        return _make(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        if not isinstance(other, Sqrt2):
+        if type(other) is not Sqrt2:
             other = Sqrt2.of(other)
-        return Sqrt2(self.a - other.a, self.b - other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p - other.p, self.q - other.q, d)
+        return _make(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
         return Sqrt2.of(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, Sqrt2):
+        if type(other) is int:
+            return _make(self.p * other, self.q * other, self.d)
+        if type(other) is not Sqrt2:
             other = Sqrt2.of(other)
-        if not self.b and not other.b:
-            return Sqrt2(self.a * other.a)
-        return Sqrt2(self.a * other.a + 2 * self.b * other.b,
-                     self.a * other.b + self.b * other.a)
+        p, q, r, s = self.p, self.q, other.p, other.q
+        if not q and not s:
+            return _make(p * r, 0, self.d * other.d)
+        return _make(p * r + 2 * q * s, p * s + q * r, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Sqrt2.of(other)
-        norm = other.a * other.a - 2 * other.b * other.b
+        r, s = other.p, other.q
+        # 1/(r + s sqrt2) = (r - s sqrt2)/(r^2 - 2 s^2); the norm is never 0
+        # for a nonzero value, as sqrt(2) is irrational
+        norm = r * r - 2 * s * s
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        num = self * Sqrt2(other.a, -other.b)
-        return Sqrt2(num.a / norm, num.b / norm)
+        p, q = self.p, self.q
+        num_p, num_q = (p * r - 2 * q * s) * other.d, (q * r - p * s) * other.d
+        den = self.d * norm
+        if den < 0:
+            num_p, num_q, den = -num_p, -num_q, -den
+        return _make(num_p, num_q, den)
 
     def __eq__(self, other):
+        if type(other) is Sqrt2:
+            return self.p == other.p and self.q == other.q and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            other = Sqrt2.of(other)
-        if not isinstance(other, Sqrt2):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+            return not self.q and self.p == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.d))
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(2)."""
-        if not self.a and not self.b:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
+        """Exact sign of (p + q*sqrt(2))/d: d > 0, so that of p + q*sqrt(2)."""
+        p, q = self.p, self.q
+        if p >= 0 and q >= 0:
+            return 1 if p or q else 0
+        if p <= 0 and q <= 0:
             return -1
-        lhs, rhs = self.a * self.a, 2 * self.b * self.b
-        if lhs == rhs:
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if self.a > 0 else -1) if bigger_is_a else (1 if self.b > 0 else -1)
+        # opposite signs: the larger of p^2 and 2 q^2 decides
+        return (1 if p > 0 else -1) if p * p > 2 * q * q else (1 if q > 0 else -1)
 
     def __abs__(self) -> "Sqrt2":
         return self if self.sign() >= 0 else -self
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT2
+        # int true division rounds as float(Fraction(p, d)) does
+        return self.p / self.d + (self.q / self.d) * _SQRT2
 
     def __repr__(self) -> str:
-        if not self.b:
+        if not self.q:
             return f"{self.a}"
-        if not self.a:
+        if not self.p:
             return f"{self.b}*sqrt2"
         return f"{self.a}+{self.b}*sqrt2"
 
 
-ZERO = Sqrt2(_F0)
-ONE = Sqrt2(_F1)
+ZERO = Sqrt2(0)
+ONE = Sqrt2(1)
+
+
+def _complex(re: Sqrt2, im: Sqrt2) -> "CSqrt2":
+    z = _new(CSqrt2)
+    z.re = re
+    z.im = im
+    return z
 
 
 class CSqrt2:
@@ -161,35 +218,39 @@ class CSqrt2:
         return CSqrt2(Sqrt2.of(re), Sqrt2.of(im))
 
     def __add__(self, other):
-        if not isinstance(other, CSqrt2):
+        if type(other) is not CSqrt2:
             other = CSqrt2.of(other)
-        return CSqrt2(self.re + other.re, self.im + other.im)
+        return _complex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CSqrt2(-self.re, -self.im)
+        return _complex(-self.re, -self.im)
 
     def __sub__(self, other):
-        if not isinstance(other, CSqrt2):
+        if type(other) is not CSqrt2:
             other = CSqrt2.of(other)
-        return CSqrt2(self.re - other.re, self.im - other.im)
+        return _complex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return CSqrt2.of(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, CSqrt2):
-            other = CSqrt2.of(other)
-        if self.im.is_zero() and other.im.is_zero():
-            return CSqrt2(self.re * other.re, ZERO)
-        return CSqrt2(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+        if type(other) is not CSqrt2:
+            if isinstance(other, complex):
+                raise TypeError("floating complex is not exact; build from rationals")
+            # a real scalar scales both parts
+            return _complex(self.re * other, self.im * other)
+        im, oim = self.im, other.im
+        if not (im.p or im.q or oim.p or oim.q):
+            return _complex(self.re * other.re, ZERO)
+        re, ore = self.re, other.re
+        return _complex(re * ore - im * oim, re * oim + im * ore)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CSqrt2":
-        return CSqrt2(self.re, -self.im)
+        return _complex(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Sqrt2)):
@@ -202,7 +263,8 @@ class CSqrt2:
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        re, im = self.re, self.im
+        return not (re.p or re.q or im.p or im.q)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -59,6 +59,8 @@ def test_pair_action_is_the_normalized_classical_table(family, rank):
     sums = {(a, b) for a in sys_.roots for b in sys_.roots if sys_.contains(a + b)}
     assert set(data.all_pairs()) == sums
     assert len(data.all_pairs()) == len(sums)
+    # sorted on coordinate tuples, in RootVector's own order
+    assert data.all_pairs() == sorted(sums)
     for a, b in sums:
         half = [inner(sys_, r, r) / 2 for r in (a, b, a + b)]
         ratio = half[0] * half[1] / half[2]

@@ -150,6 +150,16 @@ def test_usage_errors_exit_2():
     assert result.returncode == 2
     assert "outside the tangent positives: [RootVector((4, 0, 0, 0))]" in result.stderr
     assert "does not contain it" not in result.stderr
+    # a zero denominator in a coefficient is bad input, as in a root coordinate
+    result = run_cli("hessian", "--family", "A", "--rank", "3", "--gamma", "1,0,0,-1:1/0,0",
+                     "--field", "1,-1,0,0:1,1")
+    assert result.returncode == 2
+    assert "bad coefficient pair in '1,0,0,-1:1/0,0'" in result.stderr
+    assert "Traceback" not in result.stderr
+    result = run_cli("ell", "--family", "A", "--rank", "3", "--gamma", "1,0,0,-1:0,1/0")
+    assert result.returncode == 2
+    assert "bad coefficient pair in '1,0,0,-1:0,1/0'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_readme_cli_examples_run(tmp_path):

@@ -1,0 +1,225 @@
+"""Sqrt2 and CSqrt2 against an oracle on plain pairs of Fractions.
+
+The oracle holds a + b*sqrt(2) as (a, b) and does the textbook field
+arithmetic; signs come from a 100-digit Decimal evaluation, which no bounded
+input here can fool (|p + q sqrt 2| >= 1/(3|q|) for integers p, q != 0).
+"""
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flagmorse.exactnum import C_ONE, C_ZERO, ONE, ZERO, CSqrt2, Sqrt2
+
+# small and non-dyadic denominators, and integers well past 2**64
+rationals = st.one_of(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+    st.sampled_from([Fraction(1, 3), Fraction(5, 7), Fraction(-5, 7), Fraction(2, 9)]),
+    st.integers(-(10 ** 30), 10 ** 30).map(Fraction),
+)
+pairs = st.tuples(rationals, rationals)
+
+
+def value(ab) -> Sqrt2:
+    return Sqrt2(*ab)
+
+
+def parts(x: Sqrt2) -> tuple[Fraction, Fraction]:
+    return x.a, x.b
+
+
+def check_invariant(x: Sqrt2) -> None:
+    assert x.d > 0
+    assert math.gcd(math.gcd(x.p, x.q), x.d) == 1
+
+
+def o_mul(x, y):
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def o_div(x, y):
+    norm = y[0] * y[0] - 2 * y[1] * y[1]
+    p, q = o_mul(x, (y[0], -y[1]))
+    return p / norm, q / norm
+
+
+def o_sign(x) -> int:
+    with localcontext() as ctx:
+        ctx.prec = 100
+        a, b = (Decimal(f.numerator) / Decimal(f.denominator) for f in x)
+        v = a + b * Decimal(2).sqrt()
+    return (v > 0) - (v < 0)
+
+
+def o_repr(x) -> str:
+    a, b = x
+    if not b:
+        return f"{a}"
+    if not a:
+        return f"{b}*sqrt2"
+    return f"{a}+{b}*sqrt2"
+
+
+@given(pairs, pairs)
+@settings(max_examples=400)
+def test_field_operations_match_the_fraction_oracle(x, y):
+    u, v = value(x), value(y)
+    for got, want in ((u + v, (x[0] + y[0], x[1] + y[1])),
+                      (u - v, (x[0] - y[0], x[1] - y[1])),
+                      (-u, (-x[0], -x[1])),
+                      (u * v, o_mul(x, y))):
+        check_invariant(got)
+        assert parts(got) == want
+    if y != (0, 0):
+        got = u / v
+        check_invariant(got)
+        assert parts(got) == o_div(x, y)
+        assert got * v == u
+    else:
+        with pytest.raises(ZeroDivisionError):
+            u / v
+
+
+@given(pairs, rationals)
+def test_mixed_operands_are_exact_rationals(x, r):
+    u = value(x)
+    for got, want in ((u + r, (x[0] + r, x[1])), (r + u, (x[0] + r, x[1])),
+                      (u - r, (x[0] - r, x[1])), (r - u, (r - x[0], -x[1])),
+                      (u * r, (x[0] * r, x[1] * r)), (r * u, (x[0] * r, x[1] * r))):
+        check_invariant(got)
+        assert parts(got) == want
+    n = r.numerator
+    check_invariant(u * n)
+    assert parts(u * n) == (x[0] * n, x[1] * n)
+    if r:
+        assert parts(u / r) == (x[0] / r, x[1] / r)
+
+
+@given(pairs)
+@settings(max_examples=400)
+def test_sign_abs_float_and_repr(x):
+    u = value(x)
+    check_invariant(u)
+    assert parts(u) == x
+    assert u.sign() == o_sign(x)
+    assert u.is_zero() == (x == (0, 0))
+    assert parts(abs(u)) == (x if o_sign(x) >= 0 else (-x[0], -x[1]))
+    # bit for bit the float of the Fraction-pair formula
+    assert float(u) == float(x[0]) + float(x[1]) * math.sqrt(2.0)
+    assert repr(u) == o_repr(x)
+
+
+@given(pairs, pairs)
+def test_equality_and_hash(x, y):
+    u, v = value(x), value(y)
+    assert (u == v) == (x == y)
+    # the same value reached by different arithmetic is the same triple
+    w = (u + v) - v
+    assert w == u and hash(w) == hash(u)
+    k = Fraction(7, 3)
+    assert (u * k) / k == u and hash((u * k) / k) == hash(u)
+    assert (u == x[0]) == (x[1] == 0)
+    if x[1] == 0:
+        assert u == x[0]
+        if x[0].denominator == 1:
+            assert u == int(x[0])
+    assert u != "text" and u != 0.5
+
+
+def test_near_cancelling_signs():
+    # 99^2 - 2*70^2 = 1 and 1393^2 - 2*985^2 = -1
+    assert Sqrt2(99, -70).sign() == 1
+    assert Sqrt2(-99, 70).sign() == -1
+    assert Sqrt2(1393, -985).sign() == -1
+    assert Sqrt2(-1393, 985).sign() == 1
+    assert Sqrt2(Fraction(99, 7), Fraction(-70, 7)).sign() == 1
+
+
+def test_division_by_negative_norm_and_zero():
+    u = Sqrt2(1, -1)  # norm 1 - 2 = -1
+    inv = ONE / u
+    check_invariant(inv)
+    assert parts(inv) == (-1, -1)
+    assert inv * u == ONE
+    third = Sqrt2(Fraction(1, 3), Fraction(5, 7))
+    assert (third / u) * u == third
+    for zero in (ZERO, Sqrt2(0, 0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            third / zero
+
+
+def test_representation_invariant_and_constructor_types():
+    x = Sqrt2(Fraction(2, 6), Fraction(4, 6))
+    assert (x.p, x.q, x.d) == (1, 2, 3)
+    assert (ZERO.p, ZERO.q, ZERO.d) == (0, 0, 1)
+    assert (Sqrt2(Fraction(-5, 7)).p, Sqrt2(Fraction(-5, 7)).d) == (-5, 7)
+    with pytest.raises(TypeError):
+        Sqrt2(0.5)
+    with pytest.raises(AttributeError):
+        x.a = Fraction(1)
+
+
+@pytest.mark.parametrize("q,root", [(4, (2, 0)), (Fraction(1, 4), (Fraction(1, 2), 0)),
+                                    (2, (0, 1)), (8, (0, 2)), (Fraction(1, 2), (0, Fraction(1, 2))),
+                                    (Fraction(1, 8), (0, Fraction(1, 4))), (Fraction(9, 2), (0, Fraction(3, 2)))])
+def test_sqrt_of_rational(q, root):
+    r = Sqrt2.sqrt_of_rational(q)
+    check_invariant(r)
+    assert parts(r) == root
+    assert r * r == q
+
+
+@pytest.mark.parametrize("q", [3, Fraction(1, 3), 0, -4])
+def test_sqrt_of_rational_rejects(q):
+    with pytest.raises(ValueError):
+        Sqrt2.sqrt_of_rational(q)
+
+
+@given(pairs, pairs, pairs, pairs)
+def test_complex_operations(xr, xi, yr, yi):
+    z, w = CSqrt2(value(xr), value(xi)), CSqrt2(value(yr), value(yi))
+    o_re = (o_mul(xr, yr)[0] - o_mul(xi, yi)[0], o_mul(xr, yr)[1] - o_mul(xi, yi)[1])
+    o_im = (o_mul(xr, yi)[0] + o_mul(xi, yr)[0], o_mul(xr, yi)[1] + o_mul(xi, yr)[1])
+    for got, want in ((z + w, ((xr[0] + yr[0], xr[1] + yr[1]), (xi[0] + yi[0], xi[1] + yi[1]))),
+                      (z - w, ((xr[0] - yr[0], xr[1] - yr[1]), (xi[0] - yi[0], xi[1] - yi[1]))),
+                      (-z, ((-xr[0], -xr[1]), (-xi[0], -xi[1]))),
+                      (z.conj(), (xr, (-xi[0], -xi[1]))),
+                      (z * w, (o_re, o_im))):
+        check_invariant(got.re)
+        check_invariant(got.im)
+        assert (parts(got.re), parts(got.im)) == want
+    assert z.is_zero() == (xr == xi == (0, 0))
+    assert (z == w) == ((xr, xi) == (yr, yi))
+    same = (z + w) - w
+    assert same == z and hash(same) == hash(z)
+    assert complex(z) == complex(float(value(xr)), float(value(xi)))
+    assert repr(z) == f"({o_repr(xr)})+({o_repr(xi)})i"
+
+
+@given(pairs, pairs, rationals)
+def test_complex_times_real_scalars(xr, xi, r):
+    z = CSqrt2(value(xr), value(xi))
+    for k in (r, r.numerator, value((r, r))):
+        got = z * k
+        assert got == z * CSqrt2(Sqrt2.of(k))
+        check_invariant(got.re)
+        check_invariant(got.im)
+    assert r * z == z * r and r.numerator * z == z * r.numerator
+    with pytest.raises(TypeError):
+        z * 0.5
+    with pytest.raises(TypeError):
+        z * 1j
+
+
+def test_complex_constants_and_equality_with_reals():
+    assert C_ZERO.is_zero() and not C_ONE.is_zero()
+    assert CSqrt2.I * CSqrt2.I == -C_ONE
+    assert C_ONE == 1 and C_ONE == Fraction(1) and C_ONE == ONE
+    assert CSqrt2.make(Fraction(1, 3), 0) == Fraction(1, 3)
+    assert CSqrt2.make(0, 1) != 0
+    with pytest.raises(TypeError):
+        CSqrt2.of(1j)
