@@ -19,16 +19,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .chevalley import ChevalleyData, ComplexElement, bracket_c, build_chevalley
-from .errors import DegenerateCoefficients, NotInK, UnknownSuite
+from .chevalley import ChevalleyData, build_chevalley
+from .errors import DegenerateCoefficients, DimensionMismatch, NotARoot, NotInK, UnknownSuite
 from .exactnum import CSqrt2
 from .parabolic import ParabolicSplit
-from .rootsys import RootVector, _minus, build_root_system, inner
+from .rootsys import RootSystem, RootVector, _minus, build_root_system, inner
 
 # ---------------------------------------------------------------------------
 # structure-constant plans
@@ -1049,22 +1050,67 @@ def holomorphic_kernel_classification(
     the velocity into anti-holomorphic tangent directions only?
 
     Returns True when it does (degenerate averaged Hessian), False otherwise.
-    Coefficients must be exact rationals.
+    Coefficients must be exact rationals, and every key a root of the frame's
+    system.
+
+    The test runs on root ids.  A field root a and a velocity root l with
+    nonzero coefficients give the term (x_a + i y_a)(a_l - i b_l) [E_a, E_-l],
+    whose direction ``sums[a, neg[l]]`` is a root, the Cartan block (-2) or
+    nothing (-1).  A tangent-negative root direction passes whatever its
+    coefficient.  Any other direction reached by one term fails with no
+    arithmetic: that term is a nonzero ``pair_action`` constant or coroot
+    times two nonzero coefficients.  Only a direction reached by two or more
+    terms sums them exactly (``_terms_cancel``), as when several velocity
+    roots meet one root sum, or the coroots of several a = l pairs meet in
+    the Cartan block.
     """
     sys = frame.sys
-    chev = frame.chev
-    x10 = ComplexElement.zero(sys)
-    for alpha, (xa, ya) in field_coeffs.items():
-        x10 = x10 + ComplexElement.root_vector(sys, alpha, CSqrt2.make(xa, ya))
-    g01 = ComplexElement.zero(sys)
-    for lam, (a, b) in gamma_coeffs.items():
-        g01 = g01 + ComplexElement.root_vector(sys, -lam, CSqrt2.make(a, -b))
-    result = bracket_c(chev, x10, g01)
-    if any(not h.is_zero() for h in result.h_part):
-        return False
-    for root, coeff in result.coeffs.items():
-        if coeff.is_zero():
-            continue
-        if not (sys.is_positive(-root) and (-root) in frame.split.delta_m_pos):
-            return False
-    return True
+    field_terms = _nonzero_terms(sys, field_coeffs)
+    velocity_terms = _nonzero_terms(sys, gamma_coeffs)
+    sums, neg, part = sys.sums, sys.neg, frame.split.part
+    failing: dict[int, list] = {}
+    for a, x in field_terms:
+        row = sums[a]
+        for l, g in velocity_terms:
+            s = int(row[neg[l]])
+            if s == -2 or (s >= 0 and part[s] != -1):
+                failing.setdefault(s, []).append((a, l, x, g))
+    return all(len(terms) > 1 and _terms_cancel(frame.chev, terms)
+               for terms in failing.values())
+
+
+_EXACT = (int, Fraction)
+
+
+def _nonzero_terms(sys: RootSystem, coeffs: dict) -> list[tuple[int, tuple]]:
+    """(root id, coefficient pair) for each entry of ``coeffs`` with a nonzero
+    pair; raises on a key that is not a root of ``sys``."""
+    ids = sys.ids
+    out = []
+    for root, (re, im) in coeffs.items():
+        i = ids.get(root)
+        if i is None:
+            if root.ambient_dim != sys.ambient_dim:
+                raise DimensionMismatch("root does not match the system")
+            raise NotARoot(f"{root.coords} is not a root of {sys.name}")
+        # int and Fraction by type first: isinstance against an ABC is slow here
+        if not (type(re) in _EXACT and type(im) in _EXACT
+                or isinstance(re, Rational) and isinstance(im, Rational)):
+            raise TypeError(f"not an exact rational pair: {(re, im)!r}")
+        if re or im:
+            out.append((i, (re, im)))
+    return out
+
+
+def _terms_cancel(chev: ChevalleyData, terms: list) -> bool:
+    """Whether the bracket terms of one direction sum to zero, exactly in
+    Q(sqrt 2): each is (x + i y)(a - i b) times the ``pair_action`` constant
+    of (field root, -velocity root), or its coroot in the Cartan block."""
+    roots, neg = chev.sys.roots, chev.sys.neg
+    total = None
+    for a, l, (x, y), (ga, gb) in terms:
+        s, value = chev.pair_action[roots[a], roots[neg[l]]]
+        scale = CSqrt2.make(x, y) * CSqrt2.make(ga, -gb)
+        vec = [scale * v for v in (value if s is None else (value,))]
+        total = vec if total is None else [t + v for t, v in zip(total, vec)]
+    return all(t.is_zero() for t in total)

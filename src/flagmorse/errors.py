@@ -13,6 +13,10 @@ class DimensionMismatch(FlagmorseError, ValueError):
     """Vectors from incompatible ambient spaces were combined."""
 
 
+class NotARoot(FlagmorseError, ValueError):
+    """A vector given as a root is not a root of the system."""
+
+
 class SuperminimalNotFound(FlagmorseError, LookupError):
     """No element of the given support set qualifies as superminimal."""
 

@@ -37,9 +37,26 @@ SUPPORTED_RANKS = {
 
 @dataclass(frozen=True, order=True)
 class RootVector:
-    """A root in scaled integer coordinates (2x the ambient coordinates)."""
+    """A root in scaled integer coordinates (2x the ambient coordinates).
+
+    The hash is computed once per instance and equals the dataclass value
+    ``hash((coords,))``, so sets and dicts of roots iterate in the same order.
+    """
 
     coords: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coords,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
 
     @property
     def ambient_dim(self) -> int:
@@ -219,8 +236,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         ambient_dim=dim,
         norm_scale=Fraction(1, 2) if fam == "C" else Fraction(1),
         roots=roots,
-        positives=tuple(sorted(walked)),
-        simples=tuple(simples),
+        # the instances in roots, so lookups by them hit __eq__'s identity test
+        positives=tuple(r for r in roots if r in walked),
+        simples=tuple(roots[ids[s]] for s in simples),
         expansions=expansions,
         ids=ids,
         neg=np.array([ids[-r] for r in roots]),

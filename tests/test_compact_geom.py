@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flagmorse import compact_geom
 from flagmorse.chevalley import ComplexElement, bracket_c, n0_constant
 from flagmorse.compact_geom import (
     SUITES,
@@ -30,11 +31,18 @@ from flagmorse.compact_geom import (
     tilde_vector,
     validate_frame,
 )
-from flagmorse.errors import DegenerateCoefficients, NotInK, UnknownSuite
+from flagmorse.errors import (
+    DegenerateCoefficients,
+    DimensionMismatch,
+    FlagmorseError,
+    NotARoot,
+    NotInK,
+    UnknownSuite,
+)
 from flagmorse.exactnum import CSqrt2, Sqrt2
 from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
-from flagmorse.rootsys import build_root_system, is_long
+from flagmorse.rootsys import RootVector, build_root_system, is_long
 
 from conftest import SMALL_SYSTEMS
 from test_rootsys import rv
@@ -395,6 +403,152 @@ def test_exact_classifier_agrees_with_numeric(borel_frame):
         else:
             assert val < -1e-8
     assert hits[False] > 0  # both branches exercised
+
+
+def _reference_classification(frame, gamma_coeffs, field_coeffs):
+    """The classifier through the exact bracket: X^{1,0} and the (0,1) part of
+    the velocity as ComplexElements, bracketed by ``bracket_c``; degenerate
+    when nothing lands outside the anti-holomorphic tangent directions."""
+    sys_ = frame.sys
+    x10 = ComplexElement.zero(sys_)
+    for alpha, (xa, ya) in field_coeffs.items():
+        x10 = x10 + ComplexElement.root_vector(sys_, alpha, CSqrt2.make(xa, ya))
+    g01 = ComplexElement.zero(sys_)
+    for lam, (a, b) in gamma_coeffs.items():
+        g01 = g01 + ComplexElement.root_vector(sys_, -lam, CSqrt2.make(a, -b))
+    result = bracket_c(frame.chev, x10, g01)
+    if any(not h.is_zero() for h in result.h_part):
+        return False
+    return all(coeff.is_zero()
+               or (sys_.is_positive(-root) and -root in frame.split.delta_m_pos)
+               for root, coeff in result.coeffs.items())
+
+
+@pytest.fixture
+def cancel_outcomes(monkeypatch):
+    """Records the result of every multi-term exact sum the classifier makes."""
+    outcomes = []
+    inner_sum = compact_geom._terms_cancel
+
+    def recording(chev, terms):
+        outcomes.append(inner_sum(chev, terms))
+        return outcomes[-1]
+
+    monkeypatch.setattr(compact_geom, "_terms_cancel", recording)
+    return outcomes
+
+
+def _exact_pair(rng):
+    """A coefficient pair: parts in {-1, 0, 1} half the time, so that exact
+    sums cancel often, else k/4 or k/3; either part may be zero."""
+    if rng.uniform() < 0.5:
+        return tuple(Fraction(int(v)) for v in rng.integers(-1, 2, size=2))
+    den = int(rng.choice((3, 4)))
+    return tuple(Fraction(int(v), den) for v in rng.integers(-6, 7, size=2))
+
+
+def _cancelling_input(frame, pool, rng):
+    """Velocity {l1, l2} and field {a1, a2} with a1 - l1 = a2 - l2 a root off
+    the anti-holomorphic tangent directions, or zero with l2 = -l1, and a2's
+    coefficient chosen so the two terms there cancel; None when no such
+    quadruple turns up."""
+    sys_, chev = frame.sys, frame.chev
+    for _ in range(50):
+        l1, l2, a1 = (pool[k] for k in rng.choice(len(pool), 3))
+        s = sys_.sums[sys_.ids[a1], sys_.neg[sys_.ids[l1]]]
+        if s == -2:
+            # the coroots of l1 and -l1 cancel
+            l2, a2, ratio = -l1, -l1, Sqrt2(-1)
+        elif s >= 0 and frame.split.part[s] != -1:
+            a2 = sys_.roots[s] + l2
+            if a2 == a1 or not sys_.contains(a2):
+                continue
+            ratio = chev.constant(a1, -l1) / chev.constant(a2, -l2)
+            if ratio.b != 0:
+                continue
+        else:
+            continue
+        g1, g2, x1 = _exact_pair(rng), _exact_pair(rng), _exact_pair(rng)
+        if not any(g1) or not any(g2) or not any(x1):
+            continue
+        # x2 conj(g2) c2 = -x1 conj(g1) c1
+        x2 = _cdiv(_cmul(x1, (-ratio.a * g1[0], ratio.a * g1[1])), (g2[0], -g2[1]))
+        return {l1: g1, l2: g2}, {a1: x1, a2: x2}
+    return None
+
+
+def _cmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _cdiv(u, v):
+    n = v[0] * v[0] + v[1] * v[1]
+    return ((u[0] * v[0] + u[1] * v[1]) / n, (u[1] * v[0] - u[0] * v[1]) / n)
+
+
+CLASSIFIER_FRAMES = ORACLE_FRAMES + [("E", 6, ()), ("E", 7, (1, 3))]
+
+
+@pytest.mark.parametrize("family,rank,painted", CLASSIFIER_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in CLASSIFIER_FRAMES])
+def test_classifier_matches_exact_bracket(family, rank, painted, cancel_outcomes):
+    frame = frame_for(family, rank, painted)
+    rng = np.random.default_rng(97)
+    tangent, every = list(frame.m_pos), list(frame.sys.roots)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        # tangent positive roots as in use; every fourth input draws from all
+        # roots, painted and negative ones included
+        pool = every if trial % 4 == 3 else tangent
+        n_gamma = min(len(pool), 1 + trial % 3)
+        n_field = min(len(pool), int(rng.integers(1, 7)))
+        gamma = {pool[k]: _exact_pair(rng)
+                 for k in rng.choice(len(pool), n_gamma, replace=False)}
+        field = {pool[k]: _exact_pair(rng)
+                 for k in rng.choice(len(pool), n_field, replace=False)}
+        if trial % 2 == 0:
+            # share roots with the velocity, for Cartan terms
+            field.update((lam, _exact_pair(rng)) for lam in gamma if rng.uniform() < 0.5)
+        if trial % 8 == 7:
+            gamma, field = _cancelling_input(frame, every, rng) or (gamma, field)
+        got = holomorphic_kernel_classification(frame, gamma, field)
+        assert got == _reference_classification(frame, gamma, field), (gamma, field)
+        seen[got] += 1
+    assert seen[True] > 0 and seen[False] > 0
+    assert True in cancel_outcomes and False in cancel_outcomes
+
+
+def test_classifier_multi_term_cancellation(cancel_outcomes):
+    # in A3, [E_{e1-e3}, E_{-(e2-e3)}] and [E_{e1-e4}, E_{-(e2-e4)}] both land on
+    # the positive root e1-e2, each with constant -1; no other pair brackets
+    frame = frame_for("A", 3)
+    a13, a14, a23, a24 = rv(1, 0, -1, 0), rv(1, 0, 0, -1), rv(0, 1, -1, 0), rv(0, 1, 0, -1)
+    assert frame.chev.constant(a13, -a23) == frame.chev.constant(a14, -a24) == -1
+    one = Fraction(1)
+    gamma = {a23: (one, 0), a24: (one, 0)}
+    for sign, degenerate in ((1, False), (-1, True)):
+        field = {a13: (one, 0), a14: (sign * one, 0)}
+        assert holomorphic_kernel_classification(frame, gamma, field) is degenerate
+        assert _reference_classification(frame, gamma, field) is degenerate
+    assert cancel_outcomes == [False, True]
+
+
+def test_classifier_rejects_keys_that_are_not_roots():
+    frame = frame_for("A", 3)
+    delta = rv(1, 0, 0, -1)
+    non_root = RootVector((2, 2, 0, 0))
+    for gamma, field in (({delta: (1, 0)}, {non_root: (1, 0)}),
+                         ({non_root: (1, 0)}, {delta: (1, 0)}),
+                         ({delta: (1, 0)}, {delta: (1, 0), non_root: (0, 0)})):
+        with pytest.raises(NotARoot, match=r"\(2, 2, 0, 0\) is not a root of A3"):
+            holomorphic_kernel_classification(frame, gamma, field)
+    assert issubclass(NotARoot, FlagmorseError) and issubclass(NotARoot, ValueError)
+    for gamma, field in (({delta: (1, 0)}, {rv(1, -1, 0): (1, 0)}),
+                         ({rv(1, -1, 0): (1, 0)}, {delta: (1, 0)})):
+        with pytest.raises(DimensionMismatch):
+            holomorphic_kernel_classification(frame, gamma, field)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        holomorphic_kernel_classification(frame, {delta: (1.0, 0)}, {delta: (1, 0)})
 
 
 # -- pair-space operator -----------------------------------------------------------

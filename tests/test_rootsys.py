@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 from fractions import Fraction
@@ -92,6 +93,22 @@ def test_root_index(family, rank):
                        for k in range(sys_.ambient_dim))
         assert coords == r.coords
         assert sys_.heights[i] == sum(sys_.expansions[r]) == sys_.height(r)
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_root_hash_is_the_dataclass_value(family, rank):
+    # the cached hash keeps the dataclass value, so every set and dict of
+    # roots iterates in the order it always had
+    sys_ = build_root_system(family, rank)
+    for r in sys_.roots:
+        copy = RootVector(r.coords)
+        assert hash(r) == hash(copy) == hash((r.coords,))
+        assert r == copy and r is not copy and not r != copy
+        assert r != -r and not r < copy and r <= copy
+        assert (r < -r) == (r.coords < (-r).coords)
+    assert RootVector((2, -2)).__eq__((2, -2)) is NotImplemented
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys_.roots[0].coords = (0,) * sys_.ambient_dim
 
 
 def test_unsupported_families():
