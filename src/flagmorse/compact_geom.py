@@ -8,16 +8,22 @@ and frozen into float64 once.  Every bracket, adjoint matrix and identity
 check contracts through that one plan.  Every tensor along a geodesic is
 reduced to constant coefficients in this frame, so transport is a single
 matrix exponential and all the pointwise identities become
-finite-dimensional residual checks.  The averaged Hessian, the tangent norm
-and the twist pairing are forms in the initial fields: each averaged matrix
-int_0^1 exp(tA)^T M exp(tA) dt is read off one block exponential (Van Loan),
-exactly in t, so no time grid or node count is involved.
+finite-dimensional residual checks.  Each frame also builds, once and on
+first use, a table of the pair spaces S0(delta) of the tangent-positive
+roots: their pairs, constants and slots, the 4x4 blocks of ad(X_delta) and
+ad(Y_delta) on each pair, and the bracket onto delta's plane.  The
+quarter-turn map and the twomel suite read it instead of full adjoint
+matrices.  The averaged Hessian, the tangent norm and the twist pairing are
+forms in the initial fields: each averaged matrix int_0^1 exp(tA)^T M
+exp(tA) dt is read off one block exponential (Van Loan), exactly in t, so no
+time grid or node count is involved.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -26,7 +32,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chevalley import ChevalleyData, build_chevalley
-from .errors import DegenerateCoefficients, DimensionMismatch, NotARoot, NotInK, UnknownSuite
+from .errors import (DegenerateCoefficients, DimensionMismatch, NotARoot, NotInK, NotInTangent,
+                     UnknownSuite)
 from .exactnum import CSqrt2
 from .parabolic import ParabolicSplit
 from .rootsys import RootSystem, RootVector, _minus, build_root_system, inner
@@ -106,6 +113,29 @@ def _ad(plan: BracketPlan, w: np.ndarray) -> np.ndarray:
     flat = np.bincount(plan.k * plan.n_in + plan.j, weights=w[plan.i] * plan.c,
                        minlength=plan.n_out * plan.n_in)
     return flat.reshape(plan.n_out, plan.n_in)
+
+
+class PairSpace(NamedTuple):
+    """The pair space S0(delta) of one tangent-positive root delta.
+
+    ``pairs`` are the positive pairs (alpha, beta), alpha < beta, with
+    alpha + beta = delta, sorted; ``consts`` their constants c_{alpha,beta}
+    as floats, and ``slots`` their full-frame coordinates X_alpha, Y_alpha,
+    X_beta, Y_beta.  ``bx[p]`` and ``by[p]`` are ad(X_delta) and ad(Y_delta)
+    on pair p's own four coordinates, so ad(a X_delta + b Y_delta) there is
+    ``a * bx[p] + b * by[p]``.  ``tangent`` says whether every pair root lies
+    in the tangent block; only then is ``plane`` set: the plan of the bracket
+    from the pair coordinates (by position in ``slots.ravel()``) onto delta's
+    plane (X_delta, Y_delta).
+    """
+
+    pairs: tuple[tuple[RootVector, RootVector], ...]
+    consts: np.ndarray
+    slots: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+    tangent: bool
+    plane: Optional[BracketPlan]
 
 
 def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, int, int], object]:
@@ -241,6 +271,14 @@ class RealFormFrame:
         shape = (self.m_dim,) if n is None else (n, self.m_dim)
         return rng.standard_normal(shape)
 
+    # -- pair spaces ----------------------------------------------------------
+
+    @cached_property
+    def pair_spaces(self) -> dict[RootVector, PairSpace]:
+        """The pair space of every tangent-positive root with at least one
+        positive pair, in root order; built on first use."""
+        return _pair_spaces(self)
+
 
 def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> RealFormFrame:
     """Structure-constant plan, metric and complex structure over the ordered
@@ -300,6 +338,85 @@ def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> 
         j_m=j_m,
         slots=slots,
     )
+
+
+def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
+    """Every positive pair summing to a tangent-positive root, grouped by that
+    root, in one pass over the root index and two over the plan.
+
+    Bracketing with delta's plane sends the plane of a pair root alpha to the
+    planes of delta - alpha, its partner, and of delta + alpha, which is in no
+    pair of delta; two pair roots bracket onto delta's plane only when they
+    sum to delta.  So a plan entry whose third slot is in delta's plane and
+    whose other two are pair coordinates of delta stays within one pair: the
+    blocks keep those with delta's plane as input, the sub-plans those with
+    it as output.
+    """
+    sys, part, plan = frame.sys, frame.split.part, frame.plan
+    pos = np.flatnonzero(sys.heights > 0)
+    s = sys.sums[np.ix_(pos, pos)]
+    hit = np.triu(s >= 0, 1)  # ids follow the root order, so alpha < beta
+    hit[hit] = part[s[hit]] == 1
+    first, second = np.nonzero(hit)
+    d, a, b = s[first, second], pos[first], pos[second]
+    order = np.lexsort((a, d))
+    d, a, b = d[order], a[order], b[order]
+    if not d.size:
+        return {}
+    x_slot = np.full(len(sys.roots), -1)
+    for root, (ix, _) in frame.slots.items():
+        x_slot[sys.ids[root]] = ix
+    slots = np.stack([x_slot[a], x_slot[a] + 1, x_slot[b], x_slot[b] + 1], axis=1)
+    new = np.ones(d.size, dtype=bool)
+    new[1:] = d[1:] != d[:-1]
+    starts = np.flatnonzero(new)
+    deltas, ends = d[starts], np.append(starts[1:], d.size)
+    # by delta row and full-frame slot: 4 * pair + offset among delta's pairs
+    at = np.full((deltas.size, frame.dim), -1)
+    at[np.cumsum(new)[:, None] - 1, slots] = np.arange(slots.size).reshape(slots.shape)
+    row = np.full(frame.dim, -1)
+    row[x_slot[deltas]] = row[x_slot[deltas] + 1] = np.arange(deltas.size)
+
+    def entries(third, first_in, second_in):
+        """Plan entries whose ``third`` slot is in a delta plane and whose other
+        two are pair coordinates of that delta: (entry, row, the two positions)."""
+        r = row[third]
+        n = np.flatnonzero(r >= 0)
+        r = r[n]
+        u, v = at[r, first_in[n]], at[r, second_in[n]]
+        keep = (u >= 0) & (v >= 0)
+        return n[keep], r[keep], u[keep], v[keep]
+
+    n, r, j, k = entries(plan.i, plan.j, plan.k)
+    blocks = np.zeros((2, d.size, 4, 4))
+    blocks[plan.i[n] - x_slot[deltas[r]], j // 4, k % 4, j % 4] = plan.c[n]
+
+    n, r, i, j = entries(plan.k, plan.i, plan.j)
+    k = plan.k[n] - x_slot[deltas[r]]
+    # c_{alpha,beta} is the X_delta coefficient of [X_alpha, X_beta]
+    consts = np.zeros(d.size)
+    own = (k == 0) & (i % 4 == 0) & (j == i + 2)
+    consts[i[own] // 4] = plan.c[n[own]]
+    by_row = np.argsort(r, kind="stable")
+    n, r, i, j, k = n[by_row], r[by_row], i[by_row], j[by_row], k[by_row]
+    cuts = np.searchsorted(r, np.arange(deltas.size + 1))
+    i, j = i - 4 * starts[r], j - 4 * starts[r]
+
+    tangent = np.logical_and.reduceat((part[a] == 1) & (part[b] == 1), starts)
+    roots = sys.roots
+    pairs = [(roots[x], roots[y]) for x, y in zip(a.tolist(), b.tolist())]
+    for shared in (consts, slots, blocks):  # every caller gets views of these
+        shared.flags.writeable = False
+    out = {}
+    for g, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        plane = None
+        if tangent[g]:
+            e = slice(cuts[g], cuts[g + 1])
+            plane = _make_plan(i[e], j[e], k[e], plan.c[n[e]], 4 * (hi - lo), 2)
+        out[roots[deltas[g]]] = PairSpace(tuple(pairs[lo:hi]), consts[lo:hi], slots[lo:hi],
+                                          blocks[0, lo:hi], blocks[1, lo:hi],
+                                          bool(tangent[g]), plane)
+    return out
 
 
 def frame_for(family: str, rank: int, painted: Sequence[int] = ()) -> RealFormFrame:
@@ -448,6 +565,29 @@ def tilde_vector(frame: RealFormFrame, delta: RootVector, a: float, b: float) ->
     return out
 
 
+def _require_tangent(frame: RealFormFrame, pairs) -> None:
+    """The pair space lives in the tangent block: every pair root must be a
+    positive tangent root."""
+    m_pos = frame.split.delta_m_pos
+    for root in (root for pair in pairs for root in pair):
+        if root not in m_pos:
+            raise NotInTangent(f"pair root {root} is not a positive tangent root of "
+                               f"{frame.sys.name} with painted {sorted(frame.split.sigma_k)}")
+
+
+def _quarter_turn(space: PairSpace, a: float, b: float, rows=slice(None)) -> np.ndarray:
+    """Quarter-turn operator on the pairs ``rows`` of a pair space (all of
+    them by default): on each pair, ad(a X_delta + b Y_delta) / (|(a, b)|
+    |c_{alpha,beta}|)."""
+    scale = float(np.hypot(a, b)) * np.abs(space.consts[rows])
+    blocks = (a * space.bx[rows] + b * space.by[rows]) / scale[:, None, None]
+    n = blocks.shape[0]
+    out = np.zeros((4 * n, 4 * n))
+    diag = np.arange(n)
+    out.reshape(n, 4, n, 4)[diag, :, diag, :] = blocks
+    return out
+
+
 def map_I(
     frame: RealFormFrame,
     delta: RootVector,
@@ -455,7 +595,9 @@ def map_I(
     b: float,
     pair_set,
 ) -> np.ndarray:
-    """Matrix of the quarter-turn operator on the pair space of ``delta``."""
+    """Matrix of the quarter-turn operator on the pair space of ``delta``,
+    read from the frame's pair-space table.  Every pair must sum to ``delta``
+    (``ValueError``) and lie in the tangent block (``NotInTangent``)."""
     if a == 0 and b == 0:
         raise DegenerateCoefficients("both coefficients vanish")
     pairs = s0_indices(frame, pair_set)
@@ -463,15 +605,12 @@ def map_I(
     for alpha, beta in pairs:
         if frame.sys.sums[ids[alpha], ids[beta]] != ids.get(delta):
             raise ValueError(f"pair {(alpha, beta)} does not sum to {delta}")
-    ad = frame.ad_matrix(tilde_vector(frame, delta, a, b))
-    scale = float(np.hypot(a, b))
-    n = 4 * len(pairs)
-    out = np.zeros((n, n))
-    for p, (alpha, beta) in enumerate(pairs):
-        idx = [*frame.slots[alpha], *frame.slots[beta]]
-        c = abs(float(frame.chev.constant(alpha, beta)))
-        out[4 * p: 4 * p + 4, 4 * p: 4 * p + 4] = ad[np.ix_(idx, idx)] / (scale * c)
-    return out
+    _require_tangent(frame, pairs)
+    if not pairs:
+        return np.zeros((0, 0))
+    space = frame.pair_spaces[delta]
+    index = {pair: p for p, pair in enumerate(space.pairs)}
+    return _quarter_turn(space, a, b, [index[pair] for pair in pairs])
 
 
 def p_pairing(
@@ -502,7 +641,9 @@ def q_form(
     if np.any(w0):
         if i_map is None or pair_set is None:
             raise ValueError("a pair-space operator is required for a nonzero w0")
-        emb = s0_embedding(frame, pair_set) - frame.m_start
+        pairs = s0_indices(frame, pair_set)
+        _require_tangent(frame, pairs)
+        emb = s0_embedding(frame, pairs) - frame.m_start
         w_s0 = w0[emb]
         iw0 = np.zeros_like(w0)
         iw0[emb] = i_map @ w_s0
@@ -770,48 +911,25 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
     )
 
 
-def _pair_sets(frame):
-    """All unordered positive pairs summing to each tangent-positive root, read
-    from the pair action, which stores the sum of every pair."""
-    sys = frame.sys
-    m_pos = frame.split.delta_m_pos
-    found: dict[RootVector, list] = {}
-    for (alpha, beta), (s, _) in frame.chev.pair_action.items():
-        if s in m_pos and alpha < beta and sys.is_positive(alpha) and sys.is_positive(beta):
-            found.setdefault(s, []).append((alpha, beta))
-    return {delta: tuple(sorted(found[delta])) for delta in frame.m_pos if delta in found}
-
-
-def _usable_pair_sets(frame):
-    """The pair sets whose roots all lie in the tangent block."""
-    m_pos = frame.split.delta_m_pos
-    return {d: p for d, p in _pair_sets(frame).items()
-            if all(x in m_pos and y in m_pos for x, y in p)}
-
-
 def _check_double_bracket(frame, rng, trials) -> CheckResult:
-    pair_sets = _pair_sets(frame)
-    if not pair_sets:
+    spaces = frame.pair_spaces.values()
+    if not spaces:
         return CheckResult("double-bracket", "no decomposable roots in this frame",
                            0, 0.0, TOL_IDENTITY)
-    deltas = sorted(pair_sets)
-    worst = 0.0
-    combos = sum(len(pair_sets[d]) for d in deltas)
+    bx, by, consts = (np.concatenate([getattr(space, name) for space in spaces])
+                      for name in ("bx", "by", "consts"))
+    combos = consts.size
     per = -(-trials // combos)
-    total = 0
-    for delta in deltas:
-        for alpha, beta in pair_sets[delta]:
-            a, b = rng.standard_normal(2)
-            tilde = tilde_vector(frame, delta, a, b)
-            idx = [*frame.slots[alpha], *frame.slots[beta]]
-            c2 = float(frame.chev.constant(alpha, beta)) ** 2
-            x = rng.standard_normal((per, 4))
-            # bracketing with tilde, projected back to the pair's root planes
-            blk = frame.ad_matrix(tilde)[np.ix_(idx, idx)]
-            twice = x @ (blk @ blk).T
-            res = twice + (a * a + b * b) * c2 * x
-            worst = max(worst, _max_norm(res))
-            total += per
+    # per pair, in pair order: a and b, then its ``per`` rows of x
+    draws = rng.standard_normal((combos, 2 + 4 * per))
+    a, b = draws[:, 0, None, None], draws[:, 1, None, None]
+    x = draws[:, 2:].reshape(combos, per, 4)
+    # bracketing with a X_delta + b Y_delta, projected back to the pair's
+    # root planes
+    blk = a * bx + b * by
+    twice = x @ (blk @ blk).transpose(0, 2, 1)
+    res = twice + (a * a + b * b) * (consts ** 2)[:, None, None] * x
+    worst, total = _max_norm(res), per * combos
     return CheckResult(
         "double-bracket",
         "twice-projected bracketing against a root plane scales by the "
@@ -820,21 +938,26 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
     )
 
 
+def _tangent_spaces(frame) -> list[tuple[RootVector, PairSpace]]:
+    """The pair spaces whose roots all lie in the tangent block."""
+    return [(delta, space) for delta, space in frame.pair_spaces.items() if space.tangent]
+
+
 def _check_quarter_turn(frame, rng, trials) -> CheckResult:
     """Involution, anticommutation and isometry of the pair-space operator."""
-    usable = _usable_pair_sets(frame)
+    usable = _tangent_spaces(frame)
     if not usable:
         return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
     worst = 0.0
     total = 0
-    for delta in sorted(usable):
+    for _, space in usable:
         a, b = rng.standard_normal(2)
         if a == 0 and b == 0:
             a = 1.0
-        i_mat = map_I(frame, delta, a, b, usable[delta])
+        i_mat = _quarter_turn(space, a, b)
         n = i_mat.shape[0]
         worst = max(worst, _max_norm(i_mat @ i_mat + np.eye(n)))
-        emb = s0_embedding(frame, usable[delta]) - frame.m_start
+        emb = space.slots.ravel() - frame.m_start
         j_s0 = frame.j_m[np.ix_(emb, emb)]
         worst = max(worst, _max_norm(i_mat @ j_s0 + j_s0 @ i_mat))
         x = rng.standard_normal((-(-trials // len(usable)), n))
@@ -854,27 +977,24 @@ def _check_quarter_turn(frame, rng, trials) -> CheckResult:
 
 def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     """Lower bound of the bracket pairing on pair spaces, slice level."""
-    from .chevalley import n0_constant
-
-    usable = _usable_pair_sets(frame)
+    usable = _tangent_spaces(frame)
     if not usable:
         return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
     worst = 0.0
     total = 0
-    for delta in sorted(usable):
-        pairs = usable[delta]
+    for delta, space in usable:
         a, b = rng.standard_normal(2)
         if a == 0 and b == 0:
             a = 1.0
-        n0 = n0_constant(frame.chev, [frozenset(p) for p in pairs])
-        i_mat = map_I(frame, delta, a, b, pairs)
+        n0 = float(np.min(np.abs(space.consts)))
+        i_mat = _quarter_turn(space, a, b)
         # the bracket from the pair coordinates onto delta's plane, which is
         # all the metric pairing with the twist direction reads
-        emb = s0_embedding(frame, pairs)
+        sub = space.plane
         plane = np.array(frame.slots[delta])
-        sub = _sub_plan(frame.plan, emb, plane)
         twist = frame.metric[np.ix_(plane, plane)] @ (a, b)  # pairs with a*X_delta + b*Y_delta
-        j_s0 = frame.j_m[np.ix_(emb - frame.m_start, emb - frame.m_start)]
+        emb = space.slots.ravel() - frame.m_start
+        j_s0 = frame.j_m[np.ix_(emb, emb)]
         per = -(-trials // len(usable))
         x = rng.standard_normal((per, i_mat.shape[0]))
         ix = x @ i_mat.T

@@ -33,6 +33,10 @@ class NotInK(FlagmorseError, ValueError):
     """Perturbing root does not lie in the isotropy part of the split."""
 
 
+class NotInTangent(FlagmorseError, ValueError):
+    """A pair-space root is not a positive root of the tangent block."""
+
+
 class DegenerateCoefficients(FlagmorseError, ValueError):
     """Both twisting coefficients vanish."""
 

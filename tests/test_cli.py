@@ -162,18 +162,32 @@ def test_usage_errors_exit_2():
     assert "Traceback" not in result.stderr
 
 
+def _this_tree_env():
+    """The environment with this tree's ``src`` first on the import path."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                         os.environ.get("PYTHONPATH")]))}
+
+
 def test_readme_cli_examples_run(tmp_path):
     block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("flagmorse ")]
     assert len(lines) == 8
     # run from a temporary directory (one example writes a file), importing this tree
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")]))}
+    env = _this_tree_env()
     for line in lines:
         result = subprocess.run([sys.executable, "-m", "flagmorse", *shlex.split(line)[1:]],
                                 capture_output=True, text=True, cwd=tmp_path, env=env)
         assert result.returncode == 0, (line, result.stderr)
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library sketch", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                            cwd=tmp_path, env=_this_tree_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["5"]  # the printed ell, as its comment says
 
 
 def test_chevalley_csv(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from flagmorse.chevalley import ComplexElement, bracket_c, n0_constant
 from flagmorse.compact_geom import (
     SUITES,
     CheckResult,
-    _pair_sets,
     adjoint_perturb,
     bracket_k,
     bracket_m,
@@ -37,6 +37,7 @@ from flagmorse.errors import (
     FlagmorseError,
     NotARoot,
     NotInK,
+    NotInTangent,
     UnknownSuite,
 )
 from flagmorse.exactnum import CSqrt2, Sqrt2
@@ -594,6 +595,38 @@ def test_map_i_contract(borel_frame):
         assert val <= -n0 * np.hypot(a, b) * norm2 + 1e-10
 
 
+def test_map_i_and_q_form_reject_pair_roots_outside_the_tangent_block():
+    # delta's pairs include painted-span roots, whose slots lie before the
+    # tangent block: a tangent-block index for them would be negative
+    frame = frame_for("E", 7, (0, 2))
+    delta = RootVector((-2, 0, 2, 0, 0, 0, 0, 0))
+    space = frame.pair_spaces[delta]
+    assert not space.tangent
+    pairs = {frozenset(pair) for pair in space.pairs}
+    assert s0_embedding(frame, pairs).min() < frame.m_start
+    painted = [r for pair in space.pairs for r in pair if r not in frame.split.delta_m_pos]
+    message = re.escape(f"pair root {painted[0]} is not a positive tangent root of E7")
+    with pytest.raises(NotInTangent, match=message):
+        map_I(frame, delta, 0.9, -0.5, pairs)
+    gdot = _plane_vector(frame, delta, 0.9, -0.5)
+    zero = np.zeros(frame.m_dim)
+    with pytest.raises(NotInTangent, match=message):
+        q_form(frame, gdot, zero, zero, np.ones(frame.m_dim), 0.5,
+               i_map=np.eye(4 * len(pairs)), pair_set=pairs)
+    assert issubclass(NotInTangent, FlagmorseError) and issubclass(NotInTangent, ValueError)
+    # the tangent pairs of a root with painted pairs still give an operator
+    mixed, s_pairs = next((d, _s_pairs(frame, d)) for d, sp in frame.pair_spaces.items()
+                          if not sp.tangent and _s_pairs(frame, d))
+    assert len(s_pairs) < len(frame.pair_spaces[mixed].pairs)
+    i_mat = map_I(frame, mixed, 0.9, -0.5, s_pairs)
+    assert np.max(np.abs(i_mat @ i_mat + np.eye(i_mat.shape[0]))) < 1e-12
+    # a pair of another root is still a plain ValueError
+    other = next(d for d, sp in frame.pair_spaces.items() if d != delta and sp.tangent)
+    with pytest.raises(ValueError, match="does not sum to") as info:
+        map_I(frame, delta, 0.9, -0.5, [frame.pair_spaces[other].pairs[0]])
+    assert not isinstance(info.value, NotInTangent)
+
+
 def test_map_i_degenerate_coefficients():
     frame = frame_for("A", 2)
     delta, _ = _delta_and_gdot(frame)
@@ -889,7 +922,7 @@ PAIR_SET_FRAMES = ORACLE_FRAMES + [("E", 6, ())]
 def test_pair_sets_list_each_decomposition_once(family, rank, painted):
     frame = frame_for(family, rank, painted)
     sys_ = frame.sys
-    pair_sets = _pair_sets(frame)
+    pair_sets = {delta: space.pairs for delta, space in frame.pair_spaces.items()}
     for delta in frame.m_pos:
         want = {frozenset((alpha, delta - alpha)) for alpha in sys_.positives
                 if sys_.is_positive(delta - alpha)}
@@ -898,6 +931,89 @@ def test_pair_sets_list_each_decomposition_once(family, rank, painted):
         assert {frozenset(p) for p in got} == want, delta
         assert all(alpha < beta for alpha, beta in got)
     assert set(pair_sets) <= set(frame.m_pos)
+
+
+def _reference_pair_sets(frame):
+    """All positive pairs summing to each tangent-positive root, by a scan of
+    the pair action, in root order."""
+    sys_, m_pos = frame.sys, frame.split.delta_m_pos
+    found = {}
+    for (alpha, beta), (s, _) in frame.chev.pair_action.items():
+        if s in m_pos and alpha < beta and sys_.is_positive(alpha) and sys_.is_positive(beta):
+            found.setdefault(s, []).append((alpha, beta))
+    return {delta: tuple(sorted(found[delta])) for delta in sorted(found)}
+
+
+def _reference_blocks(frame, delta, pairs, a, b):
+    """ad(a X_delta + b Y_delta) on each pair's four coordinates, cut from the
+    full adjoint matrix."""
+    ad = frame.ad_matrix(tilde_vector(frame, delta, a, b))
+    return np.array([ad[np.ix_(idx, idx)]
+                     for idx in ([*frame.slots[x], *frame.slots[y]] for x, y in pairs)])
+
+
+def _reference_map_i(frame, delta, a, b, pair_set):
+    pairs = sorted(tuple(sorted(pair)) for pair in pair_set)
+    scale = float(np.hypot(a, b))
+    out = np.zeros((4 * len(pairs), 4 * len(pairs)))
+    for p, (blk, (x, y)) in enumerate(zip(_reference_blocks(frame, delta, pairs, a, b), pairs)):
+        c = abs(float(frame.chev.constant(x, y)))
+        out[4 * p: 4 * p + 4, 4 * p: 4 * p + 4] = blk / (scale * c)
+    return out
+
+
+TABLE_FRAMES = PAIR_SET_FRAMES + [("E", 7, (0, 2)), ("E", 8, ())]
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_pair_space_table_matches_reference(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    reference = _reference_pair_sets(frame)
+    assert list(frame.pair_spaces) == list(reference)
+    m_pos = frame.split.delta_m_pos
+    a, b = 0.6, -1.7
+    tangent = subsets = 0
+    for delta, space in frame.pair_spaces.items():
+        pairs = reference[delta]
+        assert space.pairs == pairs
+        assert np.array_equal(space.slots.ravel(), s0_embedding(frame, pairs))
+        assert np.array_equal(space.consts, [float(frame.chev.constant(x, y)) for x, y in pairs])
+        assert np.array_equal(space.bx, _reference_blocks(frame, delta, pairs, 1.0, 0.0))
+        assert np.array_equal(space.by, _reference_blocks(frame, delta, pairs, 0.0, 1.0))
+        assert space.tangent == all(r in m_pos for pair in pairs for r in pair)
+        if space.tangent:
+            tangent += 1
+            want = compact_geom._sub_plan(frame.plan, s0_embedding(frame, pairs),
+                                          np.array(frame.slots[delta]))
+            assert all(np.array_equal(got, ref) for got, ref in zip(space.plane, want))
+            assert np.array_equal(map_I(frame, delta, a, b, pairs),
+                                  _reference_map_i(frame, delta, a, b, pairs))
+        else:
+            assert space.plane is None
+        # the S-set pairs: every pair of tangent roots, all of them or a subset
+        s_set = st_sets(frame.split, GammaSet.singleton(delta), delta).s_set
+        s_pairs = {frozenset((x, delta - x)) for x in s_set}
+        if s_pairs and not space.tangent:
+            subsets += 1
+            assert np.array_equal(map_I(frame, delta, b, a, s_pairs),
+                                  _reference_map_i(frame, delta, b, a, s_pairs))
+    assert tangent > 0 or rank == 1
+    assert subsets > 0 or not painted
+
+
+@pytest.mark.parametrize("family,rank,painted,pairs", [("E", 7, (0, 2), 335), ("E", 8, (), 1120)],
+                         ids=["E7[0, 2]", "E8[]"])
+def test_identity_suite_all_on_e7_and_e8(family, rank, painted, pairs):
+    frame = frame_for(family, rank, painted)
+    report = identity_suite(frame, "all", trials=8, seed=17)
+    assert report.passed
+    checks = {check.name: check for check in report.checks}
+    assert len(checks) == sum(map(len, SUITES.values()))
+    assert all(check.passed and check.trials > 0 for check in checks.values())
+    # double-bracket visits every decomposition pair once
+    assert checks["double-bracket"].trials == pairs
+    assert pairs == sum(len(space.pairs) for space in frame.pair_spaces.values())
 
 
 def test_curvature_quadratic_nonnegative(borel_frame, rng):
