@@ -167,9 +167,7 @@ def cmd_ell(args) -> int:
     sp = _build_split(args)
     gamma = None
     if args.gamma:
-        coeffs = _parse_gamma(args.gamma)
-        gamma = comb.GammaSet.of(coeffs.keys(),
-                                 {r: (float(a), float(b)) for r, (a, b) in coeffs.items()})
+        gamma = comb.GammaSet.of(_parse_gamma(args.gamma))
     delta = _parse_root(args.delta) if args.delta and args.delta != "auto" else None
     if gamma is None:
         if delta is None:

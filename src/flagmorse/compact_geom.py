@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -35,8 +35,8 @@ from .chevalley import ChevalleyData, build_chevalley
 from .errors import (DegenerateCoefficients, DimensionMismatch, NotARoot, NotInK, NotInTangent,
                      UnknownSuite)
 from .exactnum import CSqrt2
-from .parabolic import ParabolicSplit
-from .rootsys import RootSystem, RootVector, _minus, build_root_system, inner
+from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
+from .rootsys import RootSystem, RootVector, build_root_system, inner
 
 # ---------------------------------------------------------------------------
 # structure-constant plans
@@ -280,14 +280,13 @@ class RealFormFrame:
         return _pair_spaces(self)
 
 
-def build_frame(split: ParabolicSplit, chev: Optional[ChevalleyData] = None) -> RealFormFrame:
+def build_frame(split: ParabolicSplit) -> RealFormFrame:
     """Structure-constant plan, metric and complex structure over the ordered
     real basis."""
     if not split.delta_m_pos:
         raise ValueError("every node is painted; the frame has no tangent block")
     sys = split.sys
-    if chev is None:
-        chev = build_chevalley(sys)
+    chev = build_chevalley(sys)
     rank = sys.rank
     k_pos = split.k_pos_sorted
     m_pos = split.m_pos_sorted
@@ -421,21 +420,13 @@ def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
 
 def frame_for(family: str, rank: int, painted: Sequence[int] = ()) -> RealFormFrame:
     """Convenience builder from family/rank/painted indices (cached)."""
-    return _frame_cached(family.upper(), rank, tuple(sorted(painted)))
+    return _cached_frame(family.upper(), rank, tuple(sorted(painted)))
 
 
-_FRAME_CACHE: dict = {}
-
-
-def _frame_cached(family: str, rank: int, painted: tuple) -> RealFormFrame:
-    key = (family, rank, painted)
-    if key not in _FRAME_CACHE:
-        from .parabolic import PaintedDiagram, split as make_split
-
-        sys = build_root_system(family, rank)
-        sp = make_split(sys, PaintedDiagram.of(sys, painted))
-        _FRAME_CACHE[key] = build_frame(sp)
-    return _FRAME_CACHE[key]
+@lru_cache(maxsize=None)
+def _cached_frame(family: str, rank: int, painted: tuple) -> RealFormFrame:
+    sys = build_root_system(family, rank)
+    return build_frame(make_split(sys, PaintedDiagram.of(sys, painted)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +587,19 @@ def map_I(
     pair_set,
 ) -> np.ndarray:
     """Matrix of the quarter-turn operator on the pair space of ``delta``,
-    read from the frame's pair-space table.  Every pair must sum to ``delta``
-    (``ValueError``) and lie in the tangent block (``NotInTangent``)."""
+    read from the frame's pair-space table.  ``delta`` and every pair root
+    must be roots of the system (``NotARoot``), every pair must sum to
+    ``delta`` (``ValueError``) and lie in the tangent block
+    (``NotInTangent``)."""
     if a == 0 and b == 0:
         raise DegenerateCoefficients("both coefficients vanish")
+    sys = frame.sys
+    d = _root_id(sys, delta)
     pairs = s0_indices(frame, pair_set)
-    ids = frame.sys.ids
-    for alpha, beta in pairs:
-        if frame.sys.sums[ids[alpha], ids[beta]] != ids.get(delta):
-            raise ValueError(f"pair {(alpha, beta)} does not sum to {delta}")
+    pair_ids = [(_root_id(sys, alpha), _root_id(sys, beta)) for alpha, beta in pairs]
+    for pair, (i, j) in zip(pairs, pair_ids):
+        if sys.sums[i, j] != d:
+            raise ValueError(f"pair {pair} does not sum to {delta}")
     _require_tangent(frame, pairs)
     if not pairs:
         return np.zeros((0, 0))
@@ -664,12 +659,10 @@ def k_search(
     frame: RealFormFrame,
     gdot: np.ndarray,
     configs: Sequence[tuple[np.ndarray, np.ndarray]],
-    *,
-    k_start: float = 1.0,
-    max_halvings: int = 60,
 ) -> KSearchResult:
-    """Smallest-dyadic twisting rate making the averaged form negative on all
-    supplied (xbar0, ybar0) configurations.
+    """Dyadic twisting rate making the averaged form negative on all supplied
+    (xbar0, ybar0) configurations: the first of 1, 1/2, 1/4, ..., 2^-59 that
+    does.
 
     The form is quadratic in the rate, so the per-configuration coefficients
     are integrated once and the bisection runs on the closed forms.
@@ -678,8 +671,8 @@ def k_search(
         raise ValueError("k_search needs at least one configuration")
     e, a, b = _quadrature(frame, gdot, np.array([c[0] for c in configs]),
                           np.array([c[1] for c in configs]))
-    k = k_start
-    for _ in range(max_halvings):
+    k = 1.0
+    for _ in range(60):
         qs = _twisted(e, a, b, k)
         value = float(np.max(qs))
         if value < 0:
@@ -693,12 +686,11 @@ def adjoint_perturb(
     gamma_coeffs: np.ndarray,
     root_k: RootVector,
     t: float = 1e-3,
-    support_threshold: float = 1e-9,
 ) -> tuple[np.ndarray, frozenset[RootVector]]:
     """Push the velocity by the isotropy flow of one painted-span root plane.
 
     Returns the perturbed tangent coordinates and their root support above
-    ``support_threshold`` times the original norm.
+    1e-9 times the original norm.
     """
     if root_k not in frame.split.delta_k_pos:
         raise NotInK(f"{root_k} is not a positive painted-span root")
@@ -710,7 +702,7 @@ def adjoint_perturb(
     if np.max(np.abs(leak)) > 1e-12:
         raise RuntimeError("isotropy action leaked outside the tangent block")
     new = expm(t * ad_mm) @ gamma_coeffs
-    cutoff = support_threshold * np.sqrt(frame.m_norm2(gamma_coeffs))
+    cutoff = 1e-9 * np.sqrt(frame.m_norm2(gamma_coeffs))
     support = set()
     for alpha in frame.m_pos:
         ix, iy = frame.m_slot(alpha)
@@ -843,22 +835,24 @@ def _check_isotropy_vanishing(frame, rng, trials) -> CheckResult:
 
 
 def _check_isotropy_pairing(frame, rng, trials) -> CheckResult:
+    """|[x, y]_k|^2 + |[Jx, y]_k|^2 = 4 <w, conj w> with w = [x10, conj y10]_k.
+
+    With u = 2w and g_k symmetric, lhs - rhs is summed as the two differences
+    of squares (kxy - Re u) g (kxy + Re u) + (kjxy + Im u) g (kjxy - Im u): its
+    rounding then follows the residual, not the size of either side (about
+    6,500 on E8 at unnormalized inputs)."""
     j = frame.j_m
-    g_k = frame.metric[: frame.m_start, : frame.m_start]
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
     kxy = bracket_k(frame, x, y)
     kjxy = bracket_k(frame, x @ j.T, y)
-    lhs = (
-        np.einsum("ni,ij,nj->n", kxy, g_k, kxy)
-        + np.einsum("ni,ij,nj->n", kjxy, g_k, kjxy)
-    )
-    w = bracket_k(frame, _split_10(frame, x), _split_10(frame, y).conj())
-    rhs = 4.0 * np.einsum("ni,ij,nj->n", w, g_k, w.conj()).real
+    u = 2.0 * bracket_k(frame, _split_10(frame, x), _split_10(frame, y).conj())
+    res = (frame.k_inner(kxy - u.real, kxy + u.real)
+           + frame.k_inner(kjxy + u.imag, kjxy - u.imag))
     return CheckResult(
         "isotropy-pairing",
         "isotropy bracket norms against the mixed-type pairing",
-        trials, _max_norm(lhs - rhs), TOL_IDENTITY,
+        trials, _max_norm(res), TOL_IDENTITY,
     )
 
 
@@ -866,8 +860,10 @@ def _kernel_supports(frame, delta):
     """Tangent-positive roots whose plane brackets the conjugate of the
     delta-plane back into anti-holomorphic directions only (after the tangent
     projection, which drops Cartan and isotropy parts)."""
-    rests = [_minus(frame.sys, alpha, delta) for alpha in frame.m_pos]
-    return [alpha for alpha, r in zip(frame.m_pos, rests) if r < 0 or frame.split.part[r] != 1]
+    sys = frame.sys
+    rests = sys.sums[[sys.ids[alpha] for alpha in frame.m_pos], sys.neg[sys.ids[delta]]]
+    keep = (rests < 0) | (frame.split.part[rests] != 1)  # alpha - delta
+    return [alpha for alpha, k in zip(frame.m_pos, keep) if k]
 
 
 def _conditioned_batch(frame, rng, trials):
@@ -938,29 +934,35 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
     )
 
 
-def _tangent_spaces(frame) -> list[tuple[RootVector, PairSpace]]:
-    """The pair spaces whose roots all lie in the tangent block."""
-    return [(delta, space) for delta, space in frame.pair_spaces.items() if space.tangent]
-
-
-def _check_quarter_turn(frame, rng, trials) -> CheckResult:
-    """Involution, anticommutation and isometry of the pair-space operator."""
-    usable = _tangent_spaces(frame)
-    if not usable:
-        return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
-    worst = 0.0
-    total = 0
-    for _, space in usable:
+def _quarter_turn_draws(frame, rng, trials) -> list:
+    """Per pair space whose roots all lie in the tangent block, in root order:
+    (delta, space, a, b, I, J, x).  Each draws (a, b), with a = 1 if both
+    vanish, then ceil(trials / spaces) rows of x on the pair coordinates; I is
+    the quarter turn at (a, b) and J the complex structure there."""
+    usable = [(delta, space) for delta, space in frame.pair_spaces.items() if space.tangent]
+    out = []
+    for delta, space in usable:
         a, b = rng.standard_normal(2)
         if a == 0 and b == 0:
             a = 1.0
         i_mat = _quarter_turn(space, a, b)
-        n = i_mat.shape[0]
-        worst = max(worst, _max_norm(i_mat @ i_mat + np.eye(n)))
         emb = space.slots.ravel() - frame.m_start
         j_s0 = frame.j_m[np.ix_(emb, emb)]
+        x = rng.standard_normal((-(-trials // len(usable)), i_mat.shape[0]))
+        out.append((delta, space, a, b, i_mat, j_s0, x))
+    return out
+
+
+def _check_quarter_turn(frame, rng, trials) -> CheckResult:
+    """Involution, anticommutation and isometry of the pair-space operator."""
+    draws = _quarter_turn_draws(frame, rng, trials)
+    if not draws:
+        return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
+    worst = 0.0
+    total = 0
+    for _, _, _, _, i_mat, j_s0, x in draws:
+        worst = max(worst, _max_norm(i_mat @ i_mat + np.eye(i_mat.shape[0])))
         worst = max(worst, _max_norm(i_mat @ j_s0 + j_s0 @ i_mat))
-        x = rng.standard_normal((-(-trials // len(usable)), n))
         worst = max(
             worst,
             _max_norm(np.einsum("ni,ni->n", x @ i_mat.T, x @ i_mat.T)
@@ -977,26 +979,18 @@ def _check_quarter_turn(frame, rng, trials) -> CheckResult:
 
 def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     """Lower bound of the bracket pairing on pair spaces, slice level."""
-    usable = _tangent_spaces(frame)
-    if not usable:
+    draws = _quarter_turn_draws(frame, rng, trials)
+    if not draws:
         return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
     worst = 0.0
     total = 0
-    for delta, space in usable:
-        a, b = rng.standard_normal(2)
-        if a == 0 and b == 0:
-            a = 1.0
+    for delta, space, a, b, i_mat, j_s0, x in draws:
         n0 = float(np.min(np.abs(space.consts)))
-        i_mat = _quarter_turn(space, a, b)
         # the bracket from the pair coordinates onto delta's plane, which is
         # all the metric pairing with the twist direction reads
         sub = space.plane
         plane = np.array(frame.slots[delta])
         twist = frame.metric[np.ix_(plane, plane)] @ (a, b)  # pairs with a*X_delta + b*Y_delta
-        emb = space.slots.ravel() - frame.m_start
-        j_s0 = frame.j_m[np.ix_(emb, emb)]
-        per = -(-trials // len(usable))
-        x = rng.standard_normal((per, i_mat.shape[0]))
         ix = x @ i_mat.T
         br = _contract(sub, ix, x)
         val = br @ twist
@@ -1007,7 +1001,7 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
         p_val = (br - _contract(sub, ix @ j_s0.T, x @ j_s0.T)) @ twist
         excess2 = p_val + 2.0 * n0 * np.hypot(a, b) * norms
         worst = max(worst, float(np.max(np.maximum(excess2, 0.0))))
-        total += per
+        total += x.shape[0]
     return CheckResult(
         "pair-bound",
         "bracket pairing against the twist direction is at most minus the "
@@ -1047,15 +1041,11 @@ def curvature_quadratic(frame: RealFormFrame, x_m, y_m) -> np.ndarray:
     y2 = np.atleast_2d(y_m)
     bm = bracket_m(frame, x2, y2)
     bk = bracket_k(frame, x2, y2)
-    g_k = frame.metric[: frame.m_start, : frame.m_start]
-    return 0.25 * 2.0 * np.einsum("ni,ni->n", bm, bm) + np.einsum(
-        "ni,ij,nj->n", bk, g_k, bk
-    )
+    return 0.25 * 2.0 * np.einsum("ni,ni->n", bm, bm) + frame.k_inner(bk, bk)
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:
     j = frame.j_m
-    g_k = frame.metric[: frame.m_start, : frame.m_start]
     a_f = frame.random_m(rng, trials)
     x = frame.random_m(rng, trials)
     g = frame.random_m(rng, trials)
@@ -1072,8 +1062,8 @@ def _check_hessian_chain(frame, rng, trials) -> CheckResult:
     rhs = (
         2.0 * frame.m_norm2(a_f)
         + frame.m_inner(a_f, bm - bmj @ j.T)
-        - np.einsum("ni,ij,nj->n", kx, g_k, kx)
-        - np.einsum("ni,ij,nj->n", kjx, g_k, kjx)
+        - frame.k_inner(kx, kx)
+        - frame.k_inner(kjx, kjx)
     )
     return CheckResult(
         "hessian-chain",
@@ -1202,17 +1192,22 @@ def holomorphic_kernel_classification(
 _EXACT = (int, Fraction)
 
 
+def _root_id(sys: RootSystem, root: RootVector) -> int:
+    """Id of a root of ``sys``; raises on any other vector."""
+    i = sys.ids.get(root)
+    if i is None:
+        if root.ambient_dim != sys.ambient_dim:
+            raise DimensionMismatch("root does not match the system")
+        raise NotARoot(f"{root.coords} is not a root of {sys.name}")
+    return i
+
+
 def _nonzero_terms(sys: RootSystem, coeffs: dict) -> list[tuple[int, tuple]]:
     """(root id, coefficient pair) for each entry of ``coeffs`` with a nonzero
     pair; raises on a key that is not a root of ``sys``."""
-    ids = sys.ids
     out = []
     for root, (re, im) in coeffs.items():
-        i = ids.get(root)
-        if i is None:
-            if root.ambient_dim != sys.ambient_dim:
-                raise DimensionMismatch("root does not match the system")
-            raise NotARoot(f"{root.coords} is not a root of {sys.name}")
+        i = _root_id(sys, root)
         # int and Fraction by type first: isinstance against an ABC is slow here
         if not (type(re) in _EXACT and type(im) in _EXACT
                 or isinstance(re, Rational) and isinstance(im, Rational)):

@@ -9,7 +9,7 @@ ell = |S|/2 + |T|, and the short-root case analyses for the B and C families
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -23,34 +23,24 @@ from .errors import (
 from .parabolic import ParabolicSplit
 from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, _minus, _positive_ids, precedes
 
-Pair = tuple[float, float]
-
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Root support of an initial velocity, with per-root plane coefficients."""
+    """Root support of an initial velocity."""
 
     support: frozenset[RootVector]
-    coefficients: dict[RootVector, Pair] = field(repr=False)
 
     def __post_init__(self):
         if not self.support:
             raise ValueError("support must be nonempty")
-        for r in self.support:
-            a, b = self.coefficients[r]
-            if a * a + b * b <= 0:
-                raise ValueError(f"degenerate coefficient pair for {r}")
 
     @staticmethod
-    def of(roots: Iterable[RootVector], coefficients=None) -> "GammaSet":
-        roots = frozenset(roots)
-        if coefficients is None:
-            coefficients = {r: (1.0, 0.0) for r in roots}
-        return GammaSet(roots, dict(coefficients))
+    def of(roots: Iterable[RootVector]) -> "GammaSet":
+        return GammaSet(frozenset(roots))
 
     @staticmethod
-    def singleton(delta: RootVector, a: float = 1.0, b: float = 0.0) -> "GammaSet":
-        return GammaSet(frozenset((delta,)), {delta: (a, b)})
+    def singleton(delta: RootVector) -> "GammaSet":
+        return GammaSet(frozenset((delta,)))
 
     def validate_against(self, sp: ParabolicSplit) -> None:
         bad = [r for r in self.support if not sp.in_m_pos(r)]

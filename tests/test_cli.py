@@ -4,22 +4,38 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from typing import NamedTuple
 
 import jsonschema
+import pytest
+
+from flagmorse import cli
 
 ROOT = pathlib.Path(__file__).parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "flagmorse", *args],
-        capture_output=True,
-        text=True,
-    )
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
 
 
-def test_ell_table_plain():
+@pytest.fixture
+def run_cli(capsys):
+    """``cli.main`` in this process, with its exit code and captured output;
+    argparse's own errors leave through ``SystemExit``."""
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return Run(code, out.out, out.err)
+    return run
+
+
+def test_ell_table_plain(run_cli):
     result = run_cli("ell-table")
     assert result.returncode == 0
     lines = [l for l in result.stdout.splitlines() if l.strip() and not l.startswith("improvement")]
@@ -27,7 +43,7 @@ def test_ell_table_plain():
     assert "E       11/17/29  8     29      29        yes" in result.stdout
 
 
-def test_ell_table_json():
+def test_ell_table_json(run_cli):
     result = run_cli("ell-table", "--json")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
@@ -37,7 +53,7 @@ def test_ell_table_json():
     assert all(r["match"] for r in payload["rows"])
 
 
-def test_index_bound_example():
+def test_index_bound_example(run_cli):
     result = run_cli("index-bound", "--m", "2", "--n", "2",
                      "--family", "A", "--rank", "3", "--painted", "2,3", "--json")
     assert result.returncode == 0
@@ -48,7 +64,7 @@ def test_index_bound_example():
     assert payload["index_bound"] == 2
 
 
-def test_roots_json_matches_library():
+def test_roots_json_matches_library(run_cli):
     from flagmorse.rootsys import build_root_system
 
     result = run_cli("roots", "--family", "C", "--rank", "3", "--json")
@@ -58,13 +74,16 @@ def test_roots_json_matches_library():
 
 
 def test_parabolic_render():
-    result = run_cli("parabolic", "--family", "A", "--rank", "3", "--painted", "2,3")
+    # through the module entry point, in a fresh interpreter
+    result = subprocess.run([sys.executable, "-m", "flagmorse", "parabolic", "--family", "A",
+                             "--rank", "3", "--painted", "2,3"],
+                            capture_output=True, text=True, env=_this_tree_env())
     assert result.returncode == 0
     assert "oxx" in result.stdout
     assert "v = 3" in result.stdout
 
 
-def test_ell_command_auto_delta():
+def test_ell_command_auto_delta(run_cli):
     result = run_cli("ell", "--family", "B", "--rank", "3",
                      "--gamma", "0,1,0:1,0;1,1,0:0,1", "--delta", "auto", "--json")
     assert result.returncode == 0
@@ -73,7 +92,7 @@ def test_ell_command_auto_delta():
     assert payload["condition1"]["ok"] and payload["condition2"]["ok"]
 
 
-def test_check_json_deterministic_and_schema():
+def test_check_json_deterministic_and_schema(run_cli):
     args = ("check", "--suite", "integrability", "--family", "A", "--rank", "2",
             "--painted", "", "--trials", "500", "--seed", "7", "--json")
     first, second = run_cli(*args), run_cli(*args)
@@ -93,14 +112,14 @@ def test_check_json_deterministic_and_schema():
     assert p1["seed"] == 7
 
 
-def test_check_all_suites_small():
+def test_check_all_suites_small(run_cli):
     result = run_cli("check", "--suite", "all", "--family", "A", "--rank", "2",
                      "--trials", "400", "--seed", "1")
     assert result.returncode == 0
     assert "overall: pass" in result.stdout
 
 
-def test_hessian_agreement():
+def test_hessian_agreement(run_cli):
     result = run_cli("hessian", "--family", "A", "--rank", "3",
                      "--gamma", "1,0,0,-1:1,0", "--field", "1,-1,0,0:1,1", "--json")
     assert result.returncode == 0
@@ -115,7 +134,7 @@ def test_hessian_agreement():
     assert np_payload["hessian"] < -1e-8
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(run_cli):
     assert run_cli("roots", "--family", "Q", "--rank", "3").returncode == 2
     assert run_cli("ell", "--family", "A", "--rank", "3").returncode == 2
     assert run_cli("roots", "--family", "A", "--rank", "99").returncode == 2
@@ -160,6 +179,9 @@ def test_usage_errors_exit_2():
     assert result.returncode == 2
     assert "bad coefficient pair in '1,0,0,-1:0,1/0'" in result.stderr
     assert "Traceback" not in result.stderr
+    result = run_cli("ell", "--family", "A", "--rank", "3", "--gamma", "1,-1,0,0:0,0")
+    assert result.returncode == 2
+    assert "zero coefficient pair" in result.stderr
 
 
 def _this_tree_env():
@@ -190,7 +212,7 @@ def test_readme_library_sketch_runs(tmp_path):
     assert result.stdout.split() == ["5"]  # the printed ell, as its comment says
 
 
-def test_chevalley_csv(tmp_path):
+def test_chevalley_csv(run_cli, tmp_path):
     out = tmp_path / "c.csv"
     result = run_cli("chevalley", "--family", "B", "--rank", "2", "--csv", str(out))
     assert result.returncode == 0
@@ -199,7 +221,7 @@ def test_chevalley_csv(tmp_path):
     assert len(lines) == 1 + 24
 
 
-def test_chevalley_a1_has_no_bracket_pairs():
+def test_chevalley_a1_has_no_bracket_pairs(run_cli):
     result = run_cli("chevalley", "--family", "A", "--rank", "1", "--json")
     assert result.returncode == 0
     payload = json.loads(result.stdout)

@@ -45,7 +45,7 @@ from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
 from flagmorse.rootsys import RootVector, build_root_system, is_long
 
-from conftest import SMALL_SYSTEMS
+from conftest import ALL_SYSTEMS, SMALL_SYSTEMS
 from test_rootsys import rv
 
 TOL = 1e-10
@@ -627,6 +627,19 @@ def test_map_i_and_q_form_reject_pair_roots_outside_the_tangent_block():
     assert not isinstance(info.value, NotInTangent)
 
 
+def test_map_i_rejects_pair_vectors_that_are_not_roots():
+    # checked before the sum, as the kernel classifier checks its keys
+    frame = frame_for("A", 3)
+    delta = rv(1, 0, 0, -1)
+    with pytest.raises(NotARoot, match=r"\(2, 2, 0, 0\) is not a root of A3"):
+        map_I(frame, delta, 1.0, 0.0, [(RootVector((2, 2, 0, 0)), frame.m_pos[0])])
+    with pytest.raises(DimensionMismatch):
+        map_I(frame, delta, 1.0, 0.0, [(rv(1, -1, 0), frame.m_pos[0])])
+    # delta too, even with no pairs to check it against
+    with pytest.raises(NotARoot, match=r"\(2, 2, 0, 0\) is not a root of A3"):
+        map_I(frame, RootVector((2, 2, 0, 0)), 1.0, 0.0, [])
+
+
 def test_map_i_degenerate_coefficients():
     frame = frame_for("A", 2)
     delta, _ = _delta_and_gdot(frame)
@@ -710,7 +723,7 @@ def test_k_search_non_borel(family, rank):
     longs = [r for r in frame.m_pos if is_long(sys_, r)]
     delta = max(longs, key=lambda r: (sys_.height(r), r.coords))
     gdot = _plane_vector(frame, delta, 0.9, -0.5)
-    gamma = GammaSet.singleton(delta, 0.9, -0.5)
+    gamma = GammaSet.singleton(delta)
     sets = st_sets(frame.split, gamma, delta)
     pairs = {frozenset((a, delta - a)) for a in sets.s_set}
     i_mat = map_I(frame, delta, 0.9, -0.5, pairs) if pairs else None
@@ -743,7 +756,7 @@ def test_k_search_needs_a_configuration():
     _, gdot = _delta_and_gdot(frame)
     with pytest.raises(ValueError, match="at least one configuration"):
         k_search(frame, gdot, [])
-    # a fourth positional argument (once a node count) is not taken as k_start
+    # a fourth positional argument (once a node count) is refused
     x = np.ones(frame.m_dim)
     with pytest.raises(TypeError):
         k_search(frame, gdot, [(x, x)], 64)
@@ -1014,6 +1027,27 @@ def test_identity_suite_all_on_e7_and_e8(family, rank, painted, pairs):
     # double-bracket visits every decomposition pair once
     assert checks["double-bracket"].trials == pairs
     assert pairs == sum(len(space.pairs) for space in frame.pair_spaces.values())
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS, ids=[f"{f}{r}" for f, r in ALL_SYSTEMS])
+def test_suites_and_frame_invariants_on_every_borel_frame(family, rank):
+    frame = frame_for(family, rank)
+    report = identity_suite(frame, "all", trials=100)
+    assert report.passed, [check for check in report.checks if not check.passed]
+    residuals = validate_frame(frame, trials=64)
+    assert max(residuals.values()) < 1e-10, residuals
+
+
+def test_isotropy_pairing_on_e8_at_full_trials():
+    # the inputs of `flagmorse check --suite mel --family E --rank 8
+    # --trials 10000 --seed 9`: the compared terms reach about 6,500, where
+    # 1e-10 is a relative error of 1.6e-14
+    frame = frame_for("E", 8)
+    check = compact_geom._check_isotropy_pairing
+    rng = np.random.default_rng([9, compact_geom._CHECK_STREAMS[check]])
+    result = check(frame, rng, 10_000)
+    assert result.trials == 10_000
+    assert result.passed, result.max_residual
 
 
 def test_curvature_quadratic_nonnegative(borel_frame, rng):

@@ -65,8 +65,6 @@ def test_gamma_validation():
     sp = borel("A", 3)
     with pytest.raises(ValueError):
         GammaSet.of([])
-    with pytest.raises(ValueError):
-        GammaSet.of([rv(1, -1, 0, 0)], {rv(1, -1, 0, 0): (0.0, 0.0)})
     g = GammaSet.singleton(rv(-1, 1, 0, 0))
     with pytest.raises(ValueError):
         superminimal(sp, g)
