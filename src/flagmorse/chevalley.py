@@ -1,17 +1,14 @@
 """Structure constants and complexified bracket evaluation.
 
-Two tables are kept per system:
-
-* ``pair_action`` -- every ordered root pair that brackets to something
-  nonzero.  A pair with a root sum holds that sum and its normalized constant:
-  the basis rescaled so that [E_a, E_-a] is the metric dual of a (the
-  invariant pairing of E_a with E_-a is 1).  In this normalization the cyclic
-  identity c_{a,b} = c_{b,-d} = c_{-d,a} holds with no length weights, at the
-  cost of sqrt(2)-valued entries in the C family.  A pair (a, -a) holds the
-  dual of a.
-* ``c_classical`` -- the textbook integer constants on every ordered pair
-  with a positive sum: sign(c_{a,b}) (p + 1), where p is the largest integer
-  with b - p a a root (Chevalley's theorem).
+One table is kept per system, ``pair_action``: every ordered root pair
+that brackets to something nonzero.  A pair with a root sum holds that sum
+and its normalized constant: the basis rescaled so that [E_a, E_-a] is the
+metric dual of a (the invariant pairing of E_a with E_-a is 1).  In this
+normalization the cyclic identity c_{a,b} = c_{b,-d} = c_{-d,a} holds with
+no length weights, at the cost of sqrt(2)-valued entries in the C family.  A
+pair (a, -a) holds the dual of a.  The textbook integer constants are derived
+from it on demand: sign(c_{a,b}) (p + 1), where p is the largest integer with
+b - p a a root (Chevalley's theorem).
 
 One height induction, on root ids and the system's sum table, fills
 ``pair_action`` in the normalized basis.  Each positive root d, in order of
@@ -45,9 +42,6 @@ class ChevalleyData:
     """Exact structure constants and coroots for one root system."""
 
     sys: RootSystem
-    # (a, b) -> integer constant, for ordered pairs with a + b a POSITIVE
-    # root; the other sign reduces through c(a,b) = -c(-a,-b).
-    c_classical: dict[tuple[RootVector, RootVector], Fraction] = field(repr=False)
     # (a, b) -> (a + b, normalized constant) for every ordered pair with a
     # root sum, or (None, dual of a) for b = -a; absent pairs bracket to
     # zero.  The single store of normalized constants and coroots, and the
@@ -61,14 +55,12 @@ class ChevalleyData:
             raise KeyError(f"{a} + {b} is not a root")
         return value
 
-    def classical_constant(self, a: RootVector, b: RootVector) -> Fraction:
-        key = (a, b)
-        if key in self.c_classical:
-            return self.c_classical[key]
-        key = (-a, -b)
-        if key in self.c_classical:
-            return -self.c_classical[key]
-        raise KeyError(f"{a} + {b} is not a root")
+    def classical_constant(self, a: RootVector, b: RootVector) -> int:
+        """Integer constant sign(c_{a,b}) (p + 1) of the classical basis, with p
+        the largest integer such that b - p a is a root (Chevalley's theorem)."""
+        sign = self.constant(a, b).sign()
+        sys = self.sys
+        return sign * (_chain_down_length(sys.sums, sys.neg, sys.ids[a], sys.ids[b]) + 1)
 
     def all_pairs(self) -> list[tuple[RootVector, RootVector]]:
         """Every ordered root pair whose sum is a root."""
@@ -140,15 +132,9 @@ def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
             store(xi, eta, neg[delta], -total / denom)
 
     pair_action: dict = {(a, roots[neg[i]]): (None, a.unscaled()) for i, a in enumerate(roots)}
-    classical = {}
     for (u, v), c in table.items():
-        s = sums[u][v]
-        pair_action[roots[u], roots[v]] = (roots[s], c)
-        if positive[s]:
-            # Chevalley's theorem: |c| = p + 1 in the classical basis
-            p = _chain_down_length(sums, neg, u, v)
-            classical[roots[u], roots[v]] = Fraction(c.sign() * (p + 1))
-    return ChevalleyData(sys=sys, c_classical=classical, pair_action=pair_action)
+        pair_action[roots[u], roots[v]] = (roots[sums[u][v]], c)
+    return ChevalleyData(sys=sys, pair_action=pair_action)
 
 
 def build_chevalley(sys: RootSystem) -> ChevalleyData:

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,13 @@ from . import compact_geom as geom
 from . import index_comb as comb
 from .chevalley import build_chevalley, csv_rows, n0_constant
 from .errors import FlagmorseError
-from .parabolic import PaintedDiagram, split as make_split
+from .parabolic import PaintedDiagram, borel_split, split as make_split
 from .rootsys import RootVector, build_root_system, is_long
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -81,6 +83,9 @@ def _parse_painted(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad painted list {text!r}: {exc}") from None
     if any(i < 1 for i in one_based):
         raise UsageError("painted node numbers start at 1")
+    repeated = sorted({i for i in one_based if one_based.count(i) > 1})
+    if repeated:
+        raise UsageError(f"painted node listed more than once: {repeated}")
     return tuple(sorted(i - 1 for i in one_based))
 
 
@@ -133,10 +138,13 @@ def cmd_chevalley(args) -> int:
     data = build_chevalley(sys_)
     rows = csv_rows(data)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("alpha", "beta", "c"))
-            writer.writerows(rows)
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("alpha", "beta", "c"))
+                writer.writerows(rows)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.csv}: {exc.strerror}") from None
     payload = {
         "family": sys_.family,
         "rank": sys_.rank,
@@ -216,8 +224,6 @@ _TABLE_FORMULAS = {
 
 
 def _computed_ell(family: str, rank: int) -> int:
-    from .parabolic import borel_split
-
     sys_ = build_root_system(family, rank)
     sp = borel_split(sys_)
     values = set()
@@ -317,14 +323,11 @@ def cmd_hessian(args) -> int:
     for root in (*gamma_exact, *field_exact):
         if root not in frame.split.delta_m_pos:
             raise UsageError(f"root {root.coords} is not a tangent positive root")
-    gdot = np.zeros(frame.m_dim)
-    for root, (a, b) in gamma_exact.items():
-        ix, iy = frame.m_slot(root)
-        gdot[ix], gdot[iy] = float(a), float(b)
-    x0 = np.zeros(frame.m_dim)
-    for root, (a, b) in field_exact.items():
-        ix, iy = frame.m_slot(root)
-        x0[ix], x0[iy] = float(a), float(b)
+    gdot, x0 = np.zeros(frame.m_dim), np.zeros(frame.m_dim)
+    for vector, exact in ((gdot, gamma_exact), (x0, field_exact)):
+        for root, (a, b) in exact.items():
+            ix, iy = frame.m_slot(root)
+            vector[ix], vector[iy] = float(a), float(b)
     norm = np.sqrt(frame.m_norm2(x0))
     if norm == 0:
         raise UsageError("zero variation field")
@@ -439,9 +442,10 @@ def main(argv=None) -> int:
     except FlagmorseError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        print("internal error (a failed invariant or a bug, not bad input):", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

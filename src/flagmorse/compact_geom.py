@@ -3,7 +3,7 @@
 A frame packages the ordered real basis (Cartan block, isotropy root planes,
 tangent root planes), its sparse structure-constant plan, metric, and complex
 structure.  The plan lists the nonzero constants ``[e_i, e_j] = c e_k`` as
-index arrays; each constant is summed exactly from the Chevalley pair action
+index arrays; each constant is read exactly from the Chevalley pair action
 and frozen into float64 once.  Every bracket, adjoint matrix and identity
 check contracts through that one plan.  Every tensor along a geodesic is
 reduced to constant coefficients in this frame, so transport is a single
@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chevalley import ChevalleyData, build_chevalley
-from .errors import (DegenerateCoefficients, DimensionMismatch, NotARoot, NotInK, NotInTangent,
-                     UnknownSuite)
+from .errors import (DegenerateCoefficients, DimensionMismatch, InvalidSampling, NotARoot, NotInK,
+                     NotInTangent, UnknownSuite)
 from .exactnum import CSqrt2
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
 from .rootsys import RootSystem, RootVector, build_root_system, inner
@@ -138,9 +138,10 @@ class PairSpace(NamedTuple):
     plane: Optional[BracketPlan]
 
 
-def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, int, int], object]:
-    """Exact constants over the real basis h_l = i s_l, X_a = E_a - E_-a,
-    Y_a = i(E_a + E_-a), keyed by (i, j, k), from the pair action alone.
+def _structure_constants(chev: ChevalleyData, slots: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero constants over the real basis h_l = i s_l, X_a = E_a - E_-a,
+    Y_a = i(E_a + E_-a), from the pair action alone: an ``(n, 3)`` array of
+    (i, j, k) and the float of each exact constant.
 
     For positive a, b = eps * beta with beta positive, s = a + b a root of
     sign sigma and N = c_{a,b}: [X_a, X_beta] gets eps*sigma*N on X_|s|,
@@ -150,13 +151,18 @@ def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, in
     over the simple roots are the expansion n_l of a, so [X_a, Y_a] gets
     2 n_l on h_l.  [h_l, X_a] = <a, s_l> Y_a and [h_l, Y_a] = -<a, s_l> X_a.
     Negative a adds nothing new: c_{-a,-b} = -c_{a,b}.
+
+    Each (i, j, k) is written once, so nothing is summed: root-root entries are
+    fixed by (a, beta, |s|), Cartan outputs have k < rank and [h_l, .] entries
+    have i or j < rank.
     """
     sys = chev.sys
-    acc: dict[tuple[int, int, int], object] = {}
+    ijk: list[tuple[int, int, int]] = []
+    c: list[float] = []
 
     def add(i: int, j: int, k: int, value) -> None:
-        key = (i, j, k)
-        acc[key] = acc[key] + value if key in acc else value
+        ijk.append((i, j, k))
+        c.append(float(value))
 
     def signed_slot(r: RootVector):
         slot = slots.get(r)
@@ -187,7 +193,7 @@ def _structure_constants(chev: ChevalleyData, slots: dict) -> dict[tuple[int, in
                 add(xa, l, ya, -t)
                 add(l, ya, xa, -t)
                 add(ya, l, xa, t)
-    return acc
+    return np.array(ijk, dtype=np.int32).reshape(-1, 3), np.array(c, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +305,8 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     dim = len(labels)
     m_start = rank + 2 * len(k_pos)
 
-    exact = _structure_constants(chev, slots)
-    ijk = np.array(list(exact), dtype=np.int32).reshape(-1, 3)
-    c = np.array([float(value) for value in exact.values()], dtype=np.float64)
-    nonzero = c != 0.0  # an exact constant is zero iff its float is
-    plan = _make_plan(*ijk[nonzero].T, c[nonzero], dim, dim)
+    ijk, c = _structure_constants(chev, slots)
+    plan = _make_plan(*ijk.T, c, dim, dim)
 
     metric = np.zeros((dim, dim))
     for i, si in enumerate(sys.simples):
@@ -467,16 +470,15 @@ def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
 
 
 def _forms(frame: RealFormFrame, gdot: np.ndarray):
-    """Transport generator r and the two quadratic integrands of one velocity:
-    x.h.x = |r x|^2 + |[x, gdot]_k|^2_g + |[Jx, gdot]_k|^2_g (the energy
-    Hessian) and the pairing matrix p."""
+    """Transport generator r and the energy-Hessian integrand h of one
+    velocity: x.h.x = |r x|^2 + |[x, gdot]_k|^2_g + |[Jx, gdot]_k|^2_g."""
     r = r_operator(frame, gdot)
     ad_k = _ad(frame.plan_k, gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
     g_k = frame.metric[: frame.m_start, : frame.m_start]
     kk = ad_k.T @ g_k @ ad_k
     j = frame.j_m
     h = r.T @ r + kk + j.T @ kk @ j
-    return r, h, _pairing_matrix(frame, gdot)
+    return r, h
 
 
 def _averaged(gen: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -503,8 +505,9 @@ def _quadrature(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray, y0: np.n
     e + 2 k^2 a + 2 k b.  ``a`` stays an integral: for a generic velocity the
     transport is not an isometry.
     """
-    r, h, p = _forms(frame, gdot)
-    h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m) for m in (h, 2.0 * np.eye(frame.m_dim), p))
+    r, h = _forms(frame, gdot)
+    h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m)
+                           for m in (h, 2.0 * np.eye(frame.m_dim), _pairing_matrix(frame, gdot)))
     e = -(_form(x0, h_bar, x0) + _form(y0, h_bar, y0))
     a = _form(x0, g_bar, x0) + _form(y0, g_bar, y0)
     return e, a, _form(x0, p_bar, y0)
@@ -522,7 +525,7 @@ def complex_hessian(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray) -> f
 def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
                          x0_batch: np.ndarray) -> np.ndarray:
     # the e part of _quadrature alone: one block exponential, not three
-    r, h, _ = _forms(frame, gdot)
+    r, h = _forms(frame, gdot)
     return -_form(x0_batch, _averaged(-0.5 * r, h), x0_batch)
 
 
@@ -633,17 +636,14 @@ def q_form(
     pair_set=None,
 ) -> float:
     """Quaternionic average of the energy Hessian on a twisted field."""
+    iw0 = np.zeros_like(w0)
     if np.any(w0):
         if i_map is None or pair_set is None:
             raise ValueError("a pair-space operator is required for a nonzero w0")
         pairs = s0_indices(frame, pair_set)
         _require_tangent(frame, pairs)
         emb = s0_embedding(frame, pairs) - frame.m_start
-        w_s0 = w0[emb]
-        iw0 = np.zeros_like(w0)
-        iw0[emb] = i_map @ w_s0
-    else:
-        iw0 = np.zeros_like(w0)
+        iw0[emb] = i_map @ w0[emb]
     e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0 + w0), np.atleast_2d(y0 + iw0))
     return float(_twisted(e, a, b, k)[0])
 
@@ -1095,6 +1095,8 @@ def identity_suite(
     frame: RealFormFrame, suite_name: str, trials: int = 10_000, seed: int = 0
 ) -> Report:
     """Run the named pointwise-identity suite on seeded random inputs."""
+    if trials < 1 or seed < 0:
+        raise InvalidSampling(f"need trials >= 1 and seed >= 0, got {trials} and {seed}")
     if suite_name == "all":
         names = list(SUITES)
     elif suite_name in SUITES:

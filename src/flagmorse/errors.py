@@ -43,3 +43,7 @@ class DegenerateCoefficients(FlagmorseError, ValueError):
 
 class UnknownSuite(FlagmorseError, ValueError):
     """Requested verification suite name is not registered."""
+
+
+class InvalidSampling(FlagmorseError, ValueError):
+    """A trial count below one or a negative seed."""

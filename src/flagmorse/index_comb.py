@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
+    NotInTangent,
     SuperminimalNotFound,
     UnsupportedDelta,
     UnsupportedFamily,
@@ -45,7 +46,7 @@ class GammaSet:
     def validate_against(self, sp: ParabolicSplit) -> None:
         bad = [r for r in self.support if not sp.in_m_pos(r)]
         if bad:
-            raise ValueError(f"support roots outside the tangent positives: {bad}")
+            raise NotInTangent(f"support roots outside the tangent positives: {bad}")
 
 
 @dataclass(frozen=True)

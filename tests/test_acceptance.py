@@ -307,97 +307,124 @@ def test_criterion_6_identity_suites():
 # -- criterion 7 ---------------------------------------------------------------
 
 
-def _long_delta_and_gdot(frame, a=1.1, b=-0.7):
+def _long_tangent_roots(frame):
+    """Long tangent-positive roots, highest first (by height, then coordinates)."""
     sys_ = frame.sys
-    delta = max((r for r in frame.m_pos if is_long(sys_, r)),
-                key=lambda r: (sys_.height(r), r.coords))
+    return sorted((r for r in frame.m_pos if is_long(sys_, r)),
+                  key=lambda r: (sys_.height(r), r.coords), reverse=True)
+
+
+def _plane_gdot(frame, delta, a, b):
     gdot = np.zeros(frame.m_dim)
     ix, iy = frame.m_slot(delta)
     gdot[ix], gdot[iy] = a, b
-    return delta, gdot
+    return gdot
+
+
+def _long_delta_and_gdot(frame, a=1.1, b=-0.7):
+    delta = _long_tangent_roots(frame)[0]
+    return delta, _plane_gdot(frame, delta, a, b)
+
+
+def _check_transport_contract(frame, delta, gdot):
+    r = r_operator(frame, gdot)
+    rng = np.random.default_rng(77)
+    sets = st_sets(borel_split(frame.sys), GammaSet.singleton(delta), delta)
+    kernel_roots = sorted(sets.s_set)
+    for _ in range(100):
+        t = float(rng.uniform(0, 1))
+        tau = hat_transport(frame, gdot, t)
+        x = frame.random_m(rng)
+        x /= np.sqrt(frame.m_norm2(x))
+        assert abs(frame.m_inner(tau @ x, gdot) - frame.m_inner(x, gdot)) < 1e-10
+        assert np.max(np.abs(tau @ frame.j_m - frame.j_m @ tau)) < 1e-10
+        if kernel_roots:
+            w = np.zeros(frame.m_dim)
+            for alpha in kernel_roots:
+                ix, iy = frame.m_slot(alpha)
+                w[ix], w[iy] = rng.standard_normal(2)
+            w /= np.sqrt(frame.m_norm2(w))
+            assert np.max(np.abs(r @ w)) < 1e-12
+            assert np.max(np.abs(tau @ w - w)) < 1e-10
+    return r.any()
 
 
 def test_criterion_7_transport_contract():
+    # every long tangent root: r vanishes at the highest one, so only the
+    # lower ones move the transport
+    roots = 0
     for family, rank in ACCEPTANCE_FRAMES:
         frame = frame_for(family, rank)
-        delta, gdot = _long_delta_and_gdot(frame)
-        r = r_operator(frame, gdot)
-        rng = np.random.default_rng(77)
-        sets = st_sets(borel_split(frame.sys), GammaSet.singleton(delta), delta)
-        kernel_roots = sorted(sets.s_set)
-        for _ in range(100):
-            t = float(rng.uniform(0, 1))
-            tau = hat_transport(frame, gdot, t)
-            x = frame.random_m(rng)
-            x /= np.sqrt(frame.m_norm2(x))
-            assert abs(frame.m_inner(tau @ x, gdot) - frame.m_inner(x, gdot)) < 1e-10
-            assert np.max(np.abs(tau @ frame.j_m - frame.j_m @ tau)) < 1e-10
-            if kernel_roots:
-                w = np.zeros(frame.m_dim)
-                for alpha in kernel_roots:
-                    ix, iy = frame.m_slot(alpha)
-                    w[ix], w[iy] = rng.standard_normal(2)
-                w /= np.sqrt(frame.m_norm2(w))
-                assert np.max(np.abs(r @ w)) < 1e-12
-                assert np.max(np.abs(tau @ w - w)) < 1e-10
+        moving = [_check_transport_contract(frame, delta, _plane_gdot(frame, delta, 1.1, -0.7))
+                  for delta in _long_tangent_roots(frame)]
+        assert any(moving), f"{family}{rank}: r_operator vanishes at every long root"
+        roots += len(moving)
+    assert roots == 27
     _report(7, "transport preserves velocity pairing, commutes with the "
                "complex structure, and fixes annihilated planes "
-               "(100 configurations per frame, < 1e-10)")
+               f"(100 configurations per long root, {roots} roots, < 1e-10)")
 
 
 # -- criterion 8 ---------------------------------------------------------------
 
 
+def _check_hessian_dichotomy(frame, delta):
+    a, b = Fraction(11, 10), Fraction(-7, 10)
+    gdot = _plane_gdot(frame, delta, float(a), float(b))
+    gamma_exact = {delta: (a, b)}
+    kernel_set = [alpha for alpha in frame.m_pos
+                  if alpha != delta
+                  and (alpha - delta) not in frame.split.delta_m_pos
+                  and (not frame.sys.contains(alpha - delta)
+                       or frame.sys.is_positive(delta - alpha))
+                  and not frame.split.in_k(delta - alpha)]
+    rng = np.random.default_rng(88)
+    samples = []
+    classes = []
+    for trial in range(500):
+        if trial % 2 == 0 and kernel_set:
+            support = [alpha for alpha in kernel_set if rng.uniform() < 0.5]
+            support = support or [kernel_set[0]]
+        else:
+            support = [alpha for alpha in frame.m_pos if rng.uniform() < 0.3]
+            support = support or [frame.m_pos[0]]
+        field_exact = {}
+        x0 = np.zeros(frame.m_dim)
+        for alpha in support:
+            ca = Fraction(int(rng.integers(-8, 9)), 4)
+            cb = Fraction(int(rng.integers(-8, 9)), 4)
+            if ca == 0 and cb == 0:
+                ca = Fraction(1)
+            field_exact[alpha] = (ca, cb)
+            jx, jy = frame.m_slot(alpha)
+            x0[jx], x0[jy] = float(ca), float(cb)
+        x0 /= np.sqrt(frame.m_norm2(x0))
+        samples.append(x0)
+        classes.append(
+            holomorphic_kernel_classification(frame, gamma_exact, field_exact)
+        )
+    values = complex_hessian_many(frame, gdot, np.array(samples))
+    n_deg = sum(classes)
+    assert n_deg > 50 and 500 - n_deg > 50, "both classes must be sampled"
+    for degenerate, value in zip(classes, values):
+        if degenerate:
+            assert abs(value) < 1e-8
+        else:
+            assert value < -1e-8
+    return bool(r_operator(frame, gdot).any())
+
+
 def test_criterion_8_hessian_dichotomy():
+    roots = 0
     for family, rank in ACCEPTANCE_FRAMES:
         frame = frame_for(family, rank)
-        delta, _ = _long_delta_and_gdot(frame)
-        a, b = Fraction(11, 10), Fraction(-7, 10)
-        gdot = np.zeros(frame.m_dim)
-        ix, iy = frame.m_slot(delta)
-        gdot[ix], gdot[iy] = float(a), float(b)
-        gamma_exact = {delta: (a, b)}
-        kernel_set = [alpha for alpha in frame.m_pos
-                      if alpha != delta
-                      and (alpha - delta) not in frame.split.delta_m_pos
-                      and (not frame.sys.contains(alpha - delta)
-                           or frame.sys.is_positive(delta - alpha))
-                      and not frame.split.in_k(delta - alpha)]
-        rng = np.random.default_rng(88)
-        samples = []
-        classes = []
-        for trial in range(500):
-            if trial % 2 == 0 and kernel_set:
-                support = [alpha for alpha in kernel_set if rng.uniform() < 0.5]
-                support = support or [kernel_set[0]]
-            else:
-                support = [alpha for alpha in frame.m_pos if rng.uniform() < 0.3]
-                support = support or [frame.m_pos[0]]
-            field_exact = {}
-            x0 = np.zeros(frame.m_dim)
-            for alpha in support:
-                ca = Fraction(int(rng.integers(-8, 9)), 4)
-                cb = Fraction(int(rng.integers(-8, 9)), 4)
-                if ca == 0 and cb == 0:
-                    ca = Fraction(1)
-                field_exact[alpha] = (ca, cb)
-                jx, jy = frame.m_slot(alpha)
-                x0[jx], x0[jy] = float(ca), float(cb)
-            x0 /= np.sqrt(frame.m_norm2(x0))
-            samples.append(x0)
-            classes.append(
-                holomorphic_kernel_classification(frame, gamma_exact, field_exact)
-            )
-        values = complex_hessian_many(frame, gdot, np.array(samples))
-        n_deg = sum(classes)
-        assert n_deg > 50 and 500 - n_deg > 50, "both classes must be sampled"
-        for degenerate, value in zip(classes, values):
-            if degenerate:
-                assert abs(value) < 1e-8
-            else:
-                assert value < -1e-8
+        moving = [_check_hessian_dichotomy(frame, delta) for delta in _long_tangent_roots(frame)]
+        assert any(moving), f"{family}{rank}: r_operator vanishes at every long root"
+        roots += len(moving)
+    assert roots == 27
     _report(8, "bracket classification agrees with the numeric sign on 500 "
-               "samples per frame (degenerate within 1e-8, rest below -1e-8)")
+               f"samples per long root, {roots} roots (degenerate within 1e-8, "
+               "rest below -1e-8)")
 
 
 # -- criterion 9 ---------------------------------------------------------------

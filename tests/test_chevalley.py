@@ -43,13 +43,14 @@ def test_symmetry_identities(family, rank):
 def test_classical_magnitude_is_chain_length(family, rank):
     # Independent of the chain walk: in the A/B/C/D/E families the root string
     # b - p a, ..., b has p = 1 exactly when two short roots sum to a long one,
-    # and p = 0 otherwise, so |c_classical| is 2 there and 1 everywhere else.
+    # and p = 0 otherwise, so |classical_constant| is 2 there and 1 everywhere
+    # else.
     data = chev(family, rank)
     sys_ = data.sys
     long_ = {r: inner(sys_, r, r) == 2 for r in sys_.roots}
-    for (a, b), value in data.c_classical.items():
+    for a, b in data.all_pairs():
         two = not long_[a] and not long_[b] and long_[a + b]
-        assert abs(value) == (2 if two else 1)
+        assert abs(data.classical_constant(a, b)) == (2 if two else 1)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -75,7 +76,6 @@ def test_pair_action_is_the_normalized_classical_table(family, rank):
     shared = {id(r) for r in sys_.roots}
     assert all(id(r) in shared for (a, b), (s, _) in data.pair_action.items()
                for r in (a, b, s) if r is not None)
-    assert set(data.c_classical) == {(a, b) for a, b in sums if sys_.is_positive(a + b)}
 
 
 def test_a2_magnitudes():

@@ -182,6 +182,35 @@ def test_usage_errors_exit_2(run_cli):
     result = run_cli("ell", "--family", "A", "--rank", "3", "--gamma", "1,-1,0,0:0,0")
     assert result.returncode == 2
     assert "zero coefficient pair" in result.stderr
+    # the sampling and the painted list are checked before any work, and named
+    # as given
+    for trials in ("0", "-5"):
+        result = run_cli("check", "--family", "A", "--rank", "3", "--trials", trials)
+        assert result.returncode == 2
+        assert f"need trials >= 1 and seed >= 0, got {trials} and 0" in result.stderr
+    result = run_cli("check", "--family", "A", "--rank", "3", "--trials", "2", "--seed", "-1")
+    assert result.returncode == 2
+    assert "need trials >= 1 and seed >= 0, got 2 and -1" in result.stderr
+    result = run_cli("check", "--family", "A", "--rank", "3", "--painted", "1,1")
+    assert result.returncode == 2
+    assert "painted node listed more than once: [1]" in result.stderr
+    result = run_cli("chevalley", "--family", "A", "--rank", "2",
+                     "--csv", str(ROOT / "no-such-dir" / "c.csv"))
+    assert result.returncode == 2
+    assert "cannot write" in result.stderr
+
+
+def test_internal_errors_exit_3(run_cli, monkeypatch):
+    # a bare ValueError from the library is a failed invariant, not bad input
+    def broken(*args, **kwargs):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr(cli.geom, "identity_suite", broken)
+    result = run_cli("check", "--family", "A", "--rank", "2", "--trials", "1")
+    assert result.returncode == 3
+    assert result.stderr.startswith("internal error")
+    assert "Traceback" in result.stderr
+    assert "ValueError: invariant broken" in result.stderr
 
 
 def _this_tree_env():

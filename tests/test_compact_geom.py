@@ -35,6 +35,7 @@ from flagmorse.errors import (
     DegenerateCoefficients,
     DimensionMismatch,
     FlagmorseError,
+    InvalidSampling,
     NotARoot,
     NotInK,
     NotInTangent,
@@ -165,6 +166,29 @@ def test_plan_matches_exact_bracket(family, rank, painted):
     m = frame.m_start
     assert np.array_equal(dense[m:, m:, m:], _densify(frame.plan_m))
     assert np.array_equal(dense[m:, m:, :m], _densify(frame.plan_k))
+
+
+PLAN_FRAMES = [(f, r, ()) for f, r in ALL_SYSTEMS] + [("B", 3, (1,)), ("D", 4, (0, 3)),
+                                                     ("E", 7, (0, 2))]
+
+
+@pytest.mark.parametrize("family,rank,painted", PLAN_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in PLAN_FRAMES])
+def test_plan_triples_are_unique_and_nonzero(family, rank, painted):
+    # the plan is built without summing, and the pair-space blocks assign its
+    # entries: a repeated (i, j, k) would survive as two entries
+    frame = frame_for(family, rank, painted)
+    for plan in (frame.plan, frame.plan_m, frame.plan_k):
+        triples = np.stack([plan.i, plan.j, plan.k], axis=1)
+        assert len(np.unique(triples, axis=0)) == plan.c.size
+        assert np.all(plan.c != 0.0)
+        assert np.all(np.diff(plan.k) >= 0)
+        assert np.array_equal(plan.heads, np.unique(plan.k))
+        assert np.array_equal(plan.k[plan.starts], plan.heads)
+    m = np.arange(frame.m_start, frame.dim)
+    for sub, outputs in ((frame.plan_m, m), (frame.plan_k, np.arange(frame.m_start))):
+        want = compact_geom._sub_plan(frame.plan, m, outputs)
+        assert all(np.array_equal(got, expected) for got, expected in zip(sub, want))
 
 
 def _densify(plan):
@@ -906,6 +930,12 @@ def test_identity_suite_unknown():
     frame = frame_for("A", 2)
     with pytest.raises(UnknownSuite):
         identity_suite(frame, "bogus")
+
+
+@pytest.mark.parametrize("trials,seed", [(0, 0), (-5, 0), (1, -1)])
+def test_identity_suite_rejects_bad_sampling(trials, seed):
+    with pytest.raises(InvalidSampling):
+        identity_suite(frame_for("A", 2), "mel", trials=trials, seed=seed)
 
 
 def test_identity_suite_deterministic():

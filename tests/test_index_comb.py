@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flagmorse.errors import (
     HypothesisViolated,
+    NotInTangent,
     UnsupportedDelta,
     UnsupportedFamily,
 )
@@ -68,6 +69,13 @@ def test_gamma_validation():
     g = GammaSet.singleton(rv(-1, 1, 0, 0))
     with pytest.raises(ValueError):
         superminimal(sp, g)
+
+
+def test_support_outside_the_tangent_block_is_not_in_tangent():
+    sp = split(build_root_system("A", 3), PaintedDiagram.of(build_root_system("A", 3), (0,)))
+    for support in ([rv(-1, 1, 0, 0)], [rv(1, -1, 0, 0)], [rv(1, 1, 1, 1)]):
+        with pytest.raises(NotInTangent, match="outside the tangent positives"):
+            superminimal(sp, GammaSet.of(support))
 
 
 # -- S/T sets ----------------------------------------------------------------
