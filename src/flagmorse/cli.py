@@ -109,6 +109,14 @@ def _render_root(root: RootVector) -> str:
     return ",".join(str(Fraction(c, 2)) for c in root.coords)
 
 
+def _require_tangent_roots(sp, roots) -> None:
+    """User-given roots must be tangent positives; names the others as typed."""
+    bad = [r for r in dict.fromkeys(roots) if not sp.in_m_pos(r)]
+    if bad:
+        raise UsageError("support roots outside the tangent positives: "
+                         + "; ".join(_render_root(r) for r in bad))
+
+
 def _emit(args, payload: dict, plain: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -173,13 +181,14 @@ def cmd_parabolic(args) -> int:
 
 def cmd_ell(args) -> int:
     sp = _build_split(args)
-    gamma = None
-    if args.gamma:
-        gamma = comb.GammaSet.of(_parse_gamma(args.gamma))
+    gamma_exact = _parse_gamma(args.gamma) if args.gamma else {}
     delta = _parse_root(args.delta) if args.delta and args.delta != "auto" else None
-    if gamma is None:
-        if delta is None:
-            raise UsageError("provide --gamma, --delta coordinates, or both")
+    _require_tangent_roots(sp, [*gamma_exact, *([] if delta is None else [delta])])
+    if gamma_exact:
+        gamma = comb.GammaSet.of(gamma_exact)
+    elif delta is None:
+        raise UsageError("provide --gamma, --delta coordinates, or both")
+    else:
         gamma = comb.GammaSet.singleton(delta)
     if delta is None:
         delta = comb.superminimal(sp, gamma)
@@ -269,6 +278,8 @@ def cmd_ell_table(args) -> int:
 
 
 def cmd_index_bound(args) -> int:
+    if args.m < 0 or args.n < 0:
+        raise UsageError(f"--m and --n must be non-negative dimensions, got {args.m} and {args.n}")
     sp = _build_split(args)
     row = comb.ell_table(args.family, args.rank, special=args.special)
     v = sp.v
@@ -320,9 +331,7 @@ def cmd_hessian(args) -> int:
     frame = _build_frame(args)
     gamma_exact = _parse_gamma(args.gamma)
     field_exact = _parse_gamma(args.field)
-    for root in (*gamma_exact, *field_exact):
-        if root not in frame.split.delta_m_pos:
-            raise UsageError(f"root {root.coords} is not a tangent positive root")
+    _require_tangent_roots(frame.split, [*gamma_exact, *field_exact])
     gdot, x0 = np.zeros(frame.m_dim), np.zeros(frame.m_dim)
     for vector, exact in ((gdot, gamma_exact), (x0, field_exact)):
         for root, (a, b) in exact.items():

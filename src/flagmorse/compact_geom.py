@@ -34,7 +34,6 @@ from scipy.linalg import expm
 from .chevalley import ChevalleyData, build_chevalley
 from .errors import (DegenerateCoefficients, DimensionMismatch, InvalidSampling, NotARoot, NotInK,
                      NotInTangent, UnknownSuite)
-from .exactnum import CSqrt2
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
 from .rootsys import RootSystem, RootVector, build_root_system, inner
 
@@ -210,7 +209,6 @@ class RealFormFrame:
     dim: int
     m_start: int
     m_pos: tuple[RootVector, ...]
-    k_pos: tuple[RootVector, ...]
     plan: BracketPlan = field(repr=False)
     plan_m: BracketPlan = field(repr=False)  # tangent x tangent -> tangent
     plan_k: BracketPlan = field(repr=False)  # tangent x tangent -> isotropy
@@ -294,16 +292,18 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     sys = split.sys
     chev = build_chevalley(sys)
     rank = sys.rank
-    k_pos = split.k_pos_sorted
+    # painted-span planes, then tangent planes, each by (height, coords)
+    iso_pos = tuple(sorted((r for r in split.delta_k if sys.is_positive(r)),
+                           key=lambda r: (sys.height(r), r.coords)))
     m_pos = split.m_pos_sorted
     labels: list = [("h", j) for j in range(rank)]
     slots: dict[RootVector, tuple[int, int]] = {}
-    for alpha in (*k_pos, *m_pos):
+    for alpha in (*iso_pos, *m_pos):
         slots[alpha] = (len(labels), len(labels) + 1)
         labels.append(("X", alpha))
         labels.append(("Y", alpha))
     dim = len(labels)
-    m_start = rank + 2 * len(k_pos)
+    m_start = rank + 2 * len(iso_pos)
 
     ijk, c = _structure_constants(chev, slots)
     plan = _make_plan(*ijk.T, c, dim, dim)
@@ -312,7 +312,7 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     for i, si in enumerate(sys.simples):
         for j, sj in enumerate(sys.simples):
             metric[i, j] = float(inner(sys, si, sj))
-    for alpha in (*k_pos, *m_pos):
+    for alpha in (*iso_pos, *m_pos):
         ix, iy = slots[alpha]
         metric[ix, ix] = 2.0
         metric[iy, iy] = 2.0
@@ -332,7 +332,6 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
         dim=dim,
         m_start=m_start,
         m_pos=m_pos,
-        k_pos=k_pos,
         plan=plan,
         plan_m=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start, dim)),
         plan_k=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start)),
@@ -533,7 +532,7 @@ def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
 # the pair-space operator and the twisted quadratic form
 
 
-def s0_indices(frame: RealFormFrame, pair_set) -> tuple[tuple[RootVector, RootVector], ...]:
+def s0_indices(pair_set) -> tuple[tuple[RootVector, RootVector], ...]:
     """Sorted pair list; each pair as (alpha, beta) with alpha < beta."""
     pairs = []
     for pair in pair_set:
@@ -545,7 +544,7 @@ def s0_indices(frame: RealFormFrame, pair_set) -> tuple[tuple[RootVector, RootVe
 def s0_embedding(frame: RealFormFrame, pair_set) -> np.ndarray:
     """Full-frame indices of the pair-space coordinates, pair by pair."""
     idx = []
-    for a, b in s0_indices(frame, pair_set):
+    for a, b in s0_indices(pair_set):
         idx.extend(frame.slots[a])
         idx.extend(frame.slots[b])
     return np.array(idx, dtype=int)
@@ -557,16 +556,6 @@ def tilde_vector(frame: RealFormFrame, delta: RootVector, a: float, b: float) ->
     ix, iy = frame.slots[delta]
     out[ix], out[iy] = a, b
     return out
-
-
-def _require_tangent(frame: RealFormFrame, pairs) -> None:
-    """The pair space lives in the tangent block: every pair root must be a
-    positive tangent root."""
-    m_pos = frame.split.delta_m_pos
-    for root in (root for pair in pairs for root in pair):
-        if root not in m_pos:
-            raise NotInTangent(f"pair root {root} is not a positive tangent root of "
-                               f"{frame.sys.name} with painted {sorted(frame.split.sigma_k)}")
 
 
 def _quarter_turn(space: PairSpace, a: float, b: float, rows=slice(None)) -> np.ndarray:
@@ -598,12 +587,17 @@ def map_I(
         raise DegenerateCoefficients("both coefficients vanish")
     sys = frame.sys
     d = _root_id(sys, delta)
-    pairs = s0_indices(frame, pair_set)
+    pairs = s0_indices(pair_set)
     pair_ids = [(_root_id(sys, alpha), _root_id(sys, beta)) for alpha, beta in pairs]
     for pair, (i, j) in zip(pairs, pair_ids):
         if sys.sums[i, j] != d:
             raise ValueError(f"pair {pair} does not sum to {delta}")
-    _require_tangent(frame, pairs)
+    # the pair space lives in the tangent block
+    m_pos = frame.split.delta_m_pos
+    for root in (root for pair in pairs for root in pair):
+        if root not in m_pos:
+            raise NotInTangent(f"pair root {root} is not a positive tangent root of "
+                               f"{sys.name} with painted {sorted(frame.split.sigma_k)}")
     if not pairs:
         return np.zeros((0, 0))
     space = frame.pair_spaces[delta]
@@ -629,22 +623,12 @@ def q_form(
     gdot: np.ndarray,
     x0: np.ndarray,
     y0: np.ndarray,
-    w0: np.ndarray,
     k: float,
-    *,
-    i_map: Optional[np.ndarray] = None,
-    pair_set=None,
 ) -> float:
-    """Quaternionic average of the energy Hessian on a twisted field."""
-    iw0 = np.zeros_like(w0)
-    if np.any(w0):
-        if i_map is None or pair_set is None:
-            raise ValueError("a pair-space operator is required for a nonzero w0")
-        pairs = s0_indices(frame, pair_set)
-        _require_tangent(frame, pairs)
-        emb = s0_embedding(frame, pairs) - frame.m_start
-        iw0[emb] = i_map @ w0[emb]
-    e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0 + w0), np.atleast_2d(y0 + iw0))
+    """Quaternionic average of the energy Hessian on one (xbar0, ybar0)
+    configuration, as ``k_search`` takes them.  A pair-space twist w enters
+    as (x0 + w, y0 + I w), with I from ``map_I``."""
+    e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0), np.atleast_2d(y0))
     return float(_twisted(e, a, b, k)[0])
 
 
@@ -692,7 +676,7 @@ def adjoint_perturb(
     Returns the perturbed tangent coordinates and their root support above
     1e-9 times the original norm.
     """
-    if root_k not in frame.split.delta_k_pos:
+    if not (frame.split.in_k(root_k) and frame.sys.is_positive(root_k)):
         raise NotInK(f"{root_k} is not a positive painted-span root")
     x_full = np.zeros(frame.dim)
     x_full[frame.slots[root_k][0]] = 1.0
@@ -1222,12 +1206,13 @@ def _nonzero_terms(sys: RootSystem, coeffs: dict) -> list[tuple[int, tuple]]:
 def _terms_cancel(chev: ChevalleyData, terms: list) -> bool:
     """Whether the bracket terms of one direction sum to zero, exactly in
     Q(sqrt 2): each is (x + i y)(a - i b) times the ``pair_action`` constant
-    of (field root, -velocity root), or its coroot in the Cartan block."""
+    of (field root, -velocity root), or its coroot in the Cartan block.  The
+    real part x a + y b and the imaginary part y a - x b are summed apart."""
     roots, neg = chev.sys.roots, chev.sys.neg
     total = None
     for a, l, (x, y), (ga, gb) in terms:
         s, value = chev.pair_action[roots[a], roots[neg[l]]]
-        scale = CSqrt2.make(x, y) * CSqrt2.make(ga, -gb)
-        vec = [scale * v for v in (value if s is None else (value,))]
+        re, im = x * ga + y * gb, y * ga - x * gb
+        vec = [v * part for v in (value if s is None else (value,)) for part in (re, im)]
         total = vec if total is None else [t + v for t, v in zip(total, vec)]
-    return all(t.is_zero() for t in total)
+    return all(t == 0 for t in total)

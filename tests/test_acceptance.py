@@ -321,11 +321,6 @@ def _plane_gdot(frame, delta, a, b):
     return gdot
 
 
-def _long_delta_and_gdot(frame, a=1.1, b=-0.7):
-    delta = _long_tangent_roots(frame)[0]
-    return delta, _plane_gdot(frame, delta, a, b)
-
-
 def _check_transport_contract(frame, delta, gdot):
     r = r_operator(frame, gdot)
     rng = np.random.default_rng(77)
@@ -433,41 +428,57 @@ def test_criterion_8_hessian_dichotomy():
 K_SEARCH_FRAMES = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4))
 
 
+def _check_twisted_form(frame, delta, gdot):
+    sets = st_sets(borel_split(frame.sys), GammaSet.singleton(delta), delta)
+    pairs = {frozenset((alpha, delta - alpha)) for alpha in sets.s_set}
+    i_mat = map_I(frame, delta, 0.9, -0.5, pairs) if pairs else None
+    emb = s0_embedding(frame, pairs) - frame.m_start if pairs else None
+    rng = np.random.default_rng(99)
+    configs = []
+    for trial in range(100):
+        x0 = np.zeros(frame.m_dim)
+        y0 = np.zeros(frame.m_dim)
+        w0 = np.zeros(frame.m_dim)
+        iw0 = np.zeros(frame.m_dim)
+        style = trial % 3
+        if style in (0, 2):
+            for beta in sets.t_set:
+                ix, iy = frame.m_slot(beta)
+                x0[ix], x0[iy] = rng.standard_normal(2)
+                y0[ix], y0[iy] = rng.standard_normal(2)
+        if style in (1, 2) and pairs:
+            w0[emb] = rng.standard_normal(len(emb))
+            iw0[emb] = i_mat @ w0[emb]
+        if not np.any(x0 + w0) and not np.any(y0 + iw0):
+            ix, iy = frame.m_slot(delta)
+            x0[ix] = 1.0
+        configs.append((x0 + w0, y0 + iw0))
+    result = k_search(frame, gdot, configs)
+    assert result.k > 0
+    assert max(result.q_values) < 0
+    return result
+
+
 def test_criterion_9_twisted_form_negative():
+    # every long tangent root, as criteria 7 and 8; the highest comes first
+    # and keeps its old inputs
     lines = []
+    roots = 0
     for family, rank in K_SEARCH_FRAMES:
         frame = frame_for(family, rank)
-        delta, gdot = _long_delta_and_gdot(frame, a=0.9, b=-0.5)
-        sets = st_sets(borel_split(frame.sys), GammaSet.singleton(delta), delta)
-        pairs = {frozenset((alpha, delta - alpha)) for alpha in sets.s_set}
-        i_mat = map_I(frame, delta, 0.9, -0.5, pairs) if pairs else None
-        emb = s0_embedding(frame, pairs) - frame.m_start if pairs else None
-        rng = np.random.default_rng(99)
-        configs = []
-        for trial in range(100):
-            x0 = np.zeros(frame.m_dim)
-            y0 = np.zeros(frame.m_dim)
-            w0 = np.zeros(frame.m_dim)
-            iw0 = np.zeros(frame.m_dim)
-            style = trial % 3
-            if style in (0, 2):
-                for beta in sets.t_set:
-                    ix, iy = frame.m_slot(beta)
-                    x0[ix], x0[iy] = rng.standard_normal(2)
-                    y0[ix], y0[iy] = rng.standard_normal(2)
-            if style in (1, 2) and pairs:
-                w0[emb] = rng.standard_normal(len(emb))
-                iw0[emb] = i_mat @ w0[emb]
-            if not np.any(x0 + w0) and not np.any(y0 + iw0):
-                ix, iy = frame.m_slot(delta)
-                x0[ix] = 1.0
-            configs.append((x0 + w0, y0 + iw0))
-        result = k_search(frame, gdot, configs)
-        assert result.k > 0
-        assert max(result.q_values) < 0
-        lines.append(f"{family}{rank}: k={result.k:g} margin={result.margin:.3e}")
+        moving = []
+        for delta in _long_tangent_roots(frame):
+            gdot = _plane_gdot(frame, delta, 0.9, -0.5)
+            result = _check_twisted_form(frame, delta, gdot)
+            moving.append(r_operator(frame, gdot).any())
+            if len(moving) == 1:
+                lines.append(f"{family}{rank}: k={result.k:g} margin={result.margin:.3e}")
+        assert any(moving), f"{family}{rank}: r_operator vanishes at every long root"
+        roots += len(moving)
+    assert roots == 32
     _report(9, "twisting rate found with the averaged form negative on 100 "
-               "configurations per frame; " + "; ".join(lines))
+               f"configurations per long root, {roots} roots; at the highest: "
+               + "; ".join(lines))
 
 
 # -- criterion 10 ----------------------------------------------------------------

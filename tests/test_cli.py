@@ -164,10 +164,10 @@ def test_usage_errors_exit_2(run_cli):
                          "--gamma", gamma, "--delta", delta)
         assert result.returncode == 2
         assert "support roots outside the tangent positives" in result.stderr
-        assert "(2, -2, 0, 0)" in result.stderr
+        assert "1,-1,0,0" in result.stderr
     result = run_cli("ell", "--family", "A", "--rank", "3", "--delta", "2,0,0,0")
     assert result.returncode == 2
-    assert "outside the tangent positives: [RootVector((4, 0, 0, 0))]" in result.stderr
+    assert "outside the tangent positives: 2,0,0,0" in result.stderr
     assert "does not contain it" not in result.stderr
     # a zero denominator in a coefficient is bad input, as in a root coordinate
     result = run_cli("hessian", "--family", "A", "--rank", "3", "--gamma", "1,0,0,-1:1/0,0",
@@ -198,6 +198,11 @@ def test_usage_errors_exit_2(run_cli):
                      "--csv", str(ROOT / "no-such-dir" / "c.csv"))
     assert result.returncode == 2
     assert "cannot write" in result.stderr
+    # dimensions are non-negative
+    for dims in (("--m", "-1", "--n", "2"), ("--m", "1", "--n", "-5")):
+        result = run_cli("index-bound", "--family", "A", "--rank", "3", *dims)
+        assert result.returncode == 2
+        assert "--m and --n must be non-negative dimensions" in result.stderr
 
 
 def test_internal_errors_exit_3(run_cli, monkeypatch):

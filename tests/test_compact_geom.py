@@ -632,11 +632,6 @@ def test_map_i_and_q_form_reject_pair_roots_outside_the_tangent_block():
     message = re.escape(f"pair root {painted[0]} is not a positive tangent root of E7")
     with pytest.raises(NotInTangent, match=message):
         map_I(frame, delta, 0.9, -0.5, pairs)
-    gdot = _plane_vector(frame, delta, 0.9, -0.5)
-    zero = np.zeros(frame.m_dim)
-    with pytest.raises(NotInTangent, match=message):
-        q_form(frame, gdot, zero, zero, np.ones(frame.m_dim), 0.5,
-               i_map=np.eye(4 * len(pairs)), pair_set=pairs)
     assert issubclass(NotInTangent, FlagmorseError) and issubclass(NotInTangent, ValueError)
     # the tangent pairs of a root with painted pairs still give an operator
     mixed, s_pairs = next((d, _s_pairs(frame, d)) for d, sp in frame.pair_spaces.items()
@@ -679,7 +674,7 @@ def test_q_form_zero_inputs():
     frame = frame_for("A", 3)
     _, gdot = _delta_and_gdot(frame)
     zero = np.zeros(frame.m_dim)
-    assert q_form(frame, gdot, zero, zero, zero, 0.5) == 0.0
+    assert q_form(frame, gdot, zero, zero, 0.5) == 0.0
 
 
 def test_q_form_pure_pair_threshold():
@@ -693,10 +688,11 @@ def test_q_form_pure_pair_threshold():
     rng = np.random.default_rng(3)
     w0 = np.zeros(frame.m_dim)
     w0[emb] = rng.standard_normal(len(emb))
-    zero = np.zeros(frame.m_dim)
+    iw0 = np.zeros(frame.m_dim)
+    iw0[emb] = i_mat @ w0[emb]
     k_star = n0_constant(frame.chev, pairs) * np.hypot(0.9, 0.5)
-    lo = q_form(frame, gdot, zero, zero, w0, 0.9 * k_star, i_map=i_mat, pair_set=pairs)
-    hi = q_form(frame, gdot, zero, zero, w0, 1.1 * k_star, i_map=i_mat, pair_set=pairs)
+    lo = q_form(frame, gdot, w0, iw0, 0.9 * k_star)
+    hi = q_form(frame, gdot, w0, iw0, 1.1 * k_star)
     assert lo < 0 < hi
 
 
@@ -728,7 +724,7 @@ def test_k_search_mixed_configurations(borel_frame):
     assert max(result.q_values) < 0
     # spot check one configuration through the public evaluator
     x0, y0 = configs[0]
-    direct = q_form(frame, gdot, x0, y0, np.zeros(frame.m_dim), result.k)
+    direct = q_form(frame, gdot, x0, y0, result.k)
     assert direct == pytest.approx(result.q_values[0], abs=1e-8)
 
 
@@ -832,14 +828,14 @@ def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
     _assert_relative(result.q_values, e + 2 * k * k * a + 2 * k * b,
                      np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
 
-    # q_form through the pair-space operator of the highest tangent root
+    # q_form on the configuration (x0 + w0, y0 + I w0), I the quarter turn on
+    # the pair space of the highest tangent root
     x0, y0 = xs[0], ys[0]
     delta = max(frame.m_pos, key=lambda r: (frame.sys.height(r), r.coords))
     pairs = _s_pairs(frame, delta)
     assert pairs or rank == 1
     w0 = np.zeros(frame.m_dim)
     iw0 = np.zeros(frame.m_dim)
-    i_mat = None
     if pairs:
         i_mat = map_I(frame, delta, 0.9, -0.5, pairs)
         emb = s0_embedding(frame, pairs) - frame.m_start
@@ -847,7 +843,7 @@ def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
         iw0[emb] = i_mat @ w0[emb]
     k = 0.3
     e, a, b = _reference_parts(frame, gdot, (x0 + w0)[None], (y0 + iw0)[None])
-    got = q_form(frame, gdot, x0, y0, w0, k, i_map=i_mat, pair_set=pairs)
+    got = q_form(frame, gdot, x0 + w0, y0 + iw0, k)
     _assert_relative(got, e + 2 * k * k * a + 2 * k * b,
                      np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
 
