@@ -81,22 +81,34 @@ def _sub_plan(plan: BracketPlan, inputs: np.ndarray, outputs: np.ndarray) -> Bra
 
 
 # Products per block of rows in ``_contract``: about 256 KB of float64, so the
-# gathered terms stay in cache between the multiply and the reduction.
+# gathered terms stay in cache through the two in-place multiplies and the
+# reduction.  Blocks hold whole rows, so a plan with more entries than this
+# runs one row per block.
 _BLOCK_TERMS = 1 << 15
 
 
 def _contract(plan: BracketPlan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bracket of coordinate vectors through a plan, batched over leading axes
-    (which broadcast): ``out[..., k] = sum x[..., i] * y[..., j] * c``."""
+    (which broadcast): ``out[..., k] = sum x[..., i] * y[..., j] * c``.
+
+    Each block of rows gathers its ``x`` terms with ``np.take`` along the
+    coordinate axis (mixed slice-plus-index ``x[rows, plan.i]`` is several
+    times slower on E-sized plans) and multiplies by the ``y`` terms and
+    ``c`` in place.  Both inputs are first cast to the output type, as
+    ``x[:, i] * y[:, j]`` casts them, so every product and every ``reduceat``
+    sum over an output's run is the same, bit for bit.
+    """
     x, y = np.broadcast_arrays(x, y)
     lead = x.shape[:-1]
-    x = x.reshape(-1, plan.n_in)
-    y = y.reshape(-1, plan.n_in)
-    out = np.zeros((x.shape[0], plan.n_out), dtype=np.result_type(x, y, plan.c))
+    dtype = np.result_type(x, y, plan.c)
+    x = x.reshape(-1, plan.n_in).astype(dtype, copy=False)
+    y = y.reshape(-1, plan.n_in).astype(dtype, copy=False)
+    out = np.zeros((x.shape[0], plan.n_out), dtype=dtype)
     if plan.c.size:
         rows = max(1, _BLOCK_TERMS // plan.c.size)
         for s in range(0, x.shape[0], rows):
-            terms = x[s:s + rows, plan.i] * y[s:s + rows, plan.j]
+            terms = np.take(x[s:s + rows], plan.i, axis=1)
+            terms *= np.take(y[s:s + rows], plan.j, axis=1)
             terms *= plan.c
             out[s:s + rows, plan.heads] = np.add.reduceat(terms, plan.starts, axis=1)
     return out.reshape(lead + (plan.n_out,))
@@ -455,8 +467,10 @@ def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
 
 
 def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarray:
-    """Transport matrix at time t (identity at t = 0)."""
-    return expm(-0.5 * t * r_operator(frame, gdot))
+    """Transport matrix at time t: exp(-t r / 2), exactly the identity when
+    that generator is zero (at t = 0, or where r vanishes)."""
+    gen = -0.5 * t * r_operator(frame, gdot)
+    return expm(gen) if gen.any() else np.eye(frame.m_dim)
 
 
 def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
@@ -483,7 +497,9 @@ def _forms(frame: RealFormFrame, gdot: np.ndarray):
 def _averaged(gen: np.ndarray, m: np.ndarray) -> np.ndarray:
     """int_0^1 exp(t gen)^T m exp(t gen) dt, exact in t: with
     F = expm([[-gen^T, m], [0, gen]]) it is F22^T F12 (Van Loan, IEEE TAC
-    23(3), 1978)."""
+    23(3), 1978).  A zero generator gives ``m`` itself: exp(0) = I exactly."""
+    if not gen.any():
+        return m
     n = gen.shape[0]
     f = expm(np.block([[-gen.T, m], [np.zeros_like(gen), gen]]))
     return f[n:, n:].T @ f[:n, n:]
@@ -523,7 +539,8 @@ def complex_hessian(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray) -> f
 
 def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
                          x0_batch: np.ndarray) -> np.ndarray:
-    # the e part of _quadrature alone: one block exponential, not three
+    # the e part of _quadrature alone: one block exponential, not three, and
+    # none when r is exactly zero
     r, h = _forms(frame, gdot)
     return -_form(x0_batch, _averaged(-0.5 * r, h), x0_batch)
 
@@ -1114,11 +1131,12 @@ def validate_frame(frame: RealFormFrame, trials: int = 2000, seed: int = 1) -> d
     y = rng.standard_normal((trials, d))
     z = rng.standard_normal((trials, d))
     bxy = frame.bracket_full(x, y)
-    assoc = np.einsum("ni,ij,nj->n", x, frame.metric, frame.bracket_full(y, z)) - np.einsum(
+    byz = frame.bracket_full(y, z)
+    assoc = np.einsum("ni,ij,nj->n", x, frame.metric, byz) - np.einsum(
         "ni,ij,nj->n", bxy, frame.metric, z
     )
     jac = (
-        frame.bracket_full(x, frame.bracket_full(y, z))
+        frame.bracket_full(x, byz)
         + frame.bracket_full(y, frame.bracket_full(z, x))
         + frame.bracket_full(z, bxy)
     )

@@ -47,3 +47,7 @@ class UnknownSuite(FlagmorseError, ValueError):
 
 class InvalidSampling(FlagmorseError, ValueError):
     """A trial count below one or a negative seed."""
+
+
+class NegativeDimension(FlagmorseError, ValueError):
+    """A dimension given to the index-bound arithmetic is below zero."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
+    NegativeDimension,
     NotInTangent,
     SuperminimalNotFound,
     UnsupportedDelta,
@@ -169,13 +170,20 @@ def condition2(
     return ConditionResult(True, None)
 
 
+def _require_dimensions(m: int, n: int) -> None:
+    if m < 0 or n < 0:
+        raise NegativeDimension(f"m and n must be non-negative dimensions, got {m} and {n}")
+
+
 def index_lower_bound(m: int, n: int, v: int, ell: int) -> int:
     """Geodesic index lower bound; may be non-positive (then uninformative)."""
+    _require_dimensions(m, n)
     return m + n - (v - ell) - v + 1
 
 
 def min_intersection_dim(m: int, n: int, v: int, ell: int, h: int) -> int:
     """Dimension-count arithmetic for the admissible variation space."""
+    _require_dimensions(m, n)
     return m + ell + h - v + n - v + 1
 
 

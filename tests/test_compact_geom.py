@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from flagmorse import compact_geom
 from flagmorse.chevalley import ComplexElement, bracket_c, n0_constant
@@ -189,6 +190,54 @@ def test_plan_triples_are_unique_and_nonzero(family, rank, painted):
     for sub, outputs in ((frame.plan_m, m), (frame.plan_k, np.arange(frame.m_start))):
         want = compact_geom._sub_plan(frame.plan, m, outputs)
         assert all(np.array_equal(got, expected) for got, expected in zip(sub, want))
+
+
+def _contract_oracle(plan, x, y):
+    """The bracket kernel written as one gather over all rows: the terms
+    ``x[:, i] * y[:, j] * c``, then ``reduceat`` over each output's run."""
+    x, y = np.broadcast_arrays(x, y)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, plan.n_in)
+    y = y.reshape(-1, plan.n_in)
+    out = np.zeros((x.shape[0], plan.n_out), dtype=np.result_type(x, y, plan.c))
+    if plan.c.size:
+        terms = x[:, plan.i] * y[:, plan.j] * plan.c
+        out[:, plan.heads] = np.add.reduceat(terms, plan.starts, axis=1)
+    return out.reshape(lead + (plan.n_out,))
+
+
+@pytest.mark.parametrize("family,rank,painted", PLAN_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in PLAN_FRAMES])
+def test_contract_matches_one_gather_oracle(family, rank, painted):
+    # the blocked np.take kernel gives the oracle's bits: same products, same
+    # reduceat segments, for real, complex and mixed inputs
+    frame = frame_for(family, rank, painted)
+    rng = np.random.default_rng(7)
+    for plan in (frame.plan, frame.plan_m, frame.plan_k):
+        d = plan.n_in
+        # enough rows for three blocks and a partial fourth
+        rows = 3 * max(1, compact_geom._BLOCK_TERMS // max(1, plan.c.size)) + 2
+        x, y = rng.standard_normal((2, rows, d))
+        zx, zy = x + 1j * rng.standard_normal((rows, d)), y + 1j * rng.standard_normal((rows, d))
+        for a, b in ((x, y), (zx, zy), (x, zy), (zx, y)):
+            assert np.array_equal(compact_geom._contract(plan, a, b), _contract_oracle(plan, a, b))
+        # leading axes that broadcast: (3, 1, d) against (1, 2, d), and one vector
+        a, b = x[:3, None], zy[None, :2]
+        got = compact_geom._contract(plan, a, b)
+        assert got.shape == (3, 2, plan.n_out)
+        assert np.array_equal(got, _contract_oracle(plan, a, b))
+        assert np.array_equal(compact_geom._contract(plan, x[0], y[0]),
+                              _contract_oracle(plan, x[0], y[0]))
+
+
+def test_contract_on_an_empty_plan():
+    none = np.array([], dtype=int)
+    plan = compact_geom._make_plan(none, none, none, np.array([]), 3, 2)
+    x = np.ones((4, 3))
+    for a in (x, x + 1j):
+        got = compact_geom._contract(plan, a, x)
+        assert got.shape == (4, 2) and got.dtype == a.dtype and not got.any()
+        assert np.array_equal(got, _contract_oracle(plan, a, x))
 
 
 def _densify(plan):
@@ -809,6 +858,13 @@ def _assert_relative(got, want, scale, rel=1e-12):
     assert np.max(np.abs(np.asarray(got) - want)) <= rel * np.max(scale)
 
 
+def _assert_q_values(result, e, a, b):
+    # a k_search result against the parts of its twisted form at the found k
+    k = result.k
+    _assert_relative(result.q_values, e + 2 * k * k * a + 2 * k * b,
+                     np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
+
+
 @pytest.mark.parametrize("family,rank,painted,speed", [
     pytest.param(f, r, p, speed, id=f"{f}{r}{list(p)}{suffix}")
     for speed, suffix in ((1.0, ""), (5.0, "-speed5")) for f, r, p in ORACLE_FRAMES
@@ -822,11 +878,8 @@ def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
     _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
 
     xs, ys = frame.random_m(rng, 4), frame.random_m(rng, 4)
-    result = k_search(frame, gdot, list(zip(xs, ys)))
-    e, a, b = _reference_parts(frame, gdot, xs, ys)
-    k = result.k
-    _assert_relative(result.q_values, e + 2 * k * k * a + 2 * k * b,
-                     np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
+    _assert_q_values(k_search(frame, gdot, list(zip(xs, ys))),
+                     *_reference_parts(frame, gdot, xs, ys))
 
     # q_form on the configuration (x0 + w0, y0 + I w0), I the quarter turn on
     # the pair space of the highest tangent root
@@ -855,6 +908,67 @@ def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
     tiles = np.array([[p_pairing(frame, ep, eq, gdot) for eq in basis] for ep in basis])
     bound = np.linalg.norm(tiles, 2) / 2.0
     _assert_relative(p_bound(frame, gdot), bound, bound)
+
+
+def _van_loan(gen, m):
+    """int_0^1 exp(t gen)^T m exp(t gen) dt as F22^T F12 of one block
+    exponential, whatever the generator."""
+    n = gen.shape[0]
+    f = scipy_expm(np.block([[-gen.T, m], [np.zeros_like(gen), gen]]))
+    return f[n:, n:].T @ f[:n, n:]
+
+
+ZERO_R_FRAMES = [("A", 3, ()), ("E", 7, (0, 2))]
+
+
+@pytest.mark.parametrize("family,rank,painted", ZERO_R_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in ZERO_R_FRAMES])
+def test_zero_generator_forms_match_van_loan(family, rank, painted):
+    # on the highest long root's plane r vanishes: the transport is the
+    # identity and each average is its integrand, as the block exponential says
+    frame = frame_for(family, rank, painted)
+    _, gdot = _delta_and_gdot(frame, 0.9, -0.5)
+    r = r_operator(frame, gdot)
+    assert not r.any()
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(hat_transport(frame, gdot, t), np.eye(frame.m_dim))
+    _, h = compact_geom._forms(frame, gdot)
+    gen = -0.5 * r
+    h_bar = _van_loan(gen, h)
+    g_bar = _van_loan(gen, 2.0 * np.eye(frame.m_dim))
+    p_bar = _van_loan(gen, compact_geom._pairing_matrix(frame, gdot))
+
+    def form(x, m, y):
+        return np.einsum("ni,ij,nj->n", x, m, y)
+
+    rng = np.random.default_rng(13)
+    fields = frame.random_m(rng, 6)
+    want = -form(fields, h_bar, fields)
+    _assert_relative(complex_hessian_many(frame, gdot, fields), want, np.abs(want))
+
+    xs, ys = frame.random_m(rng, 4), frame.random_m(rng, 4)
+    _assert_q_values(k_search(frame, gdot, list(zip(xs, ys))),
+                     -(form(xs, h_bar, xs) + form(ys, h_bar, ys)),
+                     form(xs, g_bar, xs) + form(ys, g_bar, ys), form(xs, p_bar, ys))
+
+
+@pytest.mark.parametrize("family,rank,painted", ZERO_R_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in ZERO_R_FRAMES])
+def test_quadrature_matches_per_node_brackets_on_a_lower_root(family, rank, painted):
+    # the lowest long root's plane moves the transport, so the forms take the
+    # block exponential, and the 64-node oracle still agrees
+    frame = frame_for(family, rank, painted)
+    lowest = min((r for r in frame.m_pos if is_long(frame.sys, r)),
+                 key=lambda r: (frame.sys.height(r), r.coords))
+    gdot = _plane_vector(frame, lowest, 0.9, -0.5)
+    assert r_operator(frame, gdot).any()
+    rng = np.random.default_rng(17)
+    fields = frame.random_m(rng, 4)
+    e, _, _ = _reference_parts(frame, gdot, fields, np.zeros_like(fields))
+    _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
+    xs, ys = frame.random_m(rng, 4), frame.random_m(rng, 4)
+    _assert_q_values(k_search(frame, gdot, list(zip(xs, ys))),
+                     *_reference_parts(frame, gdot, xs, ys))
 
 
 # -- slice pairing -----------------------------------------------------------------

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagmorse.errors import (
+    FlagmorseError,
     HypothesisViolated,
+    NegativeDimension,
     NotInTangent,
     UnsupportedDelta,
     UnsupportedFamily,
@@ -225,6 +227,19 @@ def test_index_lower_bound_examples():
     assert index_lower_bound(2, 2, 3, 3) == 2
     assert index_lower_bound(0, 0, 7, 3) == 3 - 14 + 1
     assert index_lower_bound(4, 5, 6, 6) == 4 + 5 - 6 + 1
+
+
+def test_index_bound_rejects_negative_dimensions():
+    # a negative m or n is an input error, not a bound: (-1, 2, 6, 3) once gave -7
+    assert issubclass(NegativeDimension, FlagmorseError)
+    assert issubclass(NegativeDimension, ValueError)
+    for m, n in ((-1, 2), (2, -1), (-3, -3)):
+        with pytest.raises(NegativeDimension, match="non-negative dimensions"):
+            index_lower_bound(m, n, 6, 3)
+        with pytest.raises(NegativeDimension):
+            min_intersection_dim(m, n, 6, 3, 0)
+    assert index_lower_bound(0, 0, 6, 3) == -8
+    assert min_intersection_dim(0, 0, 6, 3, 2) == -6
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 60), st.integers(0, 60))
