@@ -467,10 +467,8 @@ def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
 
 
 def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarray:
-    """Transport matrix at time t: exp(-t r / 2), exactly the identity when
-    that generator is zero (at t = 0, or where r vanishes)."""
-    gen = -0.5 * t * r_operator(frame, gdot)
-    return expm(gen) if gen.any() else np.eye(frame.m_dim)
+    """Transport matrix at time t (identity at t = 0)."""
+    return expm(-0.5 * t * r_operator(frame, gdot))
 
 
 def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:

@@ -120,6 +120,7 @@ def test_check_all_suites_small(run_cli):
 
 
 def test_hessian_agreement(run_cli):
+    # the first velocity lies on A3's highest root plane, where r = 0
     result = run_cli("hessian", "--family", "A", "--rank", "3",
                      "--gamma", "1,0,0,-1:1,0", "--field", "1,-1,0,0:1,1", "--json")
     assert result.returncode == 0

@@ -865,14 +865,30 @@ def _assert_q_values(result, e, a, b):
                      np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
 
 
-@pytest.mark.parametrize("family,rank,painted,speed", [
-    pytest.param(f, r, p, speed, id=f"{f}{r}{list(p)}{suffix}")
+# frames whose highest long root's plane has r exactly zero; their lowest long
+# root's plane does not
+ZERO_R_FRAMES = [("A", 3, ()), ("E", 7, (0, 2))]
+
+
+@pytest.mark.parametrize("family,rank,painted,velocity,speed", [
+    pytest.param(f, r, p, "generic", speed, id=f"{f}{r}{list(p)}{suffix}")
     for speed, suffix in ((1.0, ""), (5.0, "-speed5")) for f, r, p in ORACLE_FRAMES
+] + [
+    pytest.param(f, r, p, "lowest-root", 1.0, id=f"{f}{r}{list(p)}-lowest-root")
+    for f, r, p in ZERO_R_FRAMES
 ])
-def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
+def test_quadrature_matches_per_node_brackets(family, rank, painted, velocity, speed):
     frame = frame_for(family, rank, painted)
     rng = np.random.default_rng(41)
-    gdot = speed * _unit(frame, frame.random_m(rng))  # generic, not one root plane
+    if velocity == "generic":
+        gdot = speed * _unit(frame, frame.random_m(rng))  # not one root plane
+    else:
+        # the lowest long root's plane moves the transport, so the forms take
+        # the block exponential
+        lowest = min((r for r in frame.m_pos if is_long(frame.sys, r)),
+                     key=lambda r: (frame.sys.height(r), r.coords))
+        gdot = speed * _plane_vector(frame, lowest, 0.9, -0.5)
+        assert r_operator(frame, gdot).any()
     fields = frame.random_m(rng, 6)
     e, _, _ = _reference_parts(frame, gdot, fields, np.zeros_like(fields))
     _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
@@ -900,6 +916,8 @@ def test_quadrature_matches_per_node_brackets(family, rank, painted, speed):
     _assert_relative(got, e + 2 * k * k * a + 2 * k * b,
                      np.abs(e) + 2 * k * k * np.abs(a) + 2 * k * np.abs(b))
 
+    if velocity != "generic":
+        return  # on one root's plane the pairing is zero up to rounding: no scale
     j = frame.j_m
     want = frame.m_inner(bracket_m(frame, y0, x0) - bracket_m(frame, j @ y0, j @ x0), gdot)
     _assert_relative(p_pairing(frame, x0, y0, gdot), want, abs(want))
@@ -916,9 +934,6 @@ def _van_loan(gen, m):
     n = gen.shape[0]
     f = scipy_expm(np.block([[-gen.T, m], [np.zeros_like(gen), gen]]))
     return f[n:, n:].T @ f[:n, n:]
-
-
-ZERO_R_FRAMES = [("A", 3, ()), ("E", 7, (0, 2))]
 
 
 @pytest.mark.parametrize("family,rank,painted", ZERO_R_FRAMES,
@@ -950,25 +965,6 @@ def test_zero_generator_forms_match_van_loan(family, rank, painted):
     _assert_q_values(k_search(frame, gdot, list(zip(xs, ys))),
                      -(form(xs, h_bar, xs) + form(ys, h_bar, ys)),
                      form(xs, g_bar, xs) + form(ys, g_bar, ys), form(xs, p_bar, ys))
-
-
-@pytest.mark.parametrize("family,rank,painted", ZERO_R_FRAMES,
-                         ids=[f"{f}{r}{list(p)}" for f, r, p in ZERO_R_FRAMES])
-def test_quadrature_matches_per_node_brackets_on_a_lower_root(family, rank, painted):
-    # the lowest long root's plane moves the transport, so the forms take the
-    # block exponential, and the 64-node oracle still agrees
-    frame = frame_for(family, rank, painted)
-    lowest = min((r for r in frame.m_pos if is_long(frame.sys, r)),
-                 key=lambda r: (frame.sys.height(r), r.coords))
-    gdot = _plane_vector(frame, lowest, 0.9, -0.5)
-    assert r_operator(frame, gdot).any()
-    rng = np.random.default_rng(17)
-    fields = frame.random_m(rng, 4)
-    e, _, _ = _reference_parts(frame, gdot, fields, np.zeros_like(fields))
-    _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
-    xs, ys = frame.random_m(rng, 4), frame.random_m(rng, 4)
-    _assert_q_values(k_search(frame, gdot, list(zip(xs, ys))),
-                     *_reference_parts(frame, gdot, xs, ys))
 
 
 # -- slice pairing -----------------------------------------------------------------
