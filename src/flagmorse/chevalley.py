@@ -19,7 +19,9 @@ whose other constants have sums of lower height.  Each constant is written
 with its 12 images under the cyclic identity, antisymmetry and
 c_{-x,-y} = -c_{x,y}.
 
-All arithmetic is exact.
+All arithmetic is exact.  Each constant the induction stores is also rounded
+to float64 once; ``_pair_floats`` lays those floats out over all 12 images,
+by id pair, for the numeric frame's plan.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ class ChevalleyData:
     # zero.  The single store of normalized constants and coroots, and the
     # bracket's hot path.
     pair_action: dict = field(repr=False)
+    # each constant the induction stored, one per orbit of 12 images: root ids
+    # (x, y, z) with x + y + z = 0, and float(c_{x,y}); _pair_floats spreads
+    # them over every pair for the frame's plan
+    _seeds: np.ndarray = field(repr=False, compare=False)
+    _seed_floats: np.ndarray = field(repr=False, compare=False)
 
     def constant(self, a: RootVector, b: RootVector) -> Sqrt2:
         """Normalized constant c_{a,b} for roots with a + b again a root."""
@@ -88,6 +95,8 @@ def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
     positive = sys.heights > 0
     half = [inner(sys, r, r) / 2 for r in roots]
     table: dict[tuple[int, int], Sqrt2] = {}
+    seeds: list[tuple[int, int, int]] = []
+    seed_floats: list[float] = []
 
     def store(x: int, y: int, z: int, c: Sqrt2) -> None:
         """c_{x,y} for x + y + z = 0 and its 12 images: the cyclic identity,
@@ -99,6 +108,8 @@ def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
             table[v, u] = minus
             table[nu, nv] = minus
             table[nv, nu] = c
+        seeds.append((x, y, z))
+        seed_floats.append(float(c))
 
     # positive ids in order of height, and by coordinates within a height
     by_height = np.flatnonzero(positive)[np.argsort(sys.heights[positive], kind="stable")]
@@ -134,7 +145,22 @@ def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
     pair_action: dict = {(a, roots[neg[i]]): (None, a.unscaled()) for i, a in enumerate(roots)}
     for (u, v), c in table.items():
         pair_action[roots[u], roots[v]] = (roots[sums[u][v]], c)
-    return ChevalleyData(sys=sys, pair_action=pair_action)
+    return ChevalleyData(sys=sys, pair_action=pair_action,
+                         _seeds=np.array(seeds, dtype=np.intp).reshape(-1, 3),
+                         _seed_floats=np.array(seed_floats, dtype=np.float64))
+
+
+def _pair_floats(data: ChevalleyData) -> np.ndarray:
+    """float(c_{a,b}) of every ordered pair of root ids with a root sum, in the
+    row-major order of np.nonzero(sys.sums >= 0): each stored constant spread
+    over its 12 images.  Rounding (p + q sqrt2)/d is odd in the value, so
+    float(-c) is -float(c)."""
+    neg, n = data.sys.neg, len(data.sys.neg)
+    xyz = data._seeds.T
+    u, v = xyz.ravel(), xyz[[1, 2, 0]].ravel()  # (x, y), (y, z), (z, x)
+    keys = np.concatenate([u * n + v, v * n + u, neg[u] * n + neg[v], neg[v] * n + neg[u]])
+    f = np.tile(data._seed_floats, 3)
+    return np.concatenate([f, -f, -f, f])[np.argsort(keys, kind="stable")]
 
 
 def build_chevalley(sys: RootSystem) -> ChevalleyData:

@@ -3,20 +3,20 @@
 A frame packages the ordered real basis (Cartan block, isotropy root planes,
 tangent root planes), its sparse structure-constant plan, metric, and complex
 structure.  The plan lists the nonzero constants ``[e_i, e_j] = c e_k`` as
-index arrays; each constant is read exactly from the Chevalley pair action
-and frozen into float64 once.  Every bracket, adjoint matrix and identity
-check contracts through that one plan.  Every tensor along a geodesic is
-reduced to constant coefficients in this frame, so transport is a single
-matrix exponential and all the pointwise identities become
-finite-dimensional residual checks.  Each frame also builds, once and on
-first use, a table of the pair spaces S0(delta) of the tangent-positive
-roots: their pairs, constants and slots, the 4x4 blocks of ad(X_delta) and
-ad(Y_delta) on each pair, and the bracket onto delta's plane.  The
-quarter-turn map and the twomel suite read it instead of full adjoint
-matrices.  The averaged Hessian, the tangent norm and the twist pairing are
-forms in the initial fields: each averaged matrix int_0^1 exp(tA)^T M
-exp(tA) dt is read off one block exponential (Van Loan), exactly in t, so no
-time grid or node count is involved.
+index arrays, built as whole arrays over the root index: the sum table gives
+the root pairs, and the Chevalley table the float64 of each exact constant,
+rounded once.  Every bracket, adjoint matrix and identity check contracts
+through that one plan.  Every tensor along a geodesic is reduced to constant
+coefficients in this frame, so transport is a single matrix exponential and
+all the pointwise identities become finite-dimensional residual checks.  Each
+frame also builds, once and on first use, a table of the pair spaces S0(delta)
+of the tangent-positive roots: their pairs, constants and slots, the 4x4
+blocks of ad(X_delta) and ad(Y_delta) on each pair, and the bracket onto
+delta's plane.  The quarter-turn map and the twomel suite read it instead of
+full adjoint matrices.  The averaged Hessian, the tangent norm and the twist
+pairing are forms in the initial fields: each averaged matrix int_0^1
+exp(tA)^T M exp(tA) dt is read off one block exponential (Van Loan), exactly
+in t, so no time grid or node count is involved.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .chevalley import ChevalleyData, build_chevalley
+from .chevalley import ChevalleyData, _pair_floats, build_chevalley
 from .errors import (DegenerateCoefficients, DimensionMismatch, InvalidSampling, NotARoot, NotInK,
                      NotInTangent, UnknownSuite)
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
@@ -149,10 +149,11 @@ class PairSpace(NamedTuple):
     plane: Optional[BracketPlan]
 
 
-def _structure_constants(chev: ChevalleyData, slots: dict) -> tuple[np.ndarray, np.ndarray]:
+def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
     """Nonzero constants over the real basis h_l = i s_l, X_a = E_a - E_-a,
-    Y_a = i(E_a + E_-a), from the pair action alone: an ``(n, 3)`` array of
-    (i, j, k) and the float of each exact constant.
+    Y_a = i(E_a + E_-a), as index arrays (i, j, k) and the float of each
+    exact constant.  ``x_slot`` gives by root id the X coordinate of the
+    root's plane, shared by a and -a; Y_a is the next coordinate.
 
     For positive a, b = eps * beta with beta positive, s = a + b a root of
     sign sigma and N = c_{a,b}: [X_a, X_beta] gets eps*sigma*N on X_|s|,
@@ -163,48 +164,47 @@ def _structure_constants(chev: ChevalleyData, slots: dict) -> tuple[np.ndarray, 
     2 n_l on h_l.  [h_l, X_a] = <a, s_l> Y_a and [h_l, Y_a] = -<a, s_l> X_a.
     Negative a adds nothing new: c_{-a,-b} = -c_{a,b}.
 
-    Each (i, j, k) is written once, so nothing is summed: root-root entries are
-    fixed by (a, beta, |s|), Cartan outputs have k < rank and [h_l, .] entries
-    have i or j < rank.
+    Every block is built as whole arrays over the root index: the pairs (a, b)
+    with a root sum come from the sum table, N from ``_pair_floats`` in the
+    same order, <a, s_l> from integer dot products of the scaled coordinates
+    times norm_scale / 4 (exact in float64, as are the signs).  Each (i, j, k)
+    is written once, so nothing is summed: root-root entries are fixed by
+    (a, beta, |s|), Cartan outputs have k < rank and [h_l, .] entries have i
+    or j < rank.  ``_make_plan`` sorts the entries, so their order here does
+    not matter.
     """
     sys = chev.sys
-    ijk: list[tuple[int, int, int]] = []
-    c: list[float] = []
+    positive = sys.heights > 0
+    sign = np.sign(sys.heights)
+    a, b = np.nonzero(sys.sums >= 0)
+    keep = positive[a]
+    a, b, n = a[keep], b[keep], _pair_floats(chev)[keep]
+    s = sys.sums[a, b]
+    eps, sigma = sign[b], sign[s]
+    xa, xb, xs = x_slot[a], x_slot[b], x_slot[s]
+    i = [xa, xa, xa + 1, xa + 1]
+    j = [xb, xb + 1, xb, xb + 1]
+    k = [xs, xs + 1, xs + 1, xs]
+    c = [eps * sigma * n, n, eps * n, -sigma * n]
 
-    def add(i: int, j: int, k: int, value) -> None:
-        ijk.append((i, j, k))
-        c.append(float(value))
+    xp = x_slot[positive]  # by position in sys.positives, which is in id order
+    expansions = np.array([sys.expansions[root] for root in sys.positives])
+    r, l = np.nonzero(expansions)
+    two_n = 2.0 * expansions[r, l]
+    i += [xp[r], xp[r] + 1]
+    j += [xp[r] + 1, xp[r]]
+    k += [l, l]
+    c += [two_n, -two_n]
 
-    def signed_slot(r: RootVector):
-        slot = slots.get(r)
-        return (slot, 1) if slot is not None else (slots[-r], -1)
-
-    for (a, b), (s, value) in chev.pair_action.items():
-        slot_a = slots.get(a)
-        if slot_a is None:
-            continue
-        xa, ya = slot_a
-        if s is None:
-            for l, n_l in enumerate(sys.expansions[a]):
-                if n_l:
-                    add(xa, ya, l, 2 * n_l)
-                    add(ya, xa, l, -2 * n_l)
-            continue
-        (xb, yb), eps = signed_slot(b)
-        (xs, ys), sigma = signed_slot(s)
-        add(xa, xb, xs, value if eps * sigma > 0 else -value)
-        add(xa, yb, ys, value)
-        add(ya, xb, ys, value if eps > 0 else -value)
-        add(ya, yb, xs, -value if sigma > 0 else value)
-    for l, simple in enumerate(sys.simples):
-        for alpha, (xa, ya) in slots.items():
-            t = inner(sys, simple, alpha)
-            if t:
-                add(l, xa, ya, t)
-                add(xa, l, ya, -t)
-                add(l, ya, xa, -t)
-                add(ya, l, xa, t)
-    return np.array(ijk, dtype=np.int32).reshape(-1, 3), np.array(c, dtype=np.float64)
+    dots = (np.array([root.coords for root in sys.simples])
+            @ np.array([root.coords for root in sys.positives]).T)
+    l, r = np.nonzero(dots)
+    t = dots[l, r] * (float(sys.norm_scale) / 4)
+    i += [l, xp[r], l, xp[r] + 1]
+    j += [xp[r], l, xp[r] + 1, l]
+    k += [xp[r] + 1, xp[r] + 1, xp[r], xp[r]]
+    c += [t, -t, -t, t]
+    return (*(np.concatenate(v).astype(np.int32) for v in (i, j, k)), np.concatenate(c))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,8 @@ class RealFormFrame:
     metric: np.ndarray = field(repr=False)
     j_m: np.ndarray = field(repr=False)
     slots: dict[RootVector, tuple[int, int]] = field(repr=False)
+    # by root id, the X coordinate of the root's plane (shared by a and -a)
+    _x_slot: np.ndarray = field(repr=False, compare=False)
 
     @property
     def sys(self):
@@ -316,9 +318,11 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
         labels.append(("Y", alpha))
     dim = len(labels)
     m_start = rank + 2 * len(iso_pos)
+    planes = [sys.ids[alpha] for alpha in slots]
+    x_slot = np.empty(len(sys.roots), dtype=int)
+    x_slot[planes] = x_slot[sys.neg[planes]] = np.arange(rank, dim, 2)
 
-    ijk, c = _structure_constants(chev, slots)
-    plan = _make_plan(*ijk.T, c, dim, dim)
+    plan = _make_plan(*_structure_constants(chev, x_slot), dim, dim)
 
     metric = np.zeros((dim, dim))
     for i, si in enumerate(sys.simples):
@@ -350,6 +354,7 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
         metric=metric,
         j_m=j_m,
         slots=slots,
+        _x_slot=x_slot,
     )
 
 
@@ -376,9 +381,7 @@ def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
     d, a, b = d[order], a[order], b[order]
     if not d.size:
         return {}
-    x_slot = np.full(len(sys.roots), -1)
-    for root, (ix, _) in frame.slots.items():
-        x_slot[sys.ids[root]] = ix
+    x_slot = frame._x_slot
     slots = np.stack([x_slot[a], x_slot[a] + 1, x_slot[b], x_slot[b] + 1], axis=1)
     new = np.ones(d.size, dtype=bool)
     new[1:] = d[1:] != d[:-1]

@@ -107,13 +107,12 @@ def _st(sp: ParabolicSplit, delta: RootVector) -> tuple[set, set]:
     negative, or in the painted span); T also holds delta."""
     sys = sp.sys
     d = sys.ids[delta]
-    m = [sys.ids[r] for r in sp.delta_m_pos]
+    m = np.flatnonzero(sp.part == 1)
     rests = sys.sums[d, sys.neg[m]]  # delta - x, for x in delta_m_pos
     root = rests >= 0
     in_s = root & (sp.part[rests] == 1)
-    in_t = (root & ~in_s) | (np.array(m) == d)
-    return ({x for x, keep in zip(sp.delta_m_pos, in_s) if keep},
-            {x for x, keep in zip(sp.delta_m_pos, in_t) if keep})
+    in_t = (root & ~in_s) | (m == d)
+    return {sys.roots[x] for x in m[in_s]}, {sys.roots[x] for x in m[in_t]}
 
 
 def st_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSets:
@@ -141,11 +140,16 @@ def _plus_minus(sys: RootSystem, x: RootVector, y: RootVector, z: RootVector) ->
 def condition1(
     sp: ParabolicSplit, gamma: GammaSet, delta: RootVector, t_set: frozenset[RootVector]
 ) -> ConditionResult:
-    """No two distinct non-delta T members may differ by delta minus a support root."""
+    """No two distinct non-delta T members may differ by delta minus a support root.
+
+    The witness is the first failing beta1 in root order, then the first
+    support root, so it does not depend on how the sets were built.
+    """
     sys = sp.sys
     others = set(t_set) - {delta}
-    for beta1 in others:
-        for lam in gamma.support:
+    support = sorted(gamma.support)
+    for beta1 in sorted(others):
+        for lam in support:
             beta0 = _plus_minus(sys, beta1, delta, lam)
             if beta0 >= 0 and sys.roots[beta0] != beta1 and sys.roots[beta0] in others:
                 return ConditionResult(False, (sys.roots[beta0], beta1, lam))
@@ -155,15 +159,18 @@ def condition1(
 def condition2(
     sp: ParabolicSplit, gamma: GammaSet, delta: RootVector, s_set: frozenset[RootVector]
 ) -> ConditionResult:
-    """Sums of two S members meet the support exactly in delta."""
+    """Sums of two S members meet the support exactly in delta.
+
+    The witness is the first failing S member in root order, then the first
+    support root, so it does not depend on how the sets were built.
+    """
     sys = sp.sys
     if s_set and delta not in gamma.support:
-        alpha = next(iter(s_set))
+        alpha = min(s_set)
         return ConditionResult(False, (alpha, delta - alpha, delta))
-    for alpha in s_set:
-        for lam in gamma.support:
-            if lam == delta:
-                continue
+    support = sorted(gamma.support - {delta})
+    for alpha in sorted(s_set):
+        for lam in support:
             beta = _minus(sys, lam, alpha)
             if beta >= 0 and sys.roots[beta] in s_set:
                 return ConditionResult(False, (alpha, sys.roots[beta], lam))

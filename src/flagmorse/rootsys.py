@@ -201,15 +201,17 @@ def _walk(simples: list[RootVector], ambient: frozenset[RootVector]) -> dict:
 def _sum_table(roots: tuple[RootVector, ...]) -> np.ndarray:
     """``sums[i, j]``: id of roots[i] + roots[j], -1 for no root, -2 for zero.
 
-    Filled row by row through linear keys: base-17 signed digits hold every
-    scaled coordinate of a sum of two roots (at most 8 in size), so two such
-    sums are equal exactly when their keys are.
+    Found through linear keys: base-17 signed digits hold every scaled
+    coordinate of a sum of two roots (at most 8 in size), so two such sums are
+    equal exactly when their keys are.  One ``searchsorted`` looks up every
+    key sum among the sorted root keys; no root has the key 0.
     """
-    keys = (np.array([r.coords for r in roots]) @ 17 ** np.arange(len(roots[0].coords))).tolist()
-    index = {0: -2, **{key: i for i, key in enumerate(keys)}}
-    table = np.empty((len(roots), len(roots)), dtype=np.int16)
-    for i, key in enumerate(keys):
-        table[i] = [index.get(key + other, -1) for other in keys]
+    keys = np.array([r.coords for r in roots]) @ 17 ** np.arange(len(roots[0].coords))
+    order = np.argsort(keys, kind="stable")
+    pairs = keys[:, None] + keys
+    found = order[np.searchsorted(keys[order], pairs).clip(max=len(keys) - 1)]
+    table = np.where(keys[found] == pairs, found, -1).astype(np.int16)
+    table[pairs == 0] = -2
     return table
 
 
@@ -281,7 +283,11 @@ def precedes(sys: RootSystem, alpha: RootVector, delta: RootVector) -> bool:
 
 
 def is_long(sys: RootSystem, alpha: RootVector) -> bool:
-    return inner(sys, alpha, alpha) == 2
+    """Whether (alpha, alpha) = 2, compared in ints: norm_scale * |scaled|^2 / 4 = 2."""
+    if alpha.ambient_dim != sys.ambient_dim:
+        raise DimensionMismatch("vector does not match the system's ambient space")
+    scale = sys.norm_scale
+    return _dot_scaled(alpha, alpha) * scale.numerator == 8 * scale.denominator
 
 
 def long_roots(sys: RootSystem) -> tuple[RootVector, ...]:

@@ -1,12 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagmorse.chevalley import (
     ComplexElement,
+    _pair_floats,
     bracket_c,
     build_chevalley,
     coroot,
@@ -76,6 +78,13 @@ def test_pair_action_is_the_normalized_classical_table(family, rank):
     shared = {id(r) for r in sys_.roots}
     assert all(id(r) in shared for (a, b), (s, _) in data.pair_action.items()
                for r in (a, b, s) if r is not None)
+    # the floats the frame's plan reads: one per pair, by id pair in the sum
+    # table's row-major order
+    ids_a, ids_b = np.nonzero(sys_.sums >= 0)
+    want = [float(data.constant(sys_.roots[i], sys_.roots[j]))
+            for i, j in zip(ids_a.tolist(), ids_b.tolist())]
+    got = _pair_floats(data)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_a2_magnitudes():

@@ -45,7 +45,7 @@ from flagmorse.errors import (
 from flagmorse.exactnum import CSqrt2, Sqrt2
 from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
-from flagmorse.rootsys import RootVector, build_root_system, is_long
+from flagmorse.rootsys import RootVector, build_root_system, inner, is_long
 
 from conftest import ALL_SYSTEMS, SMALL_SYSTEMS
 from test_rootsys import rv
@@ -190,6 +190,74 @@ def test_plan_triples_are_unique_and_nonzero(family, rank, painted):
     for sub, outputs in ((frame.plan_m, m), (frame.plan_k, np.arange(frame.m_start))):
         want = compact_geom._sub_plan(frame.plan, m, outputs)
         assert all(np.array_equal(got, expected) for got, expected in zip(sub, want))
+
+
+def _structure_constants_oracle(chev, slots):
+    """The plan's entries built one pair at a time, as ``(n, 3)`` int32 (i, j, k)
+    and float64 constants: the per-pair loop over ``pair_action``, with
+    ``slots`` mapping each positive root to its (X, Y) coordinates."""
+    sys_ = chev.sys
+    ijk, c = [], []
+
+    def add(i, j, k, value):
+        ijk.append((i, j, k))
+        c.append(float(value))
+
+    def signed_slot(r):
+        slot = slots.get(r)
+        return (slot, 1) if slot is not None else (slots[-r], -1)
+
+    for (a, b), (s, value) in chev.pair_action.items():
+        slot_a = slots.get(a)
+        if slot_a is None:
+            continue
+        xa, ya = slot_a
+        if s is None:
+            for l, n_l in enumerate(sys_.expansions[a]):
+                if n_l:
+                    add(xa, ya, l, 2 * n_l)
+                    add(ya, xa, l, -2 * n_l)
+            continue
+        (xb, yb), eps = signed_slot(b)
+        (xs, ys), sigma = signed_slot(s)
+        add(xa, xb, xs, value if eps * sigma > 0 else -value)
+        add(xa, yb, ys, value)
+        add(ya, xb, ys, value if eps > 0 else -value)
+        add(ya, yb, xs, -value if sigma > 0 else value)
+    for l, simple in enumerate(sys_.simples):
+        for alpha, (xa, ya) in slots.items():
+            t = inner(sys_, simple, alpha)
+            if t:
+                add(l, xa, ya, t)
+                add(xa, l, ya, -t)
+                add(l, ya, xa, -t)
+                add(ya, l, xa, t)
+    return np.array(ijk, dtype=np.int32).reshape(-1, 3), np.array(c, dtype=np.float64)
+
+
+# two paintings of every system with a tangent block left: the first node, and
+# every second node from the second on
+ORACLE_PAINTINGS = [(f, r, p) for f, r in ALL_SYSTEMS if r > 1
+                    for p in ((0,), tuple(range(1, r, 2)))]
+PLAN_ORACLE_FRAMES = PLAN_FRAMES + [f for f in ORACLE_PAINTINGS if f not in PLAN_FRAMES]
+
+
+@pytest.mark.parametrize("family,rank,painted", PLAN_ORACLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in PLAN_ORACLE_FRAMES])
+def test_plan_matches_per_pair_oracle(family, rank, painted):
+    # the array-built plan and its tangent sub-plans equal, bit for bit and in
+    # dtype, the plans of the per-pair loop
+    frame = frame_for(family, rank, painted)
+    ijk, c = _structure_constants_oracle(frame.chev, frame.slots)
+    plan = compact_geom._make_plan(*ijk.T, c, frame.dim, frame.dim)
+    m = np.arange(frame.m_start, frame.dim)
+    want = (plan, compact_geom._sub_plan(plan, m, m),
+            compact_geom._sub_plan(plan, m, np.arange(frame.m_start)))
+    for got, expected in zip((frame.plan, frame.plan_m, frame.plan_k), want):
+        for name in ("i", "j", "k", "c", "heads", "starts"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.n_in, got.n_out) == (expected.n_in, expected.n_out)
 
 
 def _contract_oracle(plan, x, y):

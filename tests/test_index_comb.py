@@ -177,6 +177,39 @@ def test_condition2_fails_for_c3_short_with_witness():
     assert alpha + beta == lam and lam in g.support and lam != d
 
 
+def _inserted(roots, order):
+    """The set of ``roots``, built by inserting them in the given order."""
+    return frozenset(r for r in order if r in roots)
+
+
+def test_condition_witnesses_do_not_depend_on_set_order():
+    # each witness is the first in root order, however the caller built the
+    # sets; filling them in delta_m_pos order once gave condition 1 on C5 the
+    # witness (1,0,0,0,1), (1,0,1,0,0), (0,0,2,0,0)
+    c5 = build_root_system("C", 5)
+    sp = split(c5, PaintedDiagram.of(c5, (0, 3)))
+    delta = rv(0, 0, 1, 0, 1)
+    support = {delta, rv(0, 0, 2, 0, 0), rv(1, 0, -1, 0, 0)}
+    t_set = st_sets(sp, GammaSet.of(support), delta).t_set
+    orders = (sorted(c5.roots), sorted(c5.roots, reverse=True), list(sp.delta_m_pos),
+              [*t_set, *c5.roots])
+    for order in orders:
+        got = condition1(sp, GammaSet(_inserted(support, order)), delta, _inserted(t_set, order))
+        assert got == (False, (rv(0, 1, 0, 0, 1), rv(0, 1, 1, 0, 0), rv(0, 0, 2, 0, 0)))
+    # condition 2, with delta in the support and without it
+    sp = borel("C", 3)
+    delta = rv(1, 1, 0)
+    support = {delta, rv(2, 0, 0), rv(1, 0, 1), rv(0, 1, 1)}
+    s_set = st_sets(sp, GammaSet.of(support), delta).s_set
+    roots = sp.sys.roots
+    for order in (sorted(roots), sorted(roots, reverse=True), list(sp.delta_m_pos), [*s_set, *roots]):
+        s = _inserted(s_set, order)
+        got = condition2(sp, GammaSet(_inserted(support, order)), delta, s)
+        assert got == (False, (rv(0, 1, 1), rv(1, -1, 0), rv(1, 0, 1)))
+        got = condition2(sp, GammaSet(_inserted(support - {delta}, order)), delta, s)
+        assert got == (False, (rv(0, 1, -1), rv(1, 0, 1), delta))
+
+
 def test_conditions_hold_for_long_delta_any_support():
     rng = np.random.default_rng(3)
     for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:

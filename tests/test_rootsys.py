@@ -158,6 +158,13 @@ def test_is_long_examples():
     c3 = build_root_system("C", 3)
     assert is_long(c3, rv(2, 0, 0))
     assert not is_long(c3, rv(1, 1, 0))
+    with pytest.raises(DimensionMismatch):
+        is_long(b3, rv(1, 0))
+    # the integer comparison agrees with the inner product on every root
+    for family, rank in ALL_SYSTEMS:
+        sys_ = build_root_system(family, rank)
+        assert [is_long(sys_, r) for r in sys_.roots] == [inner(sys_, r, r) == 2
+                                                          for r in sys_.roots]
 
 
 def test_add_and_membership():
