@@ -1,27 +1,30 @@
 """Structure constants and complexified bracket evaluation.
 
-One table is kept per system, ``pair_action``: every ordered root pair
-that brackets to something nonzero.  A pair with a root sum holds that sum
-and its normalized constant: the basis rescaled so that [E_a, E_-a] is the
-metric dual of a (the invariant pairing of E_a with E_-a is 1).  In this
-normalization the cyclic identity c_{a,b} = c_{b,-d} = c_{-d,a} holds with
-no length weights, at the cost of sqrt(2)-valued entries in the C family.  A
-pair (a, -a) holds the dual of a.  The textbook integer constants are derived
-from it on demand: sign(c_{a,b}) (p + 1), where p is the largest integer with
-b - p a a root (Chevalley's theorem).
+The constants live on the system's root index (``rootsys``).  ``_slot`` is an
+n x n array aligned with the sum table: at an id pair (a, b) whose sum is a
+root it gives the position of c_{a,b} in ``_consts``, a tuple of exact values,
+and elsewhere it is -1.  The constants are normalized: the basis is rescaled
+so that [E_a, E_-a] is the metric dual of a (the invariant pairing of E_a
+with E_-a is 1).  In this normalization the cyclic identity
+c_{a,b} = c_{b,-d} = c_{-d,a} holds with no length weights, at the cost of
+sqrt(2)-valued entries in the C family.  A pair (a, -a), where the sum table
+holds -2, brackets to the dual of a: a's own ambient coordinates.  The
+textbook integer constants are derived on demand: sign(c_{a,b}) (p + 1),
+where p is the largest integer with b - p a a root (Chevalley's theorem).
 
-One height induction, on root ids and the system's sum table, fills
-``pair_action`` in the normalized basis.  Each positive root d, in order of
-height, takes its extraspecial pair (a, b) with a + sign and magnitude
-sqrt(h(a) h(b) / h(d)) (p + 1), h being half the squared length; every other
-decomposition of d follows from the Jacobi identity on (E_xi, E_eta, E_-a),
-whose other constants have sums of lower height.  Each constant is written
-with its 12 images under the cyclic identity, antisymmetry and
-c_{-x,-y} = -c_{x,y}.
+One height induction, on root ids and the sum table, fills the slot table.
+Each positive root d, in order of height, takes its extraspecial pair (a, b)
+with a + sign and magnitude sqrt(h(a) h(b) / h(d)) (p + 1), h being half the
+squared length; every other decomposition of d follows from the Jacobi
+identity on (E_xi, E_eta, E_-a), whose other constants have sums of lower
+height.  Each constant is appended to ``_consts`` with its negative, and its
+12 images under the cyclic identity, antisymmetry and c_{-x,-y} = -c_{x,y}
+point at one of the two.
 
-All arithmetic is exact.  Each constant the induction stores is also rounded
-to float64 once; ``_pair_floats`` lays those floats out over all 12 images,
-by id pair, for the numeric frame's plan.
+All arithmetic is exact.  ``_pair_floats`` rounds each stored constant to
+float64 once and gathers the floats by id pair for the numeric frame's plan.
+``RootVector`` appears only at the edges: the functions that take roots look
+up their ids.
 """
 
 from __future__ import annotations
@@ -44,23 +47,19 @@ class ChevalleyData:
     """Exact structure constants and coroots for one root system."""
 
     sys: RootSystem
-    # (a, b) -> (a + b, normalized constant) for every ordered pair with a
-    # root sum, or (None, dual of a) for b = -a; absent pairs bracket to
-    # zero.  The single store of normalized constants and coroots, and the
-    # bracket's hot path.
-    pair_action: dict = field(repr=False)
-    # each constant the induction stored, one per orbit of 12 images: root ids
-    # (x, y, z) with x + y + z = 0, and float(c_{x,y}); _pair_floats spreads
-    # them over every pair for the frame's plan
-    _seeds: np.ndarray = field(repr=False, compare=False)
-    _seed_floats: np.ndarray = field(repr=False, compare=False)
+    # by id pair (a, b), aligned with sys.sums: the position of c_{a,b} in
+    # _consts where a + b is a root, else -1
+    _slot: np.ndarray = field(repr=False, compare=False)
+    # the normalized constants, (c, -c) per orbit of 12 pairs
+    _consts: tuple[Sqrt2, ...] = field(repr=False)
 
     def constant(self, a: RootVector, b: RootVector) -> Sqrt2:
         """Normalized constant c_{a,b} for roots with a + b again a root."""
-        s, value = self.pair_action.get((a, b), (None, None))
-        if s is None:
+        i, j = self.sys.ids.get(a), self.sys.ids.get(b)
+        k = -1 if i is None or j is None else self._slot[i, j]
+        if k < 0:
             raise KeyError(f"{a} + {b} is not a root")
-        return value
+        return self._consts[k]
 
     def classical_constant(self, a: RootVector, b: RootVector) -> int:
         """Integer constant sign(c_{a,b}) (p + 1) of the classical basis, with p
@@ -70,10 +69,11 @@ class ChevalleyData:
         return sign * (_chain_down_length(sys.sums, sys.neg, sys.ids[a], sys.ids[b]) + 1)
 
     def all_pairs(self) -> list[tuple[RootVector, RootVector]]:
-        """Every ordered root pair whose sum is a root."""
-        # coordinate tuples order as RootVector's dataclass __lt__ does, at C speed
-        return sorted((pair for pair, (s, _) in self.pair_action.items() if s is not None),
-                      key=lambda pair: (pair[0].coords, pair[1].coords))
+        """Every ordered root pair whose sum is a root, sorted: ids follow the
+        root order, so the row-major id pairs are in order."""
+        roots = self.sys.roots
+        a, b = np.nonzero(self.sys.sums >= 0)
+        return [(roots[i], roots[j]) for i, j in zip(a.tolist(), b.tolist())]
 
 
 def _chain_down_length(sums: list, neg: list, a: int, b: int) -> int:
@@ -89,27 +89,21 @@ def _chain_down_length(sums: list, neg: list, a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
     sys = build_root_system(family, rank)
-    # the induction runs on root ids; keys and sums become the instances in
-    # sys.roots only at the end, so the tables hold no copies
     roots, neg, sums = sys.roots, sys.neg.tolist(), sys.sums.tolist()
     positive = sys.heights > 0
     half = [inner(sys, r, r) / 2 for r in roots]
-    table: dict[tuple[int, int], Sqrt2] = {}
-    seeds: list[tuple[int, int, int]] = []
-    seed_floats: list[float] = []
+    slot = np.full(sys.sums.shape, -1, dtype=np.int16)
+    consts: list[Sqrt2] = []
 
     def store(x: int, y: int, z: int, c: Sqrt2) -> None:
         """c_{x,y} for x + y + z = 0 and its 12 images: the cyclic identity,
         antisymmetry and c_{-x,-y} = -c_{x,y}."""
-        minus = -c
+        plus = len(consts)
+        consts.extend((c, -c))
         for u, v in ((x, y), (y, z), (z, x)):
             nu, nv = neg[u], neg[v]
-            table[u, v] = c
-            table[v, u] = minus
-            table[nu, nv] = minus
-            table[nv, nu] = c
-        seeds.append((x, y, z))
-        seed_floats.append(float(c))
+            slot[u, v] = slot[nv, nu] = plus
+            slot[v, u] = slot[nu, nv] = plus + 1
 
     # positive ids in order of height, and by coordinates within a height
     by_height = np.flatnonzero(positive)[np.argsort(sys.heights[positive], kind="stable")]
@@ -124,7 +118,7 @@ def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
         p = _chain_down_length(sums, neg, alpha, beta)
         ratio = half[alpha] * half[beta] / half[delta]
         store(alpha, beta, neg[delta], Sqrt2.sqrt_of_rational(ratio) * (p + 1))
-        denom = table[delta, neg[alpha]]  # an image of the seed
+        denom = consts[slot[delta, neg[alpha]]]  # an image of the seed
         seen = {alpha, beta}
         for xi in halves[1:]:
             if xi in seen:
@@ -136,31 +130,21 @@ def _build_chevalley_cached(family: str, rank: int) -> ChevalleyData:
             total = Sqrt2(0)
             down = sums[eta][neg[alpha]]
             if down >= 0:
-                total += table[eta, neg[alpha]] * table[down, xi]
+                total += consts[slot[eta, neg[alpha]]] * consts[slot[down, xi]]
             down = sums[xi][neg[alpha]]
             if down >= 0:
-                total += table[neg[alpha], xi] * table[down, eta]
+                total += consts[slot[neg[alpha], xi]] * consts[slot[down, eta]]
             store(xi, eta, neg[delta], -total / denom)
-
-    pair_action: dict = {(a, roots[neg[i]]): (None, a.unscaled()) for i, a in enumerate(roots)}
-    for (u, v), c in table.items():
-        pair_action[roots[u], roots[v]] = (roots[sums[u][v]], c)
-    return ChevalleyData(sys=sys, pair_action=pair_action,
-                         _seeds=np.array(seeds, dtype=np.intp).reshape(-1, 3),
-                         _seed_floats=np.array(seed_floats, dtype=np.float64))
+    return ChevalleyData(sys=sys, _slot=slot, _consts=tuple(consts))
 
 
 def _pair_floats(data: ChevalleyData) -> np.ndarray:
     """float(c_{a,b}) of every ordered pair of root ids with a root sum, in the
-    row-major order of np.nonzero(sys.sums >= 0): each stored constant spread
-    over its 12 images.  Rounding (p + q sqrt2)/d is odd in the value, so
-    float(-c) is -float(c)."""
-    neg, n = data.sys.neg, len(data.sys.neg)
-    xyz = data._seeds.T
-    u, v = xyz.ravel(), xyz[[1, 2, 0]].ravel()  # (x, y), (y, z), (z, x)
-    keys = np.concatenate([u * n + v, v * n + u, neg[u] * n + neg[v], neg[v] * n + neg[u]])
-    f = np.tile(data._seed_floats, 3)
-    return np.concatenate([f, -f, -f, f])[np.argsort(keys, kind="stable")]
+    row-major order of np.nonzero(sys.sums >= 0): one gather through the slot
+    table.  Rounding (p + q sqrt2)/d is odd in the value, so float(-c) is
+    -float(c), as when the induction stored one float per orbit."""
+    floats = np.array([float(c) for c in data._consts], dtype=np.float64)
+    return floats[data._slot[data.sys.sums >= 0]]
 
 
 def build_chevalley(sys: RootSystem) -> ChevalleyData:
@@ -169,8 +153,11 @@ def build_chevalley(sys: RootSystem) -> ChevalleyData:
 
 
 def coroot(data: ChevalleyData, alpha: RootVector) -> tuple[Fraction, ...]:
-    """Dual vector t_a of a root under the normalized invariant form."""
-    return data.pair_action[(alpha, -alpha)][1]
+    """Dual vector t_a of a root under the normalized invariant form: the
+    root's own ambient coordinates.  Raises ``KeyError`` for a non-root."""
+    if alpha not in data.sys.ids:
+        raise KeyError(alpha)
+    return alpha.unscaled()
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +203,9 @@ class ComplexElement:
                 coeffs.pop(r, None)
             else:
                 coeffs[r] = s
-        if all(h.is_zero() for h in other.h_part):
+        if _zero_h(other.h_part):
             h = self.h_part
-        elif all(h.is_zero() for h in self.h_part):
+        elif _zero_h(self.h_part):
             h = other.h_part
         else:
             h = tuple(a + b for a, b in zip(self.h_part, other.h_part))
@@ -237,7 +224,7 @@ class ComplexElement:
         return ComplexElement(self.ambient_dim, tuple(k * h for h in self.h_part), coeffs)
 
     def is_zero(self) -> bool:
-        return all(h.is_zero() for h in self.h_part) and not any(
+        return _zero_h(self.h_part) and not any(
             not c.is_zero() for c in self.coeffs.values()
         )
 
@@ -251,6 +238,12 @@ class ComplexElement:
         if any(not h.is_zero() for h in self.h_part):
             parts.insert(0, f"h{tuple(repr(h) for h in self.h_part)}")
         return " + ".join(parts) if parts else "0"
+
+
+def _zero_h(h: HVector) -> bool:
+    """Whether every Cartan coordinate is zero.  Most are the shared C_ZERO,
+    which ``count`` matches by identity before calling any ``__eq__``."""
+    return h.count(C_ZERO) == len(h)
 
 
 def _root_eval(alpha: RootVector, h: HVector, half_scale: Sqrt2) -> CSqrt2:
@@ -279,8 +272,8 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
         else:
             out_coeffs[r] = s
 
-    x_cartan = any(not h.is_zero() for h in x.h_part)
-    y_cartan = any(not h.is_zero() for h in y.h_part)
+    x_cartan = not _zero_h(x.h_part)
+    y_cartan = not _zero_h(y.h_part)
     if x_cartan or y_cartan:
         half_scale = Sqrt2(sys.norm_scale) / 2
     # [h_x, E_b] terms
@@ -292,23 +285,25 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
         for a, ca in x.coeffs.items():
             val = _root_eval(a, y.h_part, half_scale) * ca
             add_root(a, -val)
-    # root-root terms
-    actions = data.pair_action
+    # root-root terms, by id: a root sum reads the slot table, and a pair
+    # (a, -a) brackets to the dual of a, a's own ambient coordinates
+    ids, roots, sums, slot, consts = sys.ids, sys.roots, sys.sums, data._slot, data._consts
+    y_terms = [(ids[b], cb) for b, cb in y.coeffs.items()]
     for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            action = actions.get((a, b))
-            if action is None:
+        i = ids[a]
+        for j, cb in y_terms:
+            s = sums[i, j]
+            if s == -1:
                 continue
             scale = ca * cb
             if scale.is_zero():
                 continue
-            s, payload = action
-            if s is None:
-                for i, t_i in enumerate(payload):
-                    if t_i != 0:
-                        out_h[i] = out_h[i] + scale * t_i
+            if s == -2:
+                for l, t_l in enumerate(a.unscaled()):
+                    if t_l != 0:
+                        out_h[l] = out_h[l] + scale * t_l
             else:
-                add_root(s, scale * payload)
+                add_root(roots[s], scale * consts[slot[i, j]])
     return ComplexElement(sys.ambient_dim, tuple(out_h), out_coeffs)
 
 
@@ -334,16 +329,14 @@ def n0_constant(data: ChevalleyData, pair_set=()) -> float:
             a, b = tuple(pair)
             values.append(abs(float(data.constant(a, b))))
     else:
-        values = [abs(float(v)) for s, v in data.pair_action.values() if s is not None]
+        values = [abs(float(c)) for c in data._consts]
     return min(values)
 
 
 def csv_rows(data: ChevalleyData) -> list[tuple[str, str, str]]:
     """(alpha, beta, c) rows with roots in simple-root coordinates."""
     sys = data.sys
-    rows = []
-    for a, b in data.all_pairs():
-        ea = ",".join(str(c) for c in sys.expansions[a])
-        eb = ",".join(str(c) for c in sys.expansions[b])
-        rows.append((ea, eb, repr(data.constant(a, b))))
-    return rows
+    names = [",".join(str(c) for c in sys.expansions[r]) for r in sys.roots]
+    a, b = np.nonzero(sys.sums >= 0)
+    return [(names[i], names[j], repr(data._consts[k]))
+            for i, j, k in zip(a.tolist(), b.tolist(), data._slot[a, b].tolist())]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -27,6 +28,9 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+# the reader of stdout went away (a closed pipe): 128 + SIGPIPE, as a shell
+# reports a process that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -200,7 +204,7 @@ def cmd_ell(args) -> int:
     payload = {
         "family": sp.sys.family,
         "rank": sp.sys.rank,
-        "painted": sorted(sp.sigma_k),
+        "painted": sp.painted_nodes,
         "gamma": [_render_root(r) for r in sorted(gamma.support)],
         "delta": _render_root(delta),
         "delta_long": is_long(sp.sys, delta),
@@ -288,7 +292,7 @@ def cmd_index_bound(args) -> int:
     payload = {
         "family": sp.sys.family,
         "rank": sp.sys.rank,
-        "painted": sorted(sp.sigma_k),
+        "painted": sp.painted_nodes,
         "m": args.m,
         "n": args.n,
         "v": v,
@@ -315,7 +319,7 @@ def cmd_check(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(f"suite {report.suite} on {frame.sys.name} "
-              f"painted {sorted(frame.split.sigma_k)}  seed {report.seed}")
+              f"painted {frame.split.painted_nodes}  seed {report.seed}")
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
             print(f"  {c.name:<26} trials {c.trials:>7}  "
@@ -347,7 +351,7 @@ def cmd_hessian(args) -> int:
     payload = {
         "family": frame.sys.family,
         "rank": frame.sys.rank,
-        "painted": sorted(frame.split.sigma_k),
+        "painted": frame.split.painted_nodes,
         "hessian": value,
         "classification": "degenerate" if degenerate else "negative",
         "numeric_matches_classification": agree,
@@ -444,7 +448,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows on the last write, which for a short output is
+        # this flush, not the interpreter's at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit finds no pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -62,7 +62,11 @@ class BracketPlan(NamedTuple):
 
 def _make_plan(i, j, k, c, n_in: int, n_out: int) -> BracketPlan:
     order = np.lexsort((j, i, k))
-    i, j, k, c = (a[order] for a in (i, j, k, c))
+    return _sorted_plan(*(a[order] for a in (i, j, k, c)), n_in, n_out)
+
+
+def _sorted_plan(i, j, k, c, n_in: int, n_out: int) -> BracketPlan:
+    """A plan of entries already sorted by ``(k, i, j)``."""
     first = np.ones(k.size, dtype=bool)
     first[1:] = k[1:] != k[:-1]
     return BracketPlan(i, j, k, c, k[first], np.flatnonzero(first), n_in, n_out)
@@ -70,14 +74,16 @@ def _make_plan(i, j, k, c, n_in: int, n_out: int) -> BracketPlan:
 
 def _sub_plan(plan: BracketPlan, inputs: np.ndarray, outputs: np.ndarray) -> BracketPlan:
     """The entries with both inputs among ``inputs`` and the output among
-    ``outputs``, re-indexed by position in those index arrays."""
+    ``outputs``, re-indexed by position in those index arrays.  Both must be
+    increasing: the re-indexing then keeps the plan's ``(k, i, j)`` order, so
+    nothing is sorted again."""
     at_in = np.full(plan.n_in, -1)
     at_in[inputs] = np.arange(len(inputs))
     at_out = np.full(plan.n_out, -1)
     at_out[outputs] = np.arange(len(outputs))
     i, j, k = at_in[plan.i], at_in[plan.j], at_out[plan.k]
     keep = (i >= 0) & (j >= 0) & (k >= 0)
-    return _make_plan(i[keep], j[keep], k[keep], plan.c[keep], len(inputs), len(outputs))
+    return _sorted_plan(i[keep], j[keep], k[keep], plan.c[keep], len(inputs), len(outputs))
 
 
 # Products per block of rows in ``_contract``: about 256 KB of float64, so the
@@ -246,7 +252,7 @@ class RealFormFrame:
         return {
             "family": self.sys.family,
             "rank": self.sys.rank,
-            "painted": sorted(self.split.sigma_k),
+            "painted": self.split.painted_nodes,
             "dim": self.dim,
             "m_dim": self.m_dim,
         }
@@ -1173,11 +1179,11 @@ def holomorphic_kernel_classification(
     whose direction ``sums[a, neg[l]]`` is a root, the Cartan block (-2) or
     nothing (-1).  A tangent-negative root direction passes whatever its
     coefficient.  Any other direction reached by one term fails with no
-    arithmetic: that term is a nonzero ``pair_action`` constant or coroot
-    times two nonzero coefficients.  Only a direction reached by two or more
-    terms sums them exactly (``_terms_cancel``), as when several velocity
-    roots meet one root sum, or the coroots of several a = l pairs meet in
-    the Cartan block.
+    arithmetic: that term is a nonzero constant of the Chevalley slot table,
+    or a coroot, times two nonzero coefficients.  Only a direction reached by
+    two or more terms sums them exactly (``_terms_cancel``), as when several
+    velocity roots meet one root sum, or the coroots of several a = l pairs
+    meet in the Cartan block.
     """
     sys = frame.sys
     field_terms = _nonzero_terms(sys, field_coeffs)
@@ -1224,14 +1230,19 @@ def _nonzero_terms(sys: RootSystem, coeffs: dict) -> list[tuple[int, tuple]]:
 
 def _terms_cancel(chev: ChevalleyData, terms: list) -> bool:
     """Whether the bracket terms of one direction sum to zero, exactly in
-    Q(sqrt 2): each is (x + i y)(a - i b) times the ``pair_action`` constant
-    of (field root, -velocity root), or its coroot in the Cartan block.  The
-    real part x a + y b and the imaginary part y a - x b are summed apart."""
-    roots, neg = chev.sys.roots, chev.sys.neg
+    Q(sqrt 2): each is (x + i y)(a - i b) times the constant of (field root,
+    -velocity root), read through the slot table by id, or the field root's
+    coroot (its own ambient coordinates) in the Cartan block.  The real part
+    x a + y b and the imaginary part y a - x b are summed apart."""
+    sys = chev.sys
     total = None
     for a, l, (x, y), (ga, gb) in terms:
-        s, value = chev.pair_action[roots[a], roots[neg[l]]]
+        b = sys.neg[l]
+        if sys.sums[a, b] == -2:
+            value = sys.roots[a].unscaled()
+        else:
+            value = (chev._consts[chev._slot[a, b]],)
         re, im = x * ga + y * gb, y * ga - x * gb
-        vec = [v * part for v in (value if s is None else (value,)) for part in (re, im)]
+        vec = [v * part for v in value for part in (re, im)]
         total = vec if total is None else [t + v for t, v in zip(total, vec)]
     return all(t == 0 for t in total)

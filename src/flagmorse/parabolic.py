@@ -50,6 +50,12 @@ class ParabolicSplit:
     def v(self) -> int:
         return len(self.delta_m_pos)
 
+    @property
+    def painted_nodes(self) -> list[int]:
+        """The painted nodes numbered from 1, as ``--painted`` takes them and
+        the JSON reports echo them; ``sigma_k`` numbers them from 0."""
+        return sorted(i + 1 for i in self.sigma_k)
+
     def in_k(self, root: RootVector) -> bool:
         return root in self.delta_k
 
@@ -60,7 +66,7 @@ class ParabolicSplit:
         return {
             "family": self.sys.family,
             "rank": self.sys.rank,
-            "painted": sorted(self.sigma_k),
+            "painted": self.painted_nodes,
             "diagram": PaintedDiagram(self.sys, self.sigma_k).render(),
             "delta_k": [list(r.coords) for r in sorted(self.delta_k)],
             "delta_m_pos": [list(r.coords) for r in self.m_pos_sorted],

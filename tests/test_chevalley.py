@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from flagmorse.chevalley import (
     ComplexElement,
+    _chain_down_length,
     _pair_floats,
     bracket_c,
     build_chevalley,
@@ -17,7 +19,7 @@ from flagmorse.chevalley import (
     pairing,
 )
 from flagmorse.exactnum import CSqrt2, Sqrt2
-from flagmorse.rootsys import build_root_system, inner
+from flagmorse.rootsys import RootVector, _positive_ids, build_root_system, inner
 
 from conftest import ALL_SYSTEMS
 from test_rootsys import rv
@@ -72,12 +74,18 @@ def test_pair_action_is_the_normalized_classical_table(family, rank):
         assert c.sign() == (1 if classical > 0 else -1)
     for a in sys_.roots:
         assert coroot(data, a) == a.unscaled()
-        assert data.pair_action[(a, -a)] == (None, coroot(data, a))
-    assert set(data.pair_action) == sums | {(a, -a) for a in sys_.roots}
-    # keys and sums are the system's own root instances, not copies
-    shared = {id(r) for r in sys_.roots}
-    assert all(id(r) in shared for (a, b), (s, _) in data.pair_action.items()
-               for r in (a, b, s) if r is not None)
+    # the slot table holds a position exactly at the pairs with a root sum,
+    # every position of _consts is used, and each c sits next to its -c
+    slot, consts = data._slot, data._consts
+    assert slot.shape == sys_.sums.shape and slot.dtype.kind == "i"
+    assert np.array_equal(slot >= 0, sys_.sums >= 0) and np.all(slot >= -1)
+    assert np.array_equal(np.unique(slot[slot >= 0]), np.arange(len(consts)))
+    assert len(consts) % 2 == 0
+    assert all(consts[k + 1] == -consts[k] for k in range(0, len(consts), 2))
+    # the store holds no dict and no RootVector: ids and exact scalars only
+    held = [getattr(data, f.name) for f in dataclasses.fields(data) if f.name != "sys"]
+    assert not any(isinstance(v, (dict, RootVector)) for v in held)
+    assert all(type(c) is Sqrt2 for c in consts)
     # the floats the frame's plan reads: one per pair, by id pair in the sum
     # table's row-major order
     ids_a, ids_b = np.nonzero(sys_.sums >= 0)
@@ -211,3 +219,89 @@ def test_cyclic_identity_property(pair):
     d = a + b
     c = _B2.constant(a, b)
     assert c == _B2.constant(b, -d) == _B2.constant(-d, a)
+
+
+def _dict_store(family, rank):
+    """The induction as a ``RootVector``-keyed dict, the store's oracle:
+    ``(a, b) -> (a + b, c_{a,b})`` for every pair with a root sum and
+    ``(a, -a) -> (None, dual of a)``, with the float of each constant spread
+    over its 12 images by sorting their id-pair keys."""
+    sys_ = build_root_system(family, rank)
+    roots, neg, sums = sys_.roots, sys_.neg.tolist(), sys_.sums.tolist()
+    positive = sys_.heights > 0
+    half = [inner(sys_, r, r) / 2 for r in roots]
+    table, seeds, seed_floats = {}, [], []
+
+    def store(x, y, z, c):
+        minus = -c
+        for u, v in ((x, y), (y, z), (z, x)):
+            nu, nv = neg[u], neg[v]
+            table[u, v] = c
+            table[v, u] = minus
+            table[nu, nv] = minus
+            table[nv, nu] = c
+        seeds.append((x, y, z))
+        seed_floats.append(float(c))
+
+    by_height = np.flatnonzero(positive)[np.argsort(sys_.heights[positive], kind="stable")]
+    for delta in by_height.tolist():
+        rests = sys_.sums[delta, sys_.neg]
+        halves = np.flatnonzero(positive & _positive_ids(sys_, rests)).tolist()
+        if not halves:
+            continue
+        alpha = halves[0]
+        beta = int(rests[alpha])
+        p = _chain_down_length(sums, neg, alpha, beta)
+        ratio = half[alpha] * half[beta] / half[delta]
+        store(alpha, beta, neg[delta], Sqrt2.sqrt_of_rational(ratio) * (p + 1))
+        denom = table[delta, neg[alpha]]
+        seen = {alpha, beta}
+        for xi in halves[1:]:
+            if xi in seen:
+                continue
+            eta = int(rests[xi])
+            seen.update((xi, eta))
+            total = Sqrt2(0)
+            down = sums[eta][neg[alpha]]
+            if down >= 0:
+                total += table[eta, neg[alpha]] * table[down, xi]
+            down = sums[xi][neg[alpha]]
+            if down >= 0:
+                total += table[neg[alpha], xi] * table[down, eta]
+            store(xi, eta, neg[delta], -total / denom)
+
+    pair_action = {(a, roots[neg[i]]): (None, a.unscaled()) for i, a in enumerate(roots)}
+    for (u, v), c in table.items():
+        pair_action[roots[u], roots[v]] = (roots[sums[u][v]], c)
+    n = len(roots)
+    xyz = np.array(seeds, dtype=np.intp).reshape(-1, 3).T
+    u, v = xyz.ravel(), xyz[[1, 2, 0]].ravel()
+    neg_ = sys_.neg
+    keys = np.concatenate([u * n + v, v * n + u, neg_[u] * n + neg_[v], neg_[v] * n + neg_[u]])
+    f = np.tile(np.array(seed_floats, dtype=np.float64), 3)
+    floats = np.concatenate([f, -f, -f, f])[np.argsort(keys, kind="stable")]
+    return pair_action, floats
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_store_matches_dict_oracle(family, rank):
+    # every ordered pair's constant, every coroot, the pair list and the
+    # plan's floats are those of the dict-building induction, exactly
+    data = chev(family, rank)
+    roots = data.sys.roots
+    pair_action, floats = _dict_store(family, rank)
+    for a, b in itertools.product(roots, roots):
+        s, value = pair_action.get((a, b), (None, None))
+        if s is None:
+            with pytest.raises(KeyError):
+                data.constant(a, b)
+        else:
+            got = data.constant(a, b)
+            assert (got.p, got.q, got.d) == (value.p, value.q, value.d), (a, b)
+    for a in roots:
+        assert coroot(data, a) == pair_action[a, -a][1]
+    want = sorted((pair for pair, (s, _) in pair_action.items() if s is not None),
+                  key=lambda pair: (pair[0].coords, pair[1].coords))
+    assert data.all_pairs() == want
+    got = _pair_floats(data)
+    assert got.dtype == floats.dtype and got.tobytes() == floats.tobytes()

@@ -219,6 +219,64 @@ def test_internal_errors_exit_3(run_cli, monkeypatch):
     assert "ValueError: invariant broken" in result.stderr
 
 
+# a large output (the E8 root list, about 11 KB) and a short report
+CLOSED_STDOUT_ARGS = [("roots", "--family", "E", "--rank", "8", "--json"),
+                      ("check", "--family", "A", "--rank", "3", "--suite", "integrability",
+                       "--trials", "10", "--json")]
+
+
+@pytest.mark.parametrize("args", CLOSED_STDOUT_ARGS, ids=["roots-E8", "check-A3"])
+def test_closed_stdout_exits_141(args):
+    # the reader of stdout is gone before the first write: one exit code for
+    # every output size, and no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "flagmorse", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_this_tree_env())
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert stderr == b""
+
+
+PAINTED_COMMANDS = [
+    ("check", "--suite", "integrability", "--trials", "20"),
+    ("ell", "--delta", "1,0,0,-1"),
+    ("index-bound", "--m", "2", "--n", "2"),
+    ("hessian", "--gamma", "1,0,0,-1:1,0", "--field", "1,0,-1,0:1,1"),
+    ("parabolic",),
+]
+
+
+@pytest.mark.parametrize("command", PAINTED_COMMANDS, ids=[c[0] for c in PAINTED_COMMANDS])
+def test_reports_echo_painted_nodes_one_based(run_cli, command):
+    # every JSON report names the painted nodes as --painted numbers them
+    for painted, want in (("2", [2]), ("3,1", [1, 3]), ("", [])):
+        result = run_cli(*command, "--family", "A", "--rank", "3", "--painted", painted, "--json")
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert (payload["frame"] if command[0] == "check" else payload)["painted"] == want
+
+
+def test_check_report_painted_replays(run_cli):
+    # a report's painted list fed back to --painted builds the same space
+    args = ("check", "--family", "D", "--rank", "4", "--suite", "integrability",
+            "--trials", "20", "--json")
+
+    def frame(painted):
+        result = run_cli(*args, "--painted", painted)
+        assert result.returncode == 0
+        report = json.loads(result.stdout)
+        jsonschema.validate(report, SCHEMA)
+        return report["frame"]
+
+    first = frame("2,4")
+    assert first["painted"] == [2, 4]
+    assert frame(",".join(map(str, first["painted"]))) == first
+    # read 0-based, the same list would paint other nodes and build another space
+    other = frame("1,3")
+    assert (other["dim"], other["m_dim"]) != (first["dim"], first["m_dim"])
+
+
 def _this_tree_env():
     """The environment with this tree's ``src`` first on the import path."""
     return {**os.environ,

@@ -186,16 +186,36 @@ def test_plan_triples_are_unique_and_nonzero(family, rank, painted):
         assert np.all(np.diff(plan.k) >= 0)
         assert np.array_equal(plan.heads, np.unique(plan.k))
         assert np.array_equal(plan.k[plan.starts], plan.heads)
+    # the sub-plans keep the plan's order: they equal the sorted construction,
+    # values and dtypes
     m = np.arange(frame.m_start, frame.dim)
     for sub, outputs in ((frame.plan_m, m), (frame.plan_k, np.arange(frame.m_start))):
-        want = compact_geom._sub_plan(frame.plan, m, outputs)
-        assert all(np.array_equal(got, expected) for got, expected in zip(sub, want))
+        want = _sorted_sub_plan(frame.plan, m, outputs)
+        for name in ("i", "j", "k", "c", "heads", "starts"):
+            a, b = getattr(sub, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (sub.n_in, sub.n_out) == (want.n_in, want.n_out)
+
+
+def _sorted_sub_plan(plan, inputs, outputs):
+    """The entries of ``plan`` with both inputs among ``inputs`` and the output
+    among ``outputs``, re-indexed by position there and sorted again by
+    ``(k, i, j)``: for index arrays in any order."""
+    at_in = np.full(plan.n_in, -1)
+    at_in[inputs] = np.arange(len(inputs))
+    at_out = np.full(plan.n_out, -1)
+    at_out[outputs] = np.arange(len(outputs))
+    i, j, k = at_in[plan.i], at_in[plan.j], at_out[plan.k]
+    keep = (i >= 0) & (j >= 0) & (k >= 0)
+    return compact_geom._make_plan(i[keep], j[keep], k[keep], plan.c[keep],
+                                   len(inputs), len(outputs))
 
 
 def _structure_constants_oracle(chev, slots):
     """The plan's entries built one pair at a time, as ``(n, 3)`` int32 (i, j, k)
-    and float64 constants: the per-pair loop over ``pair_action``, with
-    ``slots`` mapping each positive root to its (X, Y) coordinates."""
+    and float64 constants: one loop over the pairs with a root sum and one
+    over the opposite pairs (a, -a), with ``slots`` mapping each positive root
+    to its (X, Y) coordinates."""
     sys_ = chev.sys
     ijk, c = [], []
 
@@ -207,17 +227,18 @@ def _structure_constants_oracle(chev, slots):
         slot = slots.get(r)
         return (slot, 1) if slot is not None else (slots[-r], -1)
 
-    for (a, b), (s, value) in chev.pair_action.items():
+    for a, (xa, ya) in slots.items():
+        # [E_a, E_-a] is the dual of a
+        for l, n_l in enumerate(sys_.expansions[a]):
+            if n_l:
+                add(xa, ya, l, 2 * n_l)
+                add(ya, xa, l, -2 * n_l)
+    for a, b in chev.all_pairs():
         slot_a = slots.get(a)
         if slot_a is None:
             continue
         xa, ya = slot_a
-        if s is None:
-            for l, n_l in enumerate(sys_.expansions[a]):
-                if n_l:
-                    add(xa, ya, l, 2 * n_l)
-                    add(ya, xa, l, -2 * n_l)
-            continue
+        s, value = a + b, chev.constant(a, b)
         (xb, yb), eps = signed_slot(b)
         (xs, ys), sigma = signed_slot(s)
         add(xa, xb, xs, value if eps * sigma > 0 else -value)
@@ -251,8 +272,8 @@ def test_plan_matches_per_pair_oracle(family, rank, painted):
     ijk, c = _structure_constants_oracle(frame.chev, frame.slots)
     plan = compact_geom._make_plan(*ijk.T, c, frame.dim, frame.dim)
     m = np.arange(frame.m_start, frame.dim)
-    want = (plan, compact_geom._sub_plan(plan, m, m),
-            compact_geom._sub_plan(plan, m, np.arange(frame.m_start)))
+    want = (plan, _sorted_sub_plan(plan, m, m),
+            _sorted_sub_plan(plan, m, np.arange(frame.m_start)))
     for got, expected in zip((frame.plan, frame.plan_m, frame.plan_k), want):
         for name in ("i", "j", "k", "c", "heads", "starts"):
             a, b = getattr(got, name), getattr(expected, name)
@@ -1152,10 +1173,11 @@ def test_pair_sets_list_each_decomposition_once(family, rank, painted):
 
 def _reference_pair_sets(frame):
     """All positive pairs summing to each tangent-positive root, by a scan of
-    the pair action, in root order."""
+    the pairs with a root sum, in root order."""
     sys_, m_pos = frame.sys, frame.split.delta_m_pos
     found = {}
-    for (alpha, beta), (s, _) in frame.chev.pair_action.items():
+    for alpha, beta in frame.chev.all_pairs():
+        s = alpha + beta
         if s in m_pos and alpha < beta and sys_.is_positive(alpha) and sys_.is_positive(beta):
             found.setdefault(s, []).append((alpha, beta))
     return {delta: tuple(sorted(found[delta])) for delta in sorted(found)}
@@ -1201,8 +1223,8 @@ def test_pair_space_table_matches_reference(family, rank, painted):
         assert space.tangent == all(r in m_pos for pair in pairs for r in pair)
         if space.tangent:
             tangent += 1
-            want = compact_geom._sub_plan(frame.plan, s0_embedding(frame, pairs),
-                                          np.array(frame.slots[delta]))
+            want = _sorted_sub_plan(frame.plan, s0_embedding(frame, pairs),
+                                    np.array(frame.slots[delta]))
             assert all(np.array_equal(got, ref) for got, ref in zip(space.plane, want))
             assert np.array_equal(map_I(frame, delta, a, b, pairs),
                                   _reference_map_i(frame, delta, a, b, pairs))
