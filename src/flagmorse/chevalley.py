@@ -13,13 +13,15 @@ textbook integer constants are derived on demand: sign(c_{a,b}) (p + 1),
 where p is the largest integer with b - p a a root (Chevalley's theorem).
 
 One height induction, on root ids and the sum table, fills the slot table.
-Each positive root d, in order of height, takes its extraspecial pair (a, b)
-with a + sign and magnitude sqrt(h(a) h(b) / h(d)) (p + 1), h being half the
-squared length; every other decomposition of d follows from the Jacobi
-identity on (E_xi, E_eta, E_-a), whose other constants have sums of lower
-height.  Each constant is appended to ``_consts`` with its negative, and its
-12 images under the cyclic identity, antisymmetry and c_{-x,-y} = -c_{x,y}
-point at one of the two.
+Each positive root d, in order of height, takes its extraspecial pair (a, b):
+a is the first positive root in root order (ids follow the sorted
+coordinates) such that b = d - a is positive.  c_{a,b} gets the + sign and
+magnitude sqrt(h(a) h(b) / h(d)) (p + 1), h being half the squared length.
+Every other decomposition of d follows from the Jacobi identity on (E_xi,
+E_eta, E_-a), whose other constants have sums of lower height.  Each
+constant is appended to ``_consts`` with its negative, and its 12 images
+under the cyclic identity, antisymmetry and c_{-x,-y} = -c_{x,y} point at one
+of the two.
 
 All arithmetic is exact.  ``_pair_floats`` rounds each stored constant to
 float64 once and gathers the floats by id pair for the numeric frame's plan.

@@ -5,6 +5,12 @@ set of an initial velocity, its superminimal element, the S/T decomposition
 sets, the two admissibility conditions, the resulting invariant
 ell = |S|/2 + |T|, and the short-root case analyses for the B and C families
 (with their starred subsets).
+
+The S/T sets of every root of a split are one table, ``ParabolicSplit.
+st_table``, built once per split; a set is one row of it.  Condition 1 scans
+the support without delta, by the identity beta1 + delta - delta = beta1:
+that term is never a second T member.  So both conditions hold at once when
+delta is the only support root, as it is for every singleton support.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .parabolic import ParabolicSplit
-from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, _minus, _positive_ids, precedes
+from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, _minus, _positive_ids
 
 
 @dataclass(frozen=True)
@@ -45,8 +51,8 @@ class GammaSet:
         return GammaSet(frozenset((delta,)))
 
     def validate_against(self, sp: ParabolicSplit) -> None:
-        bad = [r for r in self.support if not sp.in_m_pos(r)]
-        if bad:
+        if not sp.delta_m_pos.issuperset(self.support):
+            bad = [r for r in self.support if not sp.in_m_pos(r)]
             raise NotInTangent(f"support roots outside the tangent positives: {bad}")
 
 
@@ -63,7 +69,7 @@ class STSets:
 
     @staticmethod
     def make(delta: RootVector, s_set, t_set, starred: bool = False) -> "STSets":
-        s_set, t_set = frozenset(s_set), frozenset(t_set)
+        s_set, t_set = frozenset(s_set), frozenset(t_set)  # no copy of a frozenset
         if len(s_set) % 2:
             raise ValueError(f"odd S set for {delta}: {sorted(s_set)}")
         if delta not in t_set:
@@ -101,18 +107,18 @@ def superminimal(sp: ParabolicSplit, gamma: GammaSet) -> RootVector:
     raise SuperminimalNotFound(f"no superminimal element in {sorted(gamma.support)}")
 
 
-def _st(sp: ParabolicSplit, delta: RootVector) -> tuple[set, set]:
-    """S and T of a tangent-positive root: a tangent-positive x with delta - x
-    a root is in S when delta - x is tangent-positive too, else in T (delta - x
-    negative, or in the painted span); T also holds delta."""
-    sys = sp.sys
-    d = sys.ids[delta]
-    m = np.flatnonzero(sp.part == 1)
-    rests = sys.sums[d, sys.neg[m]]  # delta - x, for x in delta_m_pos
-    root = rests >= 0
-    in_s = root & (sp.part[rests] == 1)
-    in_t = (root & ~in_s) | (m == d)
-    return {sys.roots[x] for x in m[in_s]}, {sys.roots[x] for x in m[in_t]}
+def _members(sp: ParabolicSplit, mask: np.ndarray) -> frozenset[RootVector]:
+    roots = sp.sys.roots
+    return frozenset([roots[x] for x in mask.nonzero()[0].tolist()])
+
+
+def _st(sp: ParabolicSplit, delta: RootVector) -> tuple[frozenset, frozenset]:
+    """S and T of a tangent-positive root, one row of the split's table: a
+    tangent-positive x with delta - x a root is in S when delta - x is
+    tangent-positive too, else in T (delta - x negative, or in the painted
+    span); T also holds delta."""
+    row = sp.st_table[sp.sys.ids[delta]]
+    return _members(sp, row == 1), _members(sp, row >= 2)
 
 
 def st_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSets:
@@ -137,17 +143,31 @@ def _plus_minus(sys: RootSystem, x: RootVector, y: RootVector, z: RootVector) ->
     return -1
 
 
+def _check_condition_inputs(sp: ParabolicSplit, gamma: GammaSet, name: str, roots) -> None:
+    gamma.validate_against(sp)
+    if not sp.delta_m_pos.issuperset(roots):
+        bad = sorted(set(roots) - sp.delta_m_pos)
+        raise NotInTangent(f"{name} set roots outside the tangent positives: {bad}")
+
+
 def condition1(
     sp: ParabolicSplit, gamma: GammaSet, delta: RootVector, t_set: frozenset[RootVector]
 ) -> ConditionResult:
     """No two distinct non-delta T members may differ by delta minus a support root.
 
-    The witness is the first failing beta1 in root order, then the first
-    support root, so it does not depend on how the sets were built.
+    The scan skips the support root delta itself, since beta1 + delta - delta
+    = beta1 is never a second member; so a support of delta alone holds at
+    once.  The witness is the first failing beta1 in root order, then the
+    first support root, so it does not depend on how the sets were built.
+    Raises ``NotInTangent`` when the support or T leaves the tangent
+    positives.
     """
+    _check_condition_inputs(sp, gamma, "T", t_set)
+    if gamma.support == {delta}:
+        return ConditionResult(True, None)
     sys = sp.sys
     others = set(t_set) - {delta}
-    support = sorted(gamma.support)
+    support = sorted(gamma.support - {delta})
     for beta1 in sorted(others):
         for lam in support:
             beta0 = _plus_minus(sys, beta1, delta, lam)
@@ -162,13 +182,17 @@ def condition2(
     """Sums of two S members meet the support exactly in delta.
 
     The witness is the first failing S member in root order, then the first
-    support root, so it does not depend on how the sets were built.
+    support root, so it does not depend on how the sets were built.  Raises
+    ``NotInTangent`` when the support or S leaves the tangent positives.
     """
-    sys = sp.sys
+    _check_condition_inputs(sp, gamma, "S", s_set)
     if s_set and delta not in gamma.support:
         alpha = min(s_set)
         return ConditionResult(False, (alpha, delta - alpha, delta))
     support = sorted(gamma.support - {delta})
+    if not support:  # delta is the only support root
+        return ConditionResult(True, None)
+    sys = sp.sys
     for alpha in sorted(s_set):
         for lam in support:
             beta = _minus(sys, lam, alpha)
@@ -294,12 +318,13 @@ def b_case_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSet
                 f"basis root {ek} lies in the painted span; "
                 "perturb the velocity along it and retry"
             )
-    u_set = {b for b in sp.delta_m_pos if b == delta or precedes(sys, delta, b)}
+    row = sp.st_table[sys.ids[delta]]
+    u_set = _members(sp, row == 3)  # delta, and the tangent roots above it
     v_set = {
         _e_vector(sys, b) for b in range(i + 1, r)
         if _e_vector(sys, b) in sp.delta_m_pos and (delta - _e_vector(sys, b)) in sp.delta_k_pos
     }
-    s_set = _st(sp, delta)[0]
+    s_set = _members(sp, row == 1)
     allowed = {x for l in range(i + 1, r) for x in (delta - _e_vector(sys, l), _e_vector(sys, l))}
     if not s_set <= allowed:
         raise RuntimeError(f"unexpected S membership: {sorted(s_set - allowed)}")

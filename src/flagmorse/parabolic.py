@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,26 @@ class ParabolicSplit:
         """The painted nodes numbered from 1, as ``--painted`` takes them and
         the JSON reports echo them; ``sigma_k`` numbers them from 0."""
         return sorted(i + 1 for i in self.sigma_k)
+
+    @cached_property
+    def st_table(self) -> np.ndarray:
+        """S/T membership of every tangent-positive x for every root d, by id
+        pair (d, x): 1 when d - x is a tangent-positive root (x in S of d), 2
+        when it is a positive root in the painted span (x in T), 3 when it is
+        a negative root or x is d (x in T, and at or above d), 0 otherwise.
+        So S is ``== 1``, T is ``>= 2`` and the roots at or above d are
+        ``== 3``.  Built on first use and kept: ``int8[n, n]``, 57,600 bytes
+        on E8."""
+        sys, part = self.sys, self.part
+        m = np.flatnonzero(part == 1)
+        # by id of d - x: 1 tangent positive, 2 painted positive, 3 negative;
+        # 0 at the two trailing places that the -1 and -2 sentinels read
+        code = np.select([part == 1, sys.heights > 0], [1, 2], 3)
+        code = np.append(code, [0, 0]).astype(np.int8)
+        table = np.zeros(sys.sums.shape, dtype=np.int8)
+        table[:, m] = code[sys.sums[:, sys.neg[m]].astype(np.intp)]  # d - x
+        table[m, m] = 3  # d itself
+        return table
 
     def in_k(self, root: RootVector) -> bool:
         return root in self.delta_k

@@ -305,3 +305,31 @@ def test_store_matches_dict_oracle(family, rank):
     assert data.all_pairs() == want
     got = _pair_floats(data)
     assert got.dtype == floats.dtype and got.tobytes() == floats.tobytes()
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_extraspecial_pairs_carry_the_plus_sign(family, rank):
+    # the sign convention on its own, without re-running the induction: for
+    # every positive d, with a the first positive root in root order such
+    # that d - a is positive and b = d - a, c_{a,b} is +sqrt(h(a) h(b) / h(d))
+    # (p + 1), h half the squared length, p the largest with b - p a a root
+    data = chev(family, rank)
+    sys_ = data.sys
+    positives = [r for r in sys_.roots if sys_.is_positive(r)]
+    seen = 0
+    for d in positives:
+        halves = [a for a in positives if sys_.is_positive(d - a)]
+        if not halves:
+            continue
+        a = halves[0]
+        b = d - a
+        p = 0
+        while sys_.contains(b - a.scale(p + 1)):
+            p += 1
+        h = [inner(sys_, r, r) / 2 for r in (a, b, d)]
+        c = data.constant(a, b)
+        assert c.sign() == 1, (d, a)
+        assert c == Sqrt2.sqrt_of_rational(h[0] * h[1] / h[2]) * (p + 1), (d, a)
+        assert data.classical_constant(a, b) == p + 1, (d, a)
+        seen += 1
+    assert seen == len(positives) - rank  # every positive but the simple roots

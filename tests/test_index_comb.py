@@ -13,9 +13,15 @@ from flagmorse.errors import (
     UnsupportedDelta,
     UnsupportedFamily,
 )
+from flagmorse import index_comb
 from flagmorse.index_comb import (
+    ConditionResult,
     GammaSet,
     STSets,
+    _c_delta_shape,
+    _e_vector,
+    _plus_minus,
+    _short_b_index,
     b_case_sets,
     c_case_starred_sets,
     condition1,
@@ -27,8 +33,9 @@ from flagmorse.index_comb import (
     superminimal,
 )
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
-from flagmorse.rootsys import build_root_system, is_long, long_roots
+from flagmorse.rootsys import _minus, build_root_system, is_long, long_roots, precedes
 
+from conftest import ALL_SYSTEMS
 from test_rootsys import rv
 
 
@@ -225,6 +232,31 @@ def test_conditions_hold_for_long_delta_any_support():
                 sets = st_sets(sp, g, delta)
                 assert condition1(sp, g, delta, sets.t_set).ok
                 assert condition2(sp, g, delta, sets.s_set).ok
+
+
+def test_conditions_reject_sets_outside_the_tangent_positives():
+    # B3 painted at node 1: e1 - e2 spans the painted block.  A painted root
+    # or a non-root in T or S is an input error, raised before the shortcut
+    # for a support of delta alone could skip the scan that once hit it
+    sys_ = build_root_system("B", 3)
+    sp = split(sys_, PaintedDiagram.of(sys_, (0,)))
+    delta, other = rv(1, 1, 0), rv(0, 1, 0)
+    painted, bogus = rv(1, -1, 0), rv(1, 1, 1)
+    assert painted in sp.delta_k and not sys_.contains(bogus)
+    assert {delta, other} <= sp.delta_m_pos
+    for gamma in (GammaSet.singleton(delta), GammaSet.of([delta, other])):
+        sets = st_sets(sp, gamma, delta)
+        for bad in (painted, bogus):
+            with pytest.raises(NotInTangent, match=r"T set roots outside the tangent positives"):
+                condition1(sp, gamma, delta, sets.t_set | {bad})
+            with pytest.raises(NotInTangent, match=r"S set roots outside the tangent positives"):
+                condition2(sp, gamma, delta, sets.s_set | {bad})
+        # and a support root outside them, whatever the sets
+        for bad in (painted, bogus):
+            wrong = GammaSet.of([*gamma.support, bad])
+            for condition, chosen in ((condition1, sets.t_set), (condition2, sets.s_set)):
+                with pytest.raises(NotInTangent, match="support roots outside the tangent"):
+                    condition(sp, wrong, delta, chosen)
 
 
 def test_condition1_vacuous_when_t_small():
@@ -451,3 +483,160 @@ def test_exploratory_counting_identity_painted(capsys):
           f"{len(ell_mismatches)}")
     for row in ell_mismatches[:5]:
         print(f"  {row}")
+
+
+# -- the split's S/T table and the condition shortcuts, against oracles -----------
+
+
+def _st_oracle(sp, delta):
+    """S and T computed per call from the sum table, as before the split kept
+    one table for every root."""
+    sys_ = sp.sys
+    d = sys_.ids[delta]
+    m = np.flatnonzero(sp.part == 1)
+    rests = sys_.sums[d, sys_.neg[m]]
+    root = rests >= 0
+    in_s = root & (sp.part[rests] == 1)
+    in_t = (root & ~in_s) | (m == d)
+    return {sys_.roots[x] for x in m[in_s]}, {sys_.roots[x] for x in m[in_t]}
+
+
+def _above_oracle(sp, delta):
+    """delta and the tangent-positive roots above it, one ``precedes`` call each."""
+    return {b for b in sp.delta_m_pos if b == delta or precedes(sp.sys, delta, b)}
+
+
+def _oracle_inputs(sp, gamma, name, roots):
+    gamma.validate_against(sp)
+    bad = sorted(r for r in roots if r not in sp.delta_m_pos)
+    if bad:
+        raise NotInTangent(f"{name} set roots outside the tangent positives: {bad}")
+
+
+def _condition1_oracle(sp, gamma, delta, t_set):
+    """Condition 1 scanning the whole support, delta included, with no shortcut."""
+    _oracle_inputs(sp, gamma, "T", t_set)
+    sys_ = sp.sys
+    others = set(t_set) - {delta}
+    for beta1 in sorted(others):
+        for lam in sorted(gamma.support):
+            beta0 = _plus_minus(sys_, beta1, delta, lam)
+            if beta0 >= 0 and sys_.roots[beta0] != beta1 and sys_.roots[beta0] in others:
+                return ConditionResult(False, (sys_.roots[beta0], beta1, lam))
+    return ConditionResult(True, None)
+
+
+def _condition2_oracle(sp, gamma, delta, s_set):
+    """Condition 2 with no shortcut for a support of delta alone."""
+    _oracle_inputs(sp, gamma, "S", s_set)
+    sys_ = sp.sys
+    if s_set and delta not in gamma.support:
+        alpha = min(s_set)
+        return ConditionResult(False, (alpha, delta - alpha, delta))
+    for alpha in sorted(s_set):
+        for lam in sorted(gamma.support - {delta}):
+            beta = _minus(sys_, lam, alpha)
+            if beta >= 0 and sys_.roots[beta] in s_set:
+                return ConditionResult(False, (alpha, sys_.roots[beta], lam))
+    return ConditionResult(True, None)
+
+
+def _st_sets_oracle(sp, gamma, delta):
+    gamma.validate_against(sp)
+    if delta not in gamma.support:
+        raise ValueError(f"{delta} is not in the support set")
+    return STSets.make(delta, *_st_oracle(sp, delta))
+
+
+def _b_case_oracle(sp, delta):
+    """The B short-root sets of a singleton support, U from ``_above_oracle``."""
+    sys_ = sp.sys
+    i = _short_b_index(sys_, delta)
+    later = [_e_vector(sys_, k) for k in range(i + 1, sys_.rank)]
+    for e in later:
+        if sp.in_k(e):
+            raise HypothesisViolated(f"basis root {e} lies in the painted span; "
+                                     "perturb the velocity along it and retry")
+    v_set = {e for e in later if e in sp.delta_m_pos and delta - e in sp.delta_k_pos}
+    return STSets.make(delta, _st_oracle(sp, delta)[0], _above_oracle(sp, delta) | v_set)
+
+
+def _outcome(f, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as err:  # compared, never swallowed
+        return type(err), str(err)
+
+
+def _oracle_splits(family, rank):
+    """The Borel split and two paintings drawn from a fixed per-system seed."""
+    sys_ = build_root_system(family, rank)
+    rng = np.random.default_rng(1000 * ord(family) + rank)
+    paintings = [rng.choice(rank, size=int(rng.integers(1, rank)), replace=False)
+                 for _ in range(2 if rank > 1 else 0)]
+    return [borel_split(sys_), *(split(sys_, PaintedDiagram.of(sys_, p.tolist()))
+                                 for p in paintings)], rng
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_st_table_and_condition_shortcuts_match_the_oracles(family, rank, monkeypatch):
+    # every tangent delta of the Borel split and two seeded paintings, with
+    # its singleton support, a seeded support of 2-4 roots around it and one
+    # without it; the conditions also run on seeded tangent subsets, where
+    # they mostly fail, and on sets with a painted root or a non-root in them
+    splits, rng = _oracle_splits(family, rank)
+    counts = {"results": 0, "c1_fail": 0, "c2_fail": 0}
+    for sp in splits:
+        m = list(sp.m_pos_sorted)
+        table = sp.st_table
+        assert table.dtype == np.int8 and table.shape == sp.sys.sums.shape
+        assert sp.st_table is table  # kept on the split
+        painted = sorted(sp.delta_k_pos)
+        for delta in m:
+            s_want, t_want = _st_oracle(sp, delta)
+            row = table[sp.sys.ids[delta]]
+            got = {code: {sp.sys.roots[x] for x in np.flatnonzero(row == code)}
+                   for code in (1, 2, 3)}
+            assert got[1] == s_want and got[2] | got[3] == t_want
+            assert got[3] == _above_oracle(sp, delta)
+            assert not row[sp.part != 1].any()
+            single = GammaSet.singleton(delta)
+            if family == "B" and _short_b_index(sp.sys, delta) is not None:
+                got_b = _outcome(b_case_sets, sp, single, delta)
+                assert got_b == _outcome(_b_case_oracle, sp, delta)
+            if family == "C" and _c_delta_shape(delta) is not None:
+                got_c = _outcome(c_case_starred_sets, sp, single, delta)
+                with monkeypatch.context() as patched:
+                    patched.setattr(index_comb, "_st", _st_oracle)
+                    assert got_c == _outcome(c_case_starred_sets, sp, single, delta)
+            rest = [r for r in m if r != delta]
+            picks = rng.choice(len(rest), size=min(len(rest), int(rng.integers(1, 4))),
+                               replace=False) if rest else []
+            supports = [GammaSet.singleton(delta),
+                        GammaSet.of([delta, *(rest[i] for i in picks)])]
+            if rest:
+                supports.append(GammaSet.of(rest[i] for i in picks))
+            drawn = [m[i] for i in np.flatnonzero(rng.uniform(size=len(m)) < 0.5)]
+            for gamma in supports:
+                sets = _outcome(st_sets, sp, gamma, delta)
+                assert sets == _outcome(_st_sets_oracle, sp, gamma, delta)
+                if isinstance(sets, STSets):
+                    s_set, t_set = sets.s_set, sets.t_set
+                else:
+                    s_set, t_set = frozenset(s_want), frozenset(t_want)
+                bad_sets = [frozenset([*t_set, delta.scale(2)])]
+                if painted:
+                    bad_sets.append(frozenset([*s_set, painted[0]]))
+                for t, s in [(t_set, s_set), (frozenset(drawn), frozenset(drawn)),
+                             *((bad, bad) for bad in bad_sets)]:
+                    c1 = _outcome(condition1, sp, gamma, delta, t)
+                    c2 = _outcome(condition2, sp, gamma, delta, s)
+                    assert c1 == _outcome(_condition1_oracle, sp, gamma, delta, t)
+                    assert c2 == _outcome(_condition2_oracle, sp, gamma, delta, s)
+                    counts["results"] += 2
+                    counts["c1_fail"] += isinstance(c1, ConditionResult) and not c1.ok
+                    counts["c2_fail"] += isinstance(c2, ConditionResult) and not c2.ok
+    assert counts["results"] > 0
+    if len(splits[0].delta_m_pos) > 3:
+        assert counts["c1_fail"] > 0 and counts["c2_fail"] > 0, counts

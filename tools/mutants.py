@@ -1,0 +1,167 @@
+"""Mutation matrix for the flagmorse checks.
+
+    python tools/mutants.py            # every mutant against its test files
+    python tools/mutants.py --check    # only that each replacement matches once
+
+Each mutant is one named replacement in one source file.  Its text must
+occur exactly once in that file, so a refactor that moves or rewrites the
+line makes ``--check`` fail instead of silently dropping the mutant.  A run
+copies ``src/``, ``tests/``, ``docs/`` and ``pyproject.toml`` to a temporary
+directory per mutant, applies the replacement there, runs pytest (``-x``) on
+each of the mutant's test files with that copy's ``src`` first on the path,
+and prints a mutant x test-file matrix: ``K`` where the file's tests failed
+(the mutant was killed), ``.`` where they all passed.  The exit status is 1
+when a mutant survives every file: a survivor is a finding, to be killed by a
+test or shown equivalent.  The repository itself is never modified.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "docs", "pyproject.toml")
+PYTEST_TIMEOUT_S = 900
+
+COMB_TESTS = ("tests/test_index_comb.py", "tests/test_acceptance.py", "tests/test_cli.py")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str       # relative to the repository root
+    old: str        # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("t-set-without-delta", "src/flagmorse/parabolic.py",
+           "table[m, m] = 3  # d itself", "table[m, m] = 0  # d itself", COMB_TESTS),
+    Mutant("u-set-without-delta", "src/flagmorse/parabolic.py",
+           "table[m, m] = 3  # d itself", "table[m, m] = 2  # d itself", COMB_TESTS),
+    Mutant("s-set-from-part-ge-0", "src/flagmorse/parabolic.py",
+           "np.select([part == 1, sys.heights > 0], [1, 2], 3)",
+           "np.select([part >= 0, sys.heights > 0], [1, 2], 3)", COMB_TESTS),
+    Mutant("condition1-early-when-delta-in-support", "src/flagmorse/index_comb.py",
+           "    if gamma.support == {delta}:", "    if delta in gamma.support:", COMB_TESTS),
+    Mutant("slot-transposed", "src/flagmorse/chevalley.py",
+           "ChevalleyData(sys=sys, _slot=slot,", "ChevalleyData(sys=sys, _slot=slot.T,",
+           ("tests/test_chevalley.py", "tests/test_acceptance.py",
+            "tests/test_compact_geom.py")),
+)
+
+
+def check() -> list[str]:
+    """One problem per mutant whose text does not occur exactly once."""
+    problems = []
+    names = [m.name for m in MUTANTS]
+    for name in {n for n in names if names.count(n) > 1}:
+        problems.append(f"{name}: duplicate mutant name")
+    for m in MUTANTS:
+        found = (ROOT / m.path).read_text().count(m.old)
+        if found != 1:
+            problems.append(f"{m.name}: {m.old!r} occurs {found} times in {m.path}")
+        if m.old == m.new:
+            problems.append(f"{m.name}: the replacement changes nothing")
+        for test in m.tests:
+            if not (ROOT / test).is_file():
+                problems.append(f"{m.name}: no test file {test}")
+    return problems
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _env(copy: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    env.setdefault("OMP_NUM_THREADS", "1")
+    env.setdefault("MKL_NUM_THREADS", "1")
+    return env
+
+
+def run_mutant(m: Mutant, workdir: Path) -> dict[str, bool]:
+    """Test file -> whether its tests killed the mutant."""
+    copy = Path(tempfile.mkdtemp(prefix=f"{m.name}-", dir=workdir))
+    try:
+        _copy_tree(copy)
+        target = copy / m.path
+        target.write_text(target.read_text().replace(m.old, m.new))
+        env = _env(copy)
+        where = subprocess.run([sys.executable, "-c", "import flagmorse; print(flagmorse.__file__)"],
+                               cwd=copy, env=env, capture_output=True, text=True, check=True)
+        if not Path(where.stdout.strip()).is_relative_to(copy):
+            raise RuntimeError(f"the copy imports flagmorse from {where.stdout.strip()}")
+        killed = {}
+        for test in m.tests:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=PYTEST_TIMEOUT_S)
+            if proc.returncode not in (0, 1):
+                tail = "\n".join(proc.stdout.splitlines()[-5:])
+                raise RuntimeError(f"{m.name}: pytest on {test} exited {proc.returncode}\n{tail}")
+            killed[test] = proc.returncode == 1
+        return killed
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+
+
+def print_matrix(results: dict[str, dict[str, bool]]) -> None:
+    files = sorted({t for row in results.values() for t in row})
+    short = [Path(t).stem.removeprefix("test_") for t in files]
+    width = max(len(n) for n in results)
+    print(" " * width + "  " + "  ".join(short))
+    for name, row in results.items():
+        cells = ("K" if row.get(t) else "." if t in row else " " for t in files)
+        print(name.ljust(width) + "  " + "  ".join(c.center(len(s)) for c, s in zip(cells, short)))
+    alive = [n for n, row in results.items() if not any(row.values())]
+    print(f"killed {len(results) - len(alive)} of {len(results)} mutants"
+          + (f"; survivors: {', '.join(alive)}" if alive else ""))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--check", action="store_true",
+                        help="only verify that every replacement matches exactly once")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="where the per-mutant copies go (default: the system temp dir)")
+    args = parser.parse_args()
+
+    problems = check()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    if args.check:
+        print(f"{len(MUTANTS)} mutants, each replacement matches exactly once")
+        return 0
+    results = {}
+    for m in MUTANTS:
+        results[m.name] = run_mutant(m, args.workdir)
+        print(f"{m.name}: killed by {[t for t, k in results[m.name].items() if k] or 'nothing'}",
+              flush=True)
+    print_matrix(results)
+    return 0 if all(any(row.values()) for row in results.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
