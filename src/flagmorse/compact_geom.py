@@ -193,8 +193,8 @@ def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
     k = [xs, xs + 1, xs + 1, xs]
     c = [eps * sigma * n, n, eps * n, -sigma * n]
 
-    xp = x_slot[positive]  # by position in sys.positives, which is in id order
-    expansions = np.array([sys.expansions[root] for root in sys.positives])
+    xp = x_slot[positive]  # by position among the positive ids
+    expansions = sys.expansion_rows[positive]
     r, l = np.nonzero(expansions)
     two_n = 2.0 * expansions[r, l]
     i += [xp[r], xp[r] + 1]
@@ -864,31 +864,29 @@ def _check_isotropy_pairing(frame, rng, trials) -> CheckResult:
     )
 
 
-def _kernel_supports(frame, delta):
-    """Tangent-positive roots whose plane brackets the conjugate of the
-    delta-plane back into anti-holomorphic directions only (after the tangent
-    projection, which drops Cartan and isotropy parts)."""
+def _kernel_mask(frame) -> np.ndarray:
+    """``bool[v, m_dim]``: row d marks the tangent coordinates whose plane
+    brackets the conjugate of the plane of ``m_pos[d]`` back into
+    anti-holomorphic directions only (after the tangent projection, which
+    drops Cartan and isotropy parts).  The plane of ``m_pos[a]`` is kept
+    unless alpha - delta is a tangent-positive root; it has coordinates
+    2a and 2a + 1."""
     sys = frame.sys
-    rests = sys.sums[[sys.ids[alpha] for alpha in frame.m_pos], sys.neg[sys.ids[delta]]]
-    keep = (rests < 0) | (frame.split.part[rests] != 1)  # alpha - delta
-    return [alpha for alpha, k in zip(frame.m_pos, keep) if k]
+    m = np.array([sys.ids[alpha] for alpha in frame.m_pos])
+    rests = sys.sums[np.ix_(sys.neg[m], m)]  # alpha - delta, by (d, a)
+    keep = (rests < 0) | (frame.split.part[rests] != 1)
+    return np.repeat(keep, 2, axis=1)
 
 
 def _conditioned_batch(frame, rng, trials):
-    """Random (x, y) rows with y in one root plane and x supported so that the
+    """Random (x, y) rows with y in one uniformly drawn tangent-positive plane
+    and x standard normal on that plane's kernel mask row, so that the
     mixed-type bracket stays anti-holomorphic in the tangent block."""
-    deltas = frame.m_pos
-    x = np.zeros((trials, frame.m_dim))
-    y = np.zeros((trials, frame.m_dim))
-    support: dict[int, list[int]] = {}
-    for n in range(trials):
-        pick = int(rng.integers(len(deltas)))
-        y[n, list(frame.m_slot(deltas[pick]))] = rng.standard_normal(2)
-        if pick not in support:
-            support[pick] = [s for alpha in _kernel_supports(frame, deltas[pick])
-                             for s in frame.m_slot(alpha)]
-        x[n, support[pick]] = rng.standard_normal(len(support[pick]))
-    return x, y
+    pick = rng.integers(frame.v, size=trials)
+    y = np.zeros((trials, frame.v, 2))
+    y[np.arange(trials), pick] = rng.standard_normal((trials, 2))
+    x = rng.standard_normal((trials, frame.m_dim)) * _kernel_mask(frame)[pick]
+    return x, y.reshape(trials, frame.m_dim)
 
 
 def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:

@@ -100,20 +100,28 @@ def split(sys: RootSystem, painted: PaintedDiagram) -> ParabolicSplit:
     if painted.sys is not sys:
         raise ValueError("painted diagram belongs to a different system")
     sigma = painted.sigma_k
-    in_k = [all(c == 0 for i, c in enumerate(sys.expansions[r]) if i not in sigma)
-            for r in sys.roots]
-    delta_k = frozenset(r for r, k in zip(sys.roots, in_k) if k)
-    k_pos = frozenset(r for r in delta_k if sys.is_positive(r))
-    m_pos = frozenset(r for r in sys.positives if r not in delta_k)
+    unpainted = [i for i in range(sys.rank) if i not in sigma]
+    in_k = ~sys.expansion_rows[:, unpainted].any(axis=1)
+    part = np.where(in_k, 0, np.sign(sys.heights)).astype(np.int8)
+    roots = sys.roots
+    # roots are sorted by coords, so a stable sort of the ids by height orders
+    # them by (height, coords)
+    by_height = np.argsort(sys.heights, kind="stable")
+
+    def sorted_roots(mask):
+        return tuple(roots[i] for i in by_height[mask[by_height]].tolist())
+
+    k_pos = sorted_roots(in_k & (sys.heights > 0))
+    m_pos = sorted_roots(part == 1)
     return ParabolicSplit(
         sys=sys,
         sigma_k=sigma,
-        delta_k=delta_k,
-        delta_k_pos=k_pos,
-        delta_m_pos=m_pos,
-        m_pos_sorted=tuple(sorted(m_pos, key=lambda r: (sys.height(r), r.coords))),
-        k_pos_sorted=tuple(sorted(k_pos, key=lambda r: (sys.height(r), r.coords))),
-        part=np.where(in_k, 0, np.sign(sys.heights)).astype(np.int8),
+        delta_k=frozenset(roots[i] for i in np.flatnonzero(in_k).tolist()),
+        delta_k_pos=frozenset(k_pos),
+        delta_m_pos=frozenset(m_pos),
+        m_pos_sorted=m_pos,
+        k_pos_sorted=k_pos,
+        part=part,
     )
 
 

@@ -9,9 +9,9 @@ The positive roots and their expansions come from a walk up from the simple
 roots, adding one simple root at a time while the sum stays in the ambient
 enumeration (E8's for E6 and E7, whose roots are the walk's closure).  Each
 system carries one integer root index that the exact code shares: a root's
-id is its position in ``roots``; ``neg``, ``heights`` and the sum table
-``sums`` are indexed by id, and ``sums[i, j]`` is -1 when the sum is not a
-root and -2 when it is zero.
+id is its position in ``roots``; ``neg``, ``heights``, ``expansion_rows``,
+``long`` and the sum table ``sums`` are indexed by id, and ``sums[i, j]`` is
+-1 when the sum is not a root and -2 when it is zero.
 """
 
 from __future__ import annotations
@@ -103,11 +103,14 @@ class RootSystem:
     simples: tuple[RootVector, ...]
     # coefficients of each root over the simple roots, by root
     expansions: dict[RootVector, tuple[int, ...]] = field(repr=False)
-    # the root index: id of each root, and by id its negative, height and sums
+    # the root index: id of each root, and by id its negative, height, sums,
+    # expansion (int[n, rank]) and whether it is long
     ids: dict[RootVector, int] = field(repr=False)
     neg: np.ndarray = field(repr=False, compare=False)
     heights: np.ndarray = field(repr=False, compare=False)
     sums: np.ndarray = field(repr=False, compare=False)
+    expansion_rows: np.ndarray = field(repr=False, compare=False)
+    long: np.ndarray = field(repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -232,11 +235,15 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     expansions = {r: walked[r] if r in walked else tuple(-c for c in walked[-r])
                   for r in roots}
     ids = {r: i for i, r in enumerate(roots)}
+    expansion_rows = np.array([expansions[r] for r in roots], dtype=np.int8)
+    norm_scale = Fraction(1, 2) if fam == "C" else Fraction(1)
+    # (r, r) = norm_scale * |scaled r|^2 / 4 = 2, in ints
+    squares = np.square(np.array([r.coords for r in roots])).sum(axis=1)
     return RootSystem(
         family=fam,
         rank=rank,
         ambient_dim=dim,
-        norm_scale=Fraction(1, 2) if fam == "C" else Fraction(1),
+        norm_scale=norm_scale,
         roots=roots,
         # the instances in roots, so lookups by them hit __eq__'s identity test
         positives=tuple(r for r in roots if r in walked),
@@ -244,8 +251,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         expansions=expansions,
         ids=ids,
         neg=np.array([ids[-r] for r in roots]),
-        heights=np.array([sum(expansions[r]) for r in roots]),
+        heights=expansion_rows.sum(axis=1),
         sums=_sum_table(roots),
+        expansion_rows=expansion_rows,
+        long=squares * norm_scale.numerator == 8 * norm_scale.denominator,
     )
 
 
@@ -283,15 +292,19 @@ def precedes(sys: RootSystem, alpha: RootVector, delta: RootVector) -> bool:
 
 
 def is_long(sys: RootSystem, alpha: RootVector) -> bool:
-    """Whether (alpha, alpha) = 2, compared in ints: norm_scale * |scaled|^2 / 4 = 2."""
+    """Whether (alpha, alpha) = 2: looked up by id for a root, and for any
+    other vector compared in ints, norm_scale * |scaled|^2 / 4 = 2."""
     if alpha.ambient_dim != sys.ambient_dim:
         raise DimensionMismatch("vector does not match the system's ambient space")
+    i = sys.ids.get(alpha)
+    if i is not None:
+        return bool(sys.long[i])
     scale = sys.norm_scale
     return _dot_scaled(alpha, alpha) * scale.numerator == 8 * scale.denominator
 
 
 def long_roots(sys: RootSystem) -> tuple[RootVector, ...]:
-    return tuple(r for r in sys.roots if is_long(sys, r))
+    return tuple(r for r, flag in zip(sys.roots, sys.long) if flag)
 
 
 def reflect(sys: RootSystem, beta: RootVector, alpha: RootVector) -> RootVector:

@@ -1152,6 +1152,56 @@ def test_identity_suite_single_matches_all():
             assert check == full[check.name], (name, check.name)
 
 
+# painted frames matter for the mask: dropping the roots with alpha - delta in
+# the painted span only narrows the support, which no identity check can see
+MASK_FRAMES = [(f, r, ()) for f, r in ALL_SYSTEMS] + [("B", 3, (0,)), ("D", 4, (0, 3)),
+                                                      ("E", 7, (0, 2))]
+
+
+def _allowed_coordinates(frame):
+    """bool[v, m_dim] by root arithmetic: row d marks the coordinates of every
+    tangent-positive alpha with alpha - m_pos[d] not a tangent-positive root."""
+    allowed = np.zeros((frame.v, frame.m_dim), dtype=bool)
+    for d, delta in enumerate(frame.m_pos):
+        for alpha in frame.m_pos:
+            if alpha - delta not in frame.split.delta_m_pos:
+                allowed[d, list(frame.m_slot(alpha))] = True
+    return allowed
+
+
+@pytest.mark.parametrize("family,rank,painted", MASK_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in MASK_FRAMES])
+def test_kernel_mask_matches_root_arithmetic(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    assert np.array_equal(compact_geom._kernel_mask(frame), _allowed_coordinates(frame))
+
+
+@pytest.mark.parametrize("family,rank,painted", [("A", 3, ()), ("D", 4, ()), ("E", 7, (0, 2))])
+def test_conditioned_batch_draws_one_plane_and_a_masked_field(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    trials = 10_000
+    x, y = compact_geom._conditioned_batch(frame, np.random.default_rng(11), trials)
+    assert x.shape == y.shape == (trials, frame.m_dim)
+    slots = np.array([frame.m_slot(alpha) for alpha in frame.m_pos])
+    in_plane = (y[:, slots] != 0).all(axis=2)
+    assert (in_plane.sum(axis=1) == 1).all()
+    assert np.count_nonzero(y) == 2 * trials
+    pick = in_plane.argmax(axis=1)
+    assert np.array_equal(x != 0, _allowed_coordinates(frame)[pick])
+    if family == "A":
+        assert np.array_equal(np.unique(pick), np.arange(frame.v))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_conditioned_checks_fail_off_the_kernel_mask(family, rank, monkeypatch):
+    frame = frame_for(family, rank)
+    monkeypatch.setattr(compact_geom, "_kernel_mask",
+                        lambda frame: np.ones((frame.v, frame.m_dim), dtype=bool))
+    for check in SUITES["onemel"]:
+        result = check(frame, np.random.default_rng(3), 200)
+        assert result.max_residual > 1e-10, check.__name__
+
+
 PAIR_SET_FRAMES = ORACLE_FRAMES + [("E", 6, ())]
 
 

@@ -112,6 +112,36 @@ def test_split_invariants_sampled_large(family, rank):
         _check_split_invariants(sys_, sp, pair_sample=(rng, 40))
 
 
+def _comprehension_split(sys_, sigma):
+    """The span test root by root over the expansion tuples."""
+    in_k = [all(c == 0 for i, c in enumerate(sys_.expansions[r]) if i not in sigma)
+            for r in sys_.roots]
+    delta_k = frozenset(r for r, k in zip(sys_.roots, in_k) if k)
+    k_pos = frozenset(r for r in delta_k if sys_.is_positive(r))
+    m_pos = frozenset(r for r in sys_.positives if r not in delta_k)
+    return {
+        "part": np.where(in_k, 0, np.sign(sys_.heights)).astype(np.int8).tolist(),
+        "delta_k": delta_k,
+        "delta_k_pos": k_pos,
+        "delta_m_pos": m_pos,
+        "m_pos_sorted": tuple(sorted(m_pos, key=lambda r: (sys_.height(r), r.coords))),
+        "k_pos_sorted": tuple(sorted(k_pos, key=lambda r: (sys_.height(r), r.coords))),
+    }
+
+
+@pytest.mark.parametrize("family,rank", SMALL_SYSTEMS + [("E", 8)])
+def test_split_matches_expansion_comprehension(family, rank):
+    # every painting, the full one included: 256 on E8
+    sys_ = build_root_system(family, rank)
+    for subset in all_subsets(rank):
+        sp = split(sys_, PaintedDiagram.of(sys_, subset))
+        got = {name: getattr(sp, name) for name in ("delta_k", "delta_k_pos", "delta_m_pos",
+                                                     "m_pos_sorted", "k_pos_sorted")}
+        got["part"] = sp.part.tolist()
+        assert sp.part.dtype == np.int8
+        assert got == _comprehension_split(sys_, frozenset(subset)), subset
+
+
 def test_v_monotone_under_painting_growth():
     sys_ = build_root_system("D", 5)
     rng = np.random.default_rng(5)

@@ -93,6 +93,8 @@ def test_root_index(family, rank):
                        for k in range(sys_.ambient_dim))
         assert coords == r.coords
         assert sys_.heights[i] == sum(sys_.expansions[r]) == sys_.height(r)
+        assert tuple(sys_.expansion_rows[i]) == sys_.expansions[r]
+    assert sys_.expansion_rows.shape == (n, sys_.rank)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -160,6 +162,8 @@ def test_is_long_examples():
     assert not is_long(c3, rv(1, 1, 0))
     with pytest.raises(DimensionMismatch):
         is_long(b3, rv(1, 0))
+    # a vector that is not a root is compared by its length alone
+    assert is_long(a3, rv(1, 1, 0, 0)) and not is_long(a3, rv(1, 0, 0, 0))
     # the integer comparison agrees with the inner product on every root
     for family, rank in ALL_SYSTEMS:
         sys_ = build_root_system(family, rank)

@@ -1,7 +1,8 @@
 """Mutation matrix for the flagmorse checks.
 
-    python tools/mutants.py            # every mutant against its test files
-    python tools/mutants.py --check    # only that each replacement matches once
+    python tools/mutants.py                   # every mutant against its test files
+    python tools/mutants.py --only NAME[,NAME]  # the named mutants only
+    python tools/mutants.py --check           # only that each replacement matches once
 
 Each mutant is one named replacement in one source file.  Its text must
 occur exactly once in that file, so a refactor that moves or rewrites the
@@ -33,6 +34,7 @@ COPIED = ("src", "tests", "docs", "pyproject.toml")
 PYTEST_TIMEOUT_S = 900
 
 COMB_TESTS = ("tests/test_index_comb.py", "tests/test_acceptance.py", "tests/test_cli.py")
+GEOM_TESTS = ("tests/test_acceptance.py", "tests/test_compact_geom.py")
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,14 @@ MUTANTS = (
            "ChevalleyData(sys=sys, _slot=slot,", "ChevalleyData(sys=sys, _slot=slot.T,",
            ("tests/test_chevalley.py", "tests/test_acceptance.py",
             "tests/test_compact_geom.py")),
+    # keeps alpha when alpha - delta is tangent positive (and drops it when
+    # tangent negative): the onemel identities fail
+    Mutant("onemel-mask-widened", "src/flagmorse/compact_geom.py",
+           "frame.split.part[rests] != 1", "frame.split.part[rests] != -1", GEOM_TESTS),
+    # drops alpha when alpha - delta is in the painted span: only narrows the
+    # support, and only on painted frames
+    Mutant("onemel-mask-narrowed-on-painted", "src/flagmorse/compact_geom.py",
+           "frame.split.part[rests] != 1", "frame.split.part[rests] == -1", GEOM_TESTS),
 )
 
 
@@ -143,11 +153,16 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", action="store_true",
                         help="only verify that every replacement matches exactly once")
+    parser.add_argument("--only", type=lambda text: text.split(","), default=None,
+                        metavar="NAME[,NAME]", help="run only the named mutants")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the per-mutant copies go (default: the system temp dir)")
     args = parser.parse_args()
 
     problems = check()
+    unknown = sorted(set(args.only or ()) - {m.name for m in MUTANTS})
+    if unknown:
+        problems.append(f"no mutant named {', '.join(unknown)}")
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 2
@@ -156,6 +171,8 @@ def main() -> int:
         return 0
     results = {}
     for m in MUTANTS:
+        if args.only is not None and m.name not in args.only:
+            continue
         results[m.name] = run_mutant(m, args.workdir)
         print(f"{m.name}: killed by {[t for t, k in results[m.name].items() if k] or 'nothing'}",
               flush=True)
