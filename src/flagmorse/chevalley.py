@@ -200,9 +200,13 @@ class ComplexElement:
             raise DimensionMismatch("elements from different systems")
         coeffs = dict(self.coeffs)
         for r, c in other.coeffs.items():
-            s = coeffs.get(r, C_ZERO) + c
+            old = coeffs.get(r)
+            if old is None:
+                coeffs[r] = c
+                continue
+            s = old + c
             if s.is_zero():
-                coeffs.pop(r, None)
+                del coeffs[r]
             else:
                 coeffs[r] = s
         if _zero_h(other.h_part):
@@ -248,10 +252,14 @@ def _zero_h(h: HVector) -> bool:
     return h.count(C_ZERO) == len(h)
 
 
+# a root's integer coords are twice its ambient ones
+_HALF = Sqrt2(Fraction(1, 2))
+
+
 def _root_eval(alpha: RootVector, h: HVector, half_scale: Sqrt2) -> CSqrt2:
     """alpha(h) for h given in unscaled ambient coordinates; ``half_scale`` is
-    the system's norm_scale / 2, as alpha's integer coords are twice its
-    ambient ones."""
+    the system's norm_scale / 2, applied once to the sum over alpha's integer
+    coords."""
     total = C_ZERO
     for a_i, h_i in zip(alpha.coords, h):
         if a_i:
@@ -264,11 +272,15 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
     sys = data.sys
     if x.ambient_dim != sys.ambient_dim or y.ambient_dim != sys.ambient_dim:
         raise DimensionMismatch("elements do not match the system")
-    out_h = [C_ZERO] * sys.ambient_dim
+    zero_h = (C_ZERO,) * sys.ambient_dim
+    # twice the Cartan part, made on the first pair (a, -a): sums of integer
+    # coords, halved once at the end
+    twice_h = None
     out_coeffs: dict[RootVector, CSqrt2] = {}
 
     def add_root(r: RootVector, c: CSqrt2) -> None:
-        s = out_coeffs.get(r, C_ZERO) + c
+        old = out_coeffs.get(r)
+        s = c if old is None else old + c
         if s.is_zero():
             out_coeffs.pop(r, None)
         else:
@@ -277,18 +289,18 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
     x_cartan = not _zero_h(x.h_part)
     y_cartan = not _zero_h(y.h_part)
     if x_cartan or y_cartan:
-        half_scale = Sqrt2(sys.norm_scale) / 2
+        half_scale = _HALF * sys.norm_scale
     # [h_x, E_b] terms
     if x_cartan:
         for b, cb in y.coeffs.items():
             add_root(b, _root_eval(b, x.h_part, half_scale) * cb)
-    # [E_a, h_y] terms
+    # [E_a, h_y] = -a(h_y) E_a terms
     if y_cartan:
+        minus_half_scale = -half_scale
         for a, ca in x.coeffs.items():
-            val = _root_eval(a, y.h_part, half_scale) * ca
-            add_root(a, -val)
+            add_root(a, _root_eval(a, y.h_part, minus_half_scale) * ca)
     # root-root terms, by id: a root sum reads the slot table, and a pair
-    # (a, -a) brackets to the dual of a, a's own ambient coordinates
+    # (a, -a) brackets to the dual of a, half a's integer coords
     ids, roots, sums, slot, consts = sys.ids, sys.roots, sys.sums, data._slot, data._consts
     y_terms = [(ids[b], cb) for b, cb in y.coeffs.items()]
     for a, ca in x.coeffs.items():
@@ -301,12 +313,16 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
             if scale.is_zero():
                 continue
             if s == -2:
-                for l, t_l in enumerate(a.unscaled()):
-                    if t_l != 0:
-                        out_h[l] = out_h[l] + scale * t_l
+                if twice_h is None:
+                    twice_h = list(zero_h)
+                for l, c in enumerate(a.coords):
+                    if c:
+                        twice_h[l] = twice_h[l] + scale * c
             else:
                 add_root(roots[s], scale * consts[slot[i, j]])
-    return ComplexElement(sys.ambient_dim, tuple(out_h), out_coeffs)
+    out_h = zero_h if twice_h is None else tuple(
+        t if t is C_ZERO else t * _HALF for t in twice_h)
+    return ComplexElement(sys.ambient_dim, out_h, out_coeffs)
 
 
 def pairing(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> CSqrt2:

@@ -313,9 +313,7 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     chev = build_chevalley(sys)
     rank = sys.rank
     # painted-span planes, then tangent planes, each by (height, coords)
-    iso_pos = tuple(sorted((r for r in split.delta_k if sys.is_positive(r)),
-                           key=lambda r: (sys.height(r), r.coords)))
-    m_pos = split.m_pos_sorted
+    iso_pos, m_pos = split.k_pos_sorted, split.m_pos_sorted
     labels: list = [("h", j) for j in range(rank)]
     slots: dict[RootVector, tuple[int, int]] = {}
     for alpha in (*iso_pos, *m_pos):

@@ -1,18 +1,23 @@
 """Exact scalars for structure-constant arithmetic.
 
 All structure constants live in the real quadratic field Q(sqrt(2)); only the
-C family ever produces a nonzero sqrt(2) part.  Complexified coefficients are
-pairs of such values.  Keeping these exact lets set-valued logic and Jacobi
-checks run with zero residual.
+C family ever produces a nonzero sqrt(2) part.  Complexified coefficients have
+real and imaginary parts in that field.  Keeping these exact lets set-valued
+logic and Jacobi checks run with zero residual.
 
-A value (p + q*sqrt(2))/d is stored as three Python ints p, q, d with d > 0
-and gcd(p, q, d) == 1, so each value has one representation: equality and
-hashing compare the triples, and zero is (0, 0, 1).  Each operation
-normalizes its result once, and skips the gcd when d == 1, the common case for
-integer coefficients.  No Fraction is built by the arithmetic, comparisons,
-``sign``, ``is_zero`` or ``hash``; ``.a`` and ``.b`` give the rational parts
-as Fractions for display and callers.  Plain __slots__ classes rather than
-dataclasses: these sit in the innermost loops of the exhaustive checks.
+A real value (p + q*sqrt(2))/d is stored as three Python ints p, q, d with
+d > 0 and gcd(p, q, d) == 1, and a complex value
+(rp + rq*sqrt(2) + i*(ip + iq*sqrt(2)))/d as five ints rp, rq, ip, iq, d with
+d > 0 and the gcd of all five 1.  So each value has one representation:
+equality and hashing compare the ints, and zero is (0, 0, 1) or
+(0, 0, 0, 0, 1).  Each operation is one integer expression that allocates one
+object and normalizes it once, skipping the gcd when d == 1, the common case
+for integer coefficients.  No Fraction is built by the arithmetic,
+comparisons, ``sign``, ``is_zero`` or ``hash``; ``.a`` and ``.b`` give the
+rational parts as Fractions, and ``.re`` and ``.im`` the parts of a complex
+value as reduced ``Sqrt2``, for display and callers.  Plain __slots__ classes
+rather than dataclasses: these sit in the innermost loops of the exhaustive
+checks.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ class Sqrt2:
 
     @staticmethod
     def of(x) -> "Sqrt2":
+        if type(x) is int:
+            return _make(x, 0, 1)
         if isinstance(x, Sqrt2):
             return x
         return Sqrt2(x)
@@ -189,85 +196,151 @@ ZERO = Sqrt2(0)
 ONE = Sqrt2(1)
 
 
-def _complex(re: Sqrt2, im: Sqrt2) -> "CSqrt2":
+def _cmake(rp: int, rq: int, ip: int, iq: int, d: int) -> "CSqrt2":
+    """(rp + rq*sqrt(2) + i*(ip + iq*sqrt(2)))/d for d > 0, reduced by the
+    gcd of all five."""
+    if d != 1:
+        g = _gcd(rp, rq, ip, iq, d)
+        if g != 1:
+            rp //= g
+            rq //= g
+            ip //= g
+            iq //= g
+            d //= g
     z = _new(CSqrt2)
-    z.re = re
-    z.im = im
+    z.rp = rp
+    z.rq = rq
+    z.ip = ip
+    z.iq = iq
+    z.d = d
     return z
 
 
 class CSqrt2:
-    """Complex number with real and imaginary parts in Q(sqrt(2))."""
+    """Complex number (rp + rq*sqrt(2) + i*(ip + iq*sqrt(2)))/d with real and
+    imaginary parts in Q(sqrt(2)), d > 0 and the gcd of all five ints 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("rp", "rq", "ip", "iq", "d")
 
     def __init__(self, re, im=ZERO):
-        self.re = re if isinstance(re, Sqrt2) else Sqrt2.of(re)
-        self.im = im if isinstance(im, Sqrt2) else Sqrt2.of(im)
+        re, im = Sqrt2.of(re), Sqrt2.of(im)
+        d, e = re.d, im.d
+        # over the lcm of two reduced denominators no prime divides all five
+        lcm = d // _gcd(d, e) * e
+        u, v = lcm // d, lcm // e
+        self.rp, self.rq, self.ip, self.iq, self.d = re.p * u, re.q * u, im.p * v, im.q * v, lcm
+
+    @property
+    def re(self) -> Sqrt2:
+        """Real part."""
+        return _make(self.rp, self.rq, self.d)
+
+    @property
+    def im(self) -> Sqrt2:
+        """Imaginary part."""
+        return _make(self.ip, self.iq, self.d)
 
     @staticmethod
     def of(x) -> "CSqrt2":
-        if isinstance(x, CSqrt2):
+        t = type(x)
+        if t is CSqrt2:
             return x
+        if t is int:
+            return _cmake(x, 0, 0, 0, 1)
+        if t is Sqrt2:
+            return _cmake(x.p, x.q, 0, 0, x.d)
         if isinstance(x, complex):
             raise TypeError("floating complex is not exact; build from rationals")
-        return CSqrt2(Sqrt2.of(x))
+        n, d = _ratio(x)
+        return _cmake(n, 0, 0, 0, d)
 
     @staticmethod
     def make(re=0, im=0) -> "CSqrt2":
-        return CSqrt2(Sqrt2.of(re), Sqrt2.of(im))
+        if type(re) is int and type(im) is int:
+            return _cmake(re, 0, im, 0, 1)
+        return CSqrt2(re, im)
 
     def __add__(self, other):
         if type(other) is not CSqrt2:
             other = CSqrt2.of(other)
-        return _complex(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _cmake(self.rp + other.rp, self.rq + other.rq,
+                          self.ip + other.ip, self.iq + other.iq, d)
+        return _cmake(self.rp * e + other.rp * d, self.rq * e + other.rq * d,
+                      self.ip * e + other.ip * d, self.iq * e + other.iq * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _complex(-self.re, -self.im)
+        return _cmake(-self.rp, -self.rq, -self.ip, -self.iq, self.d)
 
     def __sub__(self, other):
         if type(other) is not CSqrt2:
             other = CSqrt2.of(other)
-        return _complex(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _cmake(self.rp - other.rp, self.rq - other.rq,
+                          self.ip - other.ip, self.iq - other.iq, d)
+        return _cmake(self.rp * e - other.rp * d, self.rq * e - other.rq * d,
+                      self.ip * e - other.ip * d, self.iq * e - other.iq * d, d * e)
 
     def __rsub__(self, other):
         return CSqrt2.of(other) - self
 
     def __mul__(self, other):
-        if type(other) is not CSqrt2:
-            if isinstance(other, complex):
-                raise TypeError("floating complex is not exact; build from rationals")
-            # a real scalar scales both parts
-            return _complex(self.re * other, self.im * other)
-        im, oim = self.im, other.im
-        if not (im.p or im.q or oim.p or oim.q):
-            return _complex(self.re * other.re, ZERO)
-        re, ore = self.re, other.re
-        return _complex(re * ore - im * oim, re * oim + im * ore)
+        rp, rq, ip, iq = self.rp, self.rq, self.ip, self.iq
+        t = type(other)
+        if t is CSqrt2:
+            sp, sq, tp, tq = other.rp, other.rq, other.ip, other.iq
+            # (r + i s)(u + i v) = (ru - sv) + i(rv + su), and sqrt2 * sqrt2 = 2
+            return _cmake(rp * sp - ip * tp + 2 * (rq * sq - iq * tq),
+                          rp * sq + rq * sp - ip * tq - iq * tp,
+                          rp * tp + ip * sp + 2 * (rq * tq + iq * sq),
+                          rp * tq + rq * tp + ip * sq + iq * sp, self.d * other.d)
+        if t is int:
+            return _cmake(rp * other, rq * other, ip * other, iq * other, self.d)
+        # a real scalar scales both parts
+        if t is Sqrt2:
+            sp, sq, e = other.p, other.q, other.d
+        elif isinstance(other, complex):
+            raise TypeError("floating complex is not exact; build from rationals")
+        else:
+            sp, e = _ratio(other)
+            sq = 0
+        return _cmake(rp * sp + 2 * rq * sq, rp * sq + rq * sp,
+                      ip * sp + 2 * iq * sq, ip * sq + iq * sp, self.d * e)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CSqrt2":
-        return _complex(self.re, -self.im)
+        return _cmake(self.rp, self.rq, -self.ip, -self.iq, self.d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
-            other = CSqrt2.of(other)
-        if not isinstance(other, CSqrt2):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        t = type(other)
+        if t is CSqrt2:
+            return (self.rp == other.rp and self.rq == other.rq and self.ip == other.ip
+                    and self.iq == other.iq and self.d == other.d)
+        if isinstance(other, Sqrt2):
+            return (not (self.ip or self.iq) and self.rp == other.p and self.rq == other.q
+                    and self.d == other.d)
+        if isinstance(other, (int, Fraction)):
+            return (not (self.rq or self.ip or self.iq) and self.rp == other.numerator
+                    and self.d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.rp, self.rq, self.ip, self.iq, self.d))
 
     def is_zero(self) -> bool:
-        re, im = self.re, self.im
-        return not (re.p or re.q or im.p or im.q)
+        return not (self.rp or self.rq or self.ip or self.iq)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds the exact quotient, so a factor that one
+        # part shares with d changes no float: as complex(float(re), float(im))
+        d = self.d
+        return complex(self.rp / d + (self.rq / d) * _SQRT2,
+                       self.ip / d + (self.iq / d) * _SQRT2)
 
     def __repr__(self) -> str:
         return f"({self.re})+({self.im})i"

@@ -7,7 +7,9 @@ exact.  The normalized bilinear form fixes every long root at squared length
 
 The positive roots and their expansions come from a walk up from the simple
 roots, adding one simple root at a time while the sum stays in the ambient
-enumeration (E8's for E6 and E7, whose roots are the walk's closure).  Each
+enumeration (E8's for E6 and E7, whose roots are the walk's closure).  The
+walk, the negatives and the sum table work on integer keys of the
+coordinates (``_keys``), so no step builds a ``RootVector``.  Each
 system carries one integer root index that the exact code shares: a root's
 id is its position in ``roots``; ``neg``, ``heights``, ``expansion_rows``,
 ``long`` and the sum table ``sums`` are indexed by id, and ``sums[i, j]`` is
@@ -183,33 +185,39 @@ def _simple_roots(family: str, rank: int, dim: int) -> list[RootVector]:
     return chain + last
 
 
-def _walk(simples: list[RootVector], ambient: frozenset[RootVector]) -> dict:
-    """Positive roots with their expansions, by height: each root of the next
-    height is one of this height plus a simple root, inside ``ambient``."""
+def _keys(coords) -> np.ndarray:
+    """Linear keys of integer vectors (rows of ``coords``): base-17 signed
+    digits hold every scaled coordinate of a root or of a sum of two roots (at
+    most 8 in size), so two such vectors are equal exactly when their keys
+    are, and the key of a sum or negative is the sum or negative of keys."""
+    coords = np.asarray(coords)
+    return coords @ 17 ** np.arange(coords.shape[-1])
+
+
+def _walk(simples: list[int], ambient) -> dict[int, tuple[int, ...]]:
+    """Keys of the positive roots with their expansions, by height: each root
+    of the next height is one of this height plus a simple root, with its key
+    in ``ambient``."""
     rank = len(simples)
     expansions = {s: tuple(int(i == l) for i in range(rank)) for l, s in enumerate(simples)}
     layer = list(simples)
     while layer:
         above = []
-        for root in layer:
+        for key in layer:
+            row = expansions[key]
             for l, s in enumerate(simples):
-                up = root + s
+                up = key + s
                 if up in ambient and up not in expansions:
-                    expansions[up] = tuple(c + (i == l) for i, c in enumerate(expansions[root]))
+                    expansions[up] = (*row[:l], row[l] + 1, *row[l + 1:])
                     above.append(up)
         layer = above
     return expansions
 
 
-def _sum_table(roots: tuple[RootVector, ...]) -> np.ndarray:
-    """``sums[i, j]``: id of roots[i] + roots[j], -1 for no root, -2 for zero.
-
-    Found through linear keys: base-17 signed digits hold every scaled
-    coordinate of a sum of two roots (at most 8 in size), so two such sums are
-    equal exactly when their keys are.  One ``searchsorted`` looks up every
-    key sum among the sorted root keys; no root has the key 0.
-    """
-    keys = np.array([r.coords for r in roots]) @ 17 ** np.arange(len(roots[0].coords))
+def _sum_table(keys: np.ndarray) -> np.ndarray:
+    """``sums[i, j]``: id of roots[i] + roots[j], -1 for no root, -2 for zero,
+    from the roots' keys.  One ``searchsorted`` looks up every key sum among
+    the sorted root keys; no root has the key 0."""
     order = np.argsort(keys, kind="stable")
     pairs = keys[:, None] + keys
     found = order[np.searchsorted(keys[order], pairs).clip(max=len(keys) - 1)]
@@ -224,21 +232,28 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     fam = family.upper()
     _check_supported(fam, rank)
     dim, ambient = _enumerate_scaled_roots(fam, rank)
-    simples = _simple_roots(fam, rank, dim)
-    walked = _walk(simples, frozenset(ambient))
+    by_key = dict(zip(_keys([r.coords for r in ambient]).tolist(), ambient))
+    simple_keys = _keys([s.coords for s in _simple_roots(fam, rank, dim)]).tolist()
+    walked = _walk(simple_keys, by_key)
     if fam == "E" and rank < 8:
-        ambient = [r for p in walked for r in (p, -p)]  # the walk's closure
-    if 2 * len(walked) != len(ambient):
+        by_key = {k: by_key[k] for p in walked for k in (p, -p)}  # the walk's closure
+    if 2 * len(walked) != len(by_key):
         raise ValueError(f"the simple-root walk reached {len(walked)} positive roots "
-                         f"of {len(ambient)} roots")
-    roots = tuple(sorted(ambient))
-    expansions = {r: walked[r] if r in walked else tuple(-c for c in walked[-r])
-                  for r in roots}
-    ids = {r: i for i, r in enumerate(roots)}
-    expansion_rows = np.array([expansions[r] for r in roots], dtype=np.int8)
+                         f"of {len(by_key)} roots")
+    roots = tuple(sorted(by_key.values(), key=lambda r: r.coords))
+    coords = np.array([r.coords for r in roots])
+    keys = _keys(coords)
+    key_list = keys.tolist()
+    id_of = dict(zip(key_list, range(len(roots))))
+    neg = np.array([id_of[-k] for k in key_list])
+    positive = np.array([k in walked for k in key_list])
+    # a negative root's expansion is minus its negative's
+    expansion_rows = np.array([walked.get(k) or walked[-k] for k in key_list], dtype=np.int8)
+    expansion_rows[~positive] *= -1
+    ids = dict(zip(roots, range(len(roots))))
     norm_scale = Fraction(1, 2) if fam == "C" else Fraction(1)
     # (r, r) = norm_scale * |scaled r|^2 / 4 = 2, in ints
-    squares = np.square(np.array([r.coords for r in roots])).sum(axis=1)
+    squares = np.square(coords).sum(axis=1)
     return RootSystem(
         family=fam,
         rank=rank,
@@ -246,13 +261,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         norm_scale=norm_scale,
         roots=roots,
         # the instances in roots, so lookups by them hit __eq__'s identity test
-        positives=tuple(r for r in roots if r in walked),
-        simples=tuple(roots[ids[s]] for s in simples),
-        expansions=expansions,
+        positives=tuple(roots[i] for i in np.flatnonzero(positive).tolist()),
+        simples=tuple(roots[id_of[k]] for k in simple_keys),
+        expansions=dict(zip(roots, map(tuple, expansion_rows.tolist()))),
         ids=ids,
-        neg=np.array([ids[-r] for r in roots]),
+        neg=neg,
         heights=expansion_rows.sum(axis=1),
-        sums=_sum_table(roots),
+        sums=_sum_table(keys),
         expansion_rows=expansion_rows,
         long=squares * norm_scale.numerator == 8 * norm_scale.denominator,
     )

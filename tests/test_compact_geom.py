@@ -369,6 +369,24 @@ def test_frame_invariants_non_borel():
     assert all(v < 1e-12 for v in res.values()), res
 
 
+ISOTROPY_FRAMES = ([(f, r, p) for f, r in (("B", 3), ("D", 4)) for k in range(r)
+                    for p in itertools.combinations(range(r), k)]
+                   + [("E", 6, (0,)), ("E", 7, (0, 2))])
+
+
+@pytest.mark.parametrize("family,rank,painted", ISOTROPY_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in ISOTROPY_FRAMES])
+def test_isotropy_planes_in_height_order(family, rank, painted):
+    # the painted-span planes follow the split's k_pos_sorted: the positive
+    # painted roots by (height, coords)
+    frame = frame_for(family, rank, painted)
+    sys_ = frame.sys
+    want = sorted((r for r in frame.split.delta_k if sys_.is_positive(r)),
+                  key=lambda r: (sys_.height(r), r.coords))
+    assert list(frame.labels[rank:frame.m_start]) == [
+        (kind, alpha) for alpha in want for kind in ("X", "Y")]
+
+
 def test_frame_needs_a_tangent_block():
     # painting every node leaves no tangent root
     with pytest.raises(ValueError, match="every node is painted"):

@@ -179,6 +179,44 @@ def test_sqrt_of_rational_rejects(q):
         Sqrt2.sqrt_of_rational(q)
 
 
+# -- the five-int complex form ------------------------------------------------
+
+
+def fields(z: CSqrt2) -> tuple[int, int, int, int, int]:
+    return z.rp, z.rq, z.ip, z.iq, z.d
+
+
+def check_canonical(z: CSqrt2) -> None:
+    """d > 0 and gcd(rp, rq, ip, iq, d) == 1: one representation per value."""
+    assert type(z) is CSqrt2
+    assert all(type(n) is int for n in fields(z))
+    assert z.d > 0
+    assert math.gcd(*fields(z)) == 1
+    # the parts are the five ints over d, reduced
+    assert parts(z.re) == (Fraction(z.rp, z.d), Fraction(z.rq, z.d))
+    assert parts(z.im) == (Fraction(z.ip, z.d), Fraction(z.iq, z.d))
+    check_invariant(z.re)
+    check_invariant(z.im)
+
+
+def test_complex_fields_of_known_values():
+    # fixed values ahead of the hypothesis tests: under pytest -x a wrong
+    # product or a missing reduction fails here at once, before a search
+    # shrinks its example
+    assert fields(CSqrt2.I) == (0, 0, 1, 0, 1)
+    assert fields(C_ONE) == (1, 0, 0, 0, 1)
+    z = CSqrt2(Sqrt2(Fraction(1, 2)), Sqrt2(0, Fraction(1, 3)))  # 1/2 + i sqrt2/3
+    assert fields(z) == (3, 0, 0, 2, 6)
+    assert fields(z * 6) == (3, 0, 0, 2, 1)
+    assert fields(z * Sqrt2(0, 1)) == (0, 3, 4, 0, 6)  # sqrt2/2 + i 2/3
+    assert fields(z * z) == (1, 0, 0, 12, 36)  # 1/4 - 2/9 + i sqrt2/3
+    u, w = CSqrt2.make(Sqrt2(1, 1), 1), CSqrt2.make(1, Sqrt2(0, 1))
+    assert fields(u * w) == fields(w * u) == (1, 0, 3, 1, 1)  # 1 + i(3 + sqrt2)
+    assert repr(z) == "(1/2)+(1/3*sqrt2)i"
+    with pytest.raises(AttributeError):
+        z.re = ONE
+
+
 @given(pairs, pairs, pairs, pairs)
 def test_complex_operations(xr, xi, yr, yi):
     z, w = CSqrt2(value(xr), value(xi)), CSqrt2(value(yr), value(yi))
@@ -223,3 +261,64 @@ def test_complex_constants_and_equality_with_reals():
     assert CSqrt2.make(0, 1) != 0
     with pytest.raises(TypeError):
         CSqrt2.of(1j)
+
+
+@given(pairs, pairs, pairs, pairs, rationals)
+def test_complex_results_are_canonical(xr, xi, yr, yi, r):
+    z, w = CSqrt2(value(xr), value(xi)), CSqrt2(value(yr), value(yi))
+    results = [z, w, z + w, z - w, -z, z.conj(), z * w, w * z, z * z.conj(),
+               z + r, r + z, z - r, r - z, z * r, r * z, z * r.numerator,
+               z * value(yr), z * value(yi),
+               z + r.numerator, r.numerator - z, z * 0, z - z,
+               CSqrt2.of(r), CSqrt2.of(value(xr)), CSqrt2.of(r.numerator),
+               CSqrt2.make(xr[0], xi[0]), CSqrt2.make(r.numerator, r.denominator)]
+    for got in results:
+        check_canonical(got)
+    assert fields(z - z) == fields(z * 0) == fields(C_ZERO) == (0, 0, 0, 0, 1)
+
+
+@given(pairs, pairs, rationals)
+def test_complex_equality_and_hash_agree_across_constructors(xr, xi, r):
+    re, im = value(xr), value(xi)
+    z = CSqrt2(re, im)
+    k = r if r else Fraction(3, 7)
+    same = [CSqrt2(re, im), CSqrt2.make(re, im), z + CSqrt2.make(0, 0), (z * k) * (1 / k),
+            (z + CSqrt2.make(r, r)) - CSqrt2.make(r, r), CSqrt2.I * (CSqrt2.I * -z),
+            z.conj().conj(), CSqrt2.of(re) + CSqrt2.I * im]
+    for got in same:
+        assert got == z and z == got
+        assert fields(got) == fields(z) and hash(got) == hash(z)
+    assert len({z, *same}) == 1
+    # a real value is one value however it is built
+    real = [CSqrt2(re), CSqrt2(re, 0), CSqrt2.make(re), CSqrt2.of(re), CSqrt2.of(re) * 1,
+            z - CSqrt2.I * im]
+    for got in real:
+        assert got == re and fields(got) == fields(real[0]) and hash(got) == hash(real[0])
+    if xr[1] == 0:
+        assert CSqrt2.of(xr[0]) == real[0] == xr[0]
+        assert hash(CSqrt2.of(xr[0])) == hash(real[0])
+    # a nonzero imaginary part is never equal to a real
+    if not im.is_zero():
+        assert z != re and re != z and z != xr[0]
+    w = CSqrt2(im, re)
+    assert (z == w) == ((xr, xi) == (xi, xr))
+    if z == w:
+        assert hash(z) == hash(w)
+
+
+@given(st.integers(-(10 ** 20), 10 ** 20), st.integers(-(10 ** 20), 10 ** 20), pairs, pairs)
+def test_int_fast_paths_match_the_fraction_route(a, b, xr, xi):
+    fa, fb = Fraction(a), Fraction(b)
+    assert fields(CSqrt2.make(a, b)) == fields(CSqrt2.make(fa, fb)) == fields(
+        CSqrt2(Sqrt2(fa), Sqrt2(fb)))
+    assert fields(CSqrt2.make(a)) == fields(CSqrt2.of(a)) == fields(CSqrt2.of(fa))
+    assert hash(CSqrt2.make(a, b)) == hash(CSqrt2.make(fa, fb))
+    s = Sqrt2.of(a)
+    assert type(s) is Sqrt2 and (s.p, s.q, s.d) == (a, 0, 1) and s == Sqrt2(fa)
+    assert hash(s) == hash(Sqrt2(fa))
+    z = CSqrt2(value(xr), value(xi))
+    for got, want in ((z * a, z * fa), (a * z, fa * z), (z + a, z + fa), (a + z, fa + z),
+                      (z - a, z - fa), (a - z, fa - z), (z * a, z * Sqrt2(fa)),
+                      (z * a, z * CSqrt2.of(fa))):
+        check_canonical(got)
+        assert fields(got) == fields(want) and hash(got) == hash(want)

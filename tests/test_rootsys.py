@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from flagmorse.errors import DimensionMismatch, UnsupportedFamily
 from flagmorse.rootsys import (
     RootVector,
+    _enumerate_scaled_roots,
+    _simple_roots,
     add,
     build_root_system,
     inner,
@@ -95,6 +97,67 @@ def test_root_index(family, rank):
         assert sys_.heights[i] == sum(sys_.expansions[r]) == sys_.height(r)
         assert tuple(sys_.expansion_rows[i]) == sys_.expansions[r]
     assert sys_.expansion_rows.shape == (n, sys_.rank)
+
+
+def _root_vector_build(family, rank):
+    """The root index by ``RootVector`` arithmetic at every step: the walk up
+    from the simple roots with vector sums, negatives by negation, and the
+    sum table by coordinate tuples."""
+    dim, ambient = _enumerate_scaled_roots(family, rank)
+    simples = _simple_roots(family, rank, dim)
+    inside = frozenset(ambient)
+    walked = {s: tuple(int(i == l) for i in range(rank)) for l, s in enumerate(simples)}
+    layer = list(simples)
+    while layer:
+        above = []
+        for root in layer:
+            for l, s in enumerate(simples):
+                up = root + s
+                if up in inside and up not in walked:
+                    walked[up] = tuple(c + (i == l) for i, c in enumerate(walked[root]))
+                    above.append(up)
+        layer = above
+    if family == "E" and rank < 8:
+        ambient = [r for p in walked for r in (p, -p)]
+    roots = tuple(sorted(ambient))
+    ids = {r: i for i, r in enumerate(roots)}
+    expansions = {r: walked[r] if r in walked else tuple(-c for c in walked[-r]) for r in roots}
+    index = {r.coords: i for i, r in enumerate(roots)}
+    sums = [[index.get(t, -1 if any(t) else -2) for t in (
+        tuple(x + y for x, y in zip(a.coords, b.coords)) for b in roots)] for a in roots]
+    return {
+        "roots": roots,
+        "positives": tuple(r for r in roots if r in walked),
+        "simples": tuple(simples),
+        "expansions": list(expansions.items()),
+        "ids": list(ids.items()),
+        "neg": [ids[-r] for r in roots],
+        "heights": [sum(expansions[r]) for r in roots],
+        "sums": sums,
+        "expansion_rows": [list(expansions[r]) for r in roots],
+    }
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_key_walk_matches_root_vector_walk(family, rank):
+    sys_ = build_root_system(family, rank)
+    want = _root_vector_build(family, rank)
+    got = {
+        "roots": sys_.roots,
+        "positives": sys_.positives,
+        "simples": sys_.simples,
+        "expansions": list(sys_.expansions.items()),
+        "ids": list(sys_.ids.items()),
+        "neg": sys_.neg.tolist(),
+        "heights": sys_.heights.tolist(),
+        "sums": sys_.sums.tolist(),
+        "expansion_rows": sys_.expansion_rows.tolist(),
+    }
+    for name in want:
+        assert got[name] == want[name], name
+    # the expansions are tuples of Python ints, as the walk built them
+    assert all(type(c) is int for e in sys_.expansions.values() for c in e)
+    assert sys_.long.tolist() == [inner(sys_, r, r) == 2 for r in sys_.roots]
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)

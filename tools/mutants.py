@@ -35,6 +35,7 @@ PYTEST_TIMEOUT_S = 900
 
 COMB_TESTS = ("tests/test_index_comb.py", "tests/test_acceptance.py", "tests/test_cli.py")
 GEOM_TESTS = ("tests/test_acceptance.py", "tests/test_compact_geom.py")
+EXACT_TESTS = ("tests/test_exactnum.py",)
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,16 @@ MUTANTS = (
     # support, and only on painted frames
     Mutant("onemel-mask-narrowed-on-painted", "src/flagmorse/compact_geom.py",
            "frame.split.part[rests] != 1", "frame.split.part[rests] == -1", GEOM_TESTS),
+    # the five-int complex product: sqrt2 * sqrt2 taken as 1 in the real
+    # part, a flipped imaginary cross term, and results left unreduced
+    Mutant("complex-product-real-sqrt2-without-2", "src/flagmorse/exactnum.py",
+           "rp * sp - ip * tp + 2 * (rq * sq - iq * tq),",
+           "rp * sp - ip * tp + (rq * sq - iq * tq),", EXACT_TESTS),
+    Mutant("complex-product-imag-cross-sign", "src/flagmorse/exactnum.py",
+           "rp * tp + ip * sp + 2 * (rq * tq + iq * sq),",
+           "rp * tp - ip * sp + 2 * (rq * tq + iq * sq),", EXACT_TESTS),
+    Mutant("complex-unreduced", "src/flagmorse/exactnum.py",
+           "g = _gcd(rp, rq, ip, iq, d)", "g = 1", EXACT_TESTS),
 )
 
 
