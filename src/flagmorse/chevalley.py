@@ -44,14 +44,15 @@ from .rootsys import RootSystem, RootVector, _positive_ids, build_root_system, i
 HVector = tuple[CSqrt2, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChevalleyData:
-    """Exact structure constants and coroots for one root system."""
+    """Exact structure constants and coroots for one root system; compared
+    and hashed by identity, as ``build_chevalley`` makes one per system."""
 
     sys: RootSystem
     # by id pair (a, b), aligned with sys.sums: the position of c_{a,b} in
     # _consts where a + b is a root, else -1
-    _slot: np.ndarray = field(repr=False, compare=False)
+    _slot: np.ndarray = field(repr=False)
     # the normalized constants, (c, -c) per orbit of 12 pairs
     _consts: tuple[Sqrt2, ...] = field(repr=False)
 
@@ -354,7 +355,7 @@ def n0_constant(data: ChevalleyData, pair_set=()) -> float:
 def csv_rows(data: ChevalleyData) -> list[tuple[str, str, str]]:
     """(alpha, beta, c) rows with roots in simple-root coordinates."""
     sys = data.sys
-    names = [",".join(str(c) for c in sys.expansions[r]) for r in sys.roots]
+    names = [",".join(map(str, row)) for row in sys.expansion_rows.tolist()]
     a, b = np.nonzero(sys.sums >= 0)
     return [(names[i], names[j], repr(data._consts[k]))
             for i, j, k in zip(a.tolist(), b.tolist(), data._slot[a, b].tolist())]

@@ -177,7 +177,7 @@ def cmd_parabolic(args) -> int:
     payload = sp.to_json_dict()
     plain = (
         f"{sp.sys.name} painted diagram: {payload['diagram']}\n"
-        f"isotropy roots: {len(sp.delta_k)}  tangent positives v = {sp.v}"
+        f"isotropy roots: {int(np.count_nonzero(sp.part == 0))}  tangent positives v = {sp.v}"
     )
     _emit(args, payload, plain)
     return EXIT_OK

@@ -1,22 +1,23 @@
 """Numeric geometry of the compact real form.
 
 A frame packages the ordered real basis (Cartan block, isotropy root planes,
-tangent root planes), its sparse structure-constant plan, metric, and complex
-structure.  The plan lists the nonzero constants ``[e_i, e_j] = c e_k`` as
-index arrays, built as whole arrays over the root index: the sum table gives
-the root pairs, and the Chevalley table the float64 of each exact constant,
-rounded once.  Every bracket, adjoint matrix and identity check contracts
-through that one plan.  Every tensor along a geodesic is reduced to constant
-coefficients in this frame, so transport is a single matrix exponential and
-all the pointwise identities become finite-dimensional residual checks.  Each
-frame also builds, once and on first use, a table of the pair spaces S0(delta)
-of the tangent-positive roots: their pairs, constants and slots, the 4x4
-blocks of ad(X_delta) and ad(Y_delta) on each pair, and the bracket onto
-delta's plane.  The quarter-turn map and the twomel suite read it instead of
-full adjoint matrices.  The averaged Hessian, the tangent norm and the twist
-pairing are forms in the initial fields: each averaged matrix int_0^1
-exp(tA)^T M exp(tA) dt is read off one block exponential (Van Loan), exactly
-in t, so no time grid or node count is involved.
+tangent root planes, each plane found by root id through ``slot``), its sparse
+structure-constant plan, metric, and complex structure.  The plan lists the
+nonzero constants ``[e_i, e_j] = c e_k`` as index arrays, built as whole
+arrays over the root index: the sum table gives the root pairs, and the
+Chevalley table the float64 of each exact constant, rounded once.  Every
+bracket, adjoint matrix and identity check contracts through that one plan.
+Every tensor along a geodesic is reduced to constant coefficients in this
+frame, so transport is a single matrix exponential and all the pointwise
+identities become finite-dimensional residual checks.  Each frame also builds,
+once and on first use, a table of the pair spaces S0(delta) of the
+tangent-positive roots: their pairs, constants and slots, the 4x4 blocks of
+ad(X_delta) and ad(Y_delta) on each pair, and the bracket onto delta's plane.
+The quarter-turn map and the twomel suite read it instead of full adjoint
+matrices.  The averaged Hessian, the tangent norm and the twist pairing are
+forms in the initial fields: each averaged matrix int_0^1 exp(tA)^T M exp(tA)
+dt is read off one block exponential (Van Loan), exactly in t, so no time grid
+or node count is involved.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from numbers import Rational
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chevalley import ChevalleyData, _pair_floats, build_chevalley
 from .errors import (DegenerateCoefficients, DimensionMismatch, InvalidSampling, NotARoot, NotInK,
                      NotInTangent, UnknownSuite)
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
-from .rootsys import RootSystem, RootVector, build_root_system, inner
+from .rootsys import RootSystem, RootVector, build_root_system
 
 # ---------------------------------------------------------------------------
 # structure-constant plans
@@ -217,28 +217,33 @@ def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
 # frame construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealFormFrame:
-    """Constant-coefficient model of the compact form at the base point."""
+    """Constant-coefficient model of the compact form at the base point:
+    the Cartan block, then a plane (X_a, Y_a) per positive root a, painted
+    span first, in the split's order, found by id through ``slot``.
+    Compared and hashed by identity."""
 
     split: ParabolicSplit
     chev: ChevalleyData = field(repr=False)
-    labels: tuple = field(repr=False)
     dim: int
     m_start: int
-    m_pos: tuple[RootVector, ...]
     plan: BracketPlan = field(repr=False)
     plan_m: BracketPlan = field(repr=False)  # tangent x tangent -> tangent
     plan_k: BracketPlan = field(repr=False)  # tangent x tangent -> isotropy
     metric: np.ndarray = field(repr=False)
     j_m: np.ndarray = field(repr=False)
-    slots: dict[RootVector, tuple[int, int]] = field(repr=False)
     # by root id, the X coordinate of the root's plane (shared by a and -a)
-    _x_slot: np.ndarray = field(repr=False, compare=False)
+    _x_slot: np.ndarray = field(repr=False)
 
     @property
     def sys(self):
         return self.split.sys
+
+    @property
+    def m_pos(self) -> tuple[RootVector, ...]:
+        """The tangent-positive roots in the order of their planes."""
+        return self.split.m_pos_sorted
 
     @property
     def m_dim(self) -> int:
@@ -264,8 +269,13 @@ class RealFormFrame:
         out[..., self.m_start:] = x_m
         return out
 
+    def slot(self, alpha: RootVector) -> tuple[int, int]:
+        """Full-frame coordinates (X, Y) of the plane of the root +-alpha."""
+        x = self._x_slot.item(self.split.sys.ids[alpha])
+        return x, x + 1
+
     def m_slot(self, alpha: RootVector) -> tuple[int, int]:
-        ix, iy = self.slots[alpha]
+        ix, iy = self.slot(alpha)
         return ix - self.m_start, iy - self.m_start
 
     # -- algebra ------------------------------------------------------------
@@ -313,51 +323,35 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     chev = build_chevalley(sys)
     rank = sys.rank
     # painted-span planes, then tangent planes, each by (height, coords)
-    iso_pos, m_pos = split.k_pos_sorted, split.m_pos_sorted
-    labels: list = [("h", j) for j in range(rank)]
-    slots: dict[RootVector, tuple[int, int]] = {}
-    for alpha in (*iso_pos, *m_pos):
-        slots[alpha] = (len(labels), len(labels) + 1)
-        labels.append(("X", alpha))
-        labels.append(("Y", alpha))
-    dim = len(labels)
-    m_start = rank + 2 * len(iso_pos)
-    planes = [sys.ids[alpha] for alpha in slots]
+    planes = [sys.ids[alpha] for alpha in (*split.k_pos_sorted, *split.m_pos_sorted)]
+    dim = rank + 2 * len(planes)
+    m_start = dim - 2 * len(split.m_pos_sorted)
     x_slot = np.empty(len(sys.roots), dtype=int)
     x_slot[planes] = x_slot[sys.neg[planes]] = np.arange(rank, dim, 2)
 
     plan = _make_plan(*_structure_constants(chev, x_slot), dim, dim)
 
+    # (s_i, s_j) on the Cartan block, 2 on the diagonal of every root plane
     metric = np.zeros((dim, dim))
-    for i, si in enumerate(sys.simples):
-        for j, sj in enumerate(sys.simples):
-            metric[i, j] = float(inner(sys, si, sj))
-    for alpha in (*iso_pos, *m_pos):
-        ix, iy = slots[alpha]
-        metric[ix, ix] = 2.0
-        metric[iy, iy] = 2.0
-
-    m_dim = dim - m_start
-    j_m = np.zeros((m_dim, m_dim))
-    for alpha in m_pos:
-        ix, iy = slots[alpha]
-        ix, iy = ix - m_start, iy - m_start
-        j_m[iy, ix] = 1.0
-        j_m[ix, iy] = -1.0
+    simples = np.array([root.coords for root in sys.simples])
+    metric[:rank, :rank] = simples @ simples.T * (float(sys.norm_scale) / 4)
+    metric[np.arange(rank, dim), np.arange(rank, dim)] = 2.0
+    # J X_a = Y_a on each tangent plane
+    j_m = np.zeros((dim - m_start, dim - m_start))
+    x = np.arange(0, dim - m_start, 2)
+    j_m[x + 1, x] = 1.0
+    j_m[x, x + 1] = -1.0
 
     return RealFormFrame(
         split=split,
         chev=chev,
-        labels=tuple(labels),
         dim=dim,
         m_start=m_start,
-        m_pos=m_pos,
         plan=plan,
         plan_m=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start, dim)),
         plan_k=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start)),
         metric=metric,
         j_m=j_m,
-        slots=slots,
         _x_slot=x_slot,
     )
 
@@ -475,6 +469,7 @@ def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
 
 def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarray:
     """Transport matrix at time t (identity at t = 0)."""
+    from scipy.linalg import expm  # here, so the exact commands never load scipy
     return expm(-0.5 * t * r_operator(frame, gdot))
 
 
@@ -505,6 +500,7 @@ def _averaged(gen: np.ndarray, m: np.ndarray) -> np.ndarray:
     23(3), 1978).  A zero generator gives ``m`` itself: exp(0) = I exactly."""
     if not gen.any():
         return m
+    from scipy.linalg import expm
     n = gen.shape[0]
     f = expm(np.block([[-gen.T, m], [np.zeros_like(gen), gen]]))
     return f[n:, n:].T @ f[:n, n:]
@@ -567,15 +563,15 @@ def s0_embedding(frame: RealFormFrame, pair_set) -> np.ndarray:
     """Full-frame indices of the pair-space coordinates, pair by pair."""
     idx = []
     for a, b in s0_indices(pair_set):
-        idx.extend(frame.slots[a])
-        idx.extend(frame.slots[b])
+        idx.extend(frame.slot(a))
+        idx.extend(frame.slot(b))
     return np.array(idx, dtype=int)
 
 
 def tilde_vector(frame: RealFormFrame, delta: RootVector, a: float, b: float) -> np.ndarray:
     """Full-frame vector a*X_delta + b*Y_delta."""
     out = np.zeros(frame.dim)
-    ix, iy = frame.slots[delta]
+    ix, iy = frame.slot(delta)
     out[ix], out[iy] = a, b
     return out
 
@@ -700,8 +696,9 @@ def adjoint_perturb(
     """
     if not (frame.split.in_k(root_k) and frame.sys.is_positive(root_k)):
         raise NotInK(f"{root_k} is not a positive painted-span root")
+    from scipy.linalg import expm
     x_full = np.zeros(frame.dim)
-    x_full[frame.slots[root_k][0]] = 1.0
+    x_full[frame.slot(root_k)[0]] = 1.0
     ad = frame.ad_matrix(x_full)
     ad_mm = ad[frame.m_start:, frame.m_start:]
     leak = ad[: frame.m_start, frame.m_start:]
@@ -867,13 +864,11 @@ def _kernel_mask(frame) -> np.ndarray:
     brackets the conjugate of the plane of ``m_pos[d]`` back into
     anti-holomorphic directions only (after the tangent projection, which
     drops Cartan and isotropy parts).  The plane of ``m_pos[a]`` is kept
-    unless alpha - delta is a tangent-positive root; it has coordinates
-    2a and 2a + 1."""
-    sys = frame.sys
-    m = np.array([sys.ids[alpha] for alpha in frame.m_pos])
-    rests = sys.sums[np.ix_(sys.neg[m], m)]  # alpha - delta, by (d, a)
-    keep = (rests < 0) | (frame.split.part[rests] != 1)
-    return np.repeat(keep, 2, axis=1)
+    unless alpha - delta is a tangent-positive root, that is unless delta is
+    in S of alpha; it has coordinates 2a and 2a + 1."""
+    split = frame.split
+    m = [split.sys.ids[alpha] for alpha in frame.m_pos]
+    return np.repeat(split.st_table[np.ix_(m, m)].T != 1, 2, axis=1)
 
 
 def _conditioned_batch(frame, rng, trials):
@@ -993,7 +988,7 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
         # the bracket from the pair coordinates onto delta's plane, which is
         # all the metric pairing with the twist direction reads
         sub = space.plane
-        plane = np.array(frame.slots[delta])
+        plane = np.array(frame.slot(delta))
         twist = frame.metric[np.ix_(plane, plane)] @ (a, b)  # pairs with a*X_delta + b*Y_delta
         ix = x @ i_mat.T
         br = _contract(sub, ix, x)

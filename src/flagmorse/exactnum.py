@@ -105,6 +105,8 @@ class Sqrt2:
 
     def __add__(self, other):
         if type(other) is not Sqrt2:
+            if type(other) is CSqrt2:  # its reflected operation takes a Sqrt2
+                return NotImplemented
             other = Sqrt2.of(other)
         d, e = self.d, other.d
         if d == e:
@@ -118,6 +120,8 @@ class Sqrt2:
 
     def __sub__(self, other):
         if type(other) is not Sqrt2:
+            if type(other) is CSqrt2:
+                return NotImplemented
             other = Sqrt2.of(other)
         d, e = self.d, other.d
         if d == e:
@@ -131,6 +135,8 @@ class Sqrt2:
         if type(other) is int:
             return _make(self.p * other, self.q * other, self.d)
         if type(other) is not Sqrt2:
+            if type(other) is CSqrt2:
+                return NotImplemented
             other = Sqrt2.of(other)
         p, q, r, s = self.p, self.q, other.p, other.q
         if not q and not s:

@@ -300,19 +300,17 @@ def b_case_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSet
         raise UnsupportedDelta(f"{delta} is not a short basis root")
     if delta not in gamma.support:
         raise ValueError(f"{delta} is not in the support set")
-    r = sys.rank
-    for j in range(i + 1, r):
-        if _e_vector(sys, j) in gamma.support:
-            raise ValueError("a later short basis root is in the support; "
-                             "the chosen index must be the largest")
+    later = [_e_vector(sys, b) for b in range(i + 1, sys.rank)]
+    if any(e in gamma.support for e in later):
+        raise ValueError("a later short basis root is in the support; "
+                         "the chosen index must be the largest")
     for lam in gamma.support:
         shape = _c_delta_shape(lam)
         if shape and shape[0] == "minus":
             raise ValueError(f"{lam} in the support admits a long superminimal")
         if shape and shape[0] == "plus" and shape[1] > i:
             raise ValueError(f"{lam} in the support admits a long superminimal")
-    for k in range(i + 1, r):
-        ek = _e_vector(sys, k)
+    for ek in later:
         if sp.in_k(ek):
             raise HypothesisViolated(
                 f"basis root {ek} lies in the painted span; "
@@ -320,12 +318,10 @@ def b_case_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSet
             )
     row = sp.st_table[sys.ids[delta]]
     u_set = _members(sp, row == 3)  # delta, and the tangent roots above it
-    v_set = {
-        _e_vector(sys, b) for b in range(i + 1, r)
-        if _e_vector(sys, b) in sp.delta_m_pos and (delta - _e_vector(sys, b)) in sp.delta_k_pos
-    }
+    v_set = {e for e in later
+             if e in sp.delta_m_pos and sp.in_k(delta - e) and sys.is_positive(delta - e)}
     s_set = _members(sp, row == 1)
-    allowed = {x for l in range(i + 1, r) for x in (delta - _e_vector(sys, l), _e_vector(sys, l))}
+    allowed = {x for e in later for x in (delta - e, e)}
     if not s_set <= allowed:
         raise RuntimeError(f"unexpected S membership: {sorted(s_set - allowed)}")
     sets = STSets.make(delta, s_set, u_set | v_set)

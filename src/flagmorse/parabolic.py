@@ -1,4 +1,6 @@
-"""Painted diagrams and the resulting isotropy/tangent root split."""
+"""Painted diagrams and the resulting isotropy/tangent root split.  A split
+keeps its root-level facts on the root index: ``part`` and ``st_table`` by
+id; ``m_pos_sorted`` and ``k_pos_sorted`` order the frame's root planes."""
 
 from __future__ import annotations
 
@@ -12,7 +14,9 @@ from .rootsys import RootSystem, RootVector
 
 @dataclass(frozen=True)
 class PaintedDiagram:
-    """A subset of simple-root indices (0-based) marked as painted."""
+    """A subset of simple-root indices (0-based) marked as painted.  Two
+    diagrams are equal, and hash alike, when they paint the same nodes of
+    the same system."""
 
     sys: RootSystem
     sigma_k: frozenset[int]
@@ -35,12 +39,11 @@ class PaintedDiagram:
 
 @dataclass(frozen=True)
 class ParabolicSplit:
-    """Roots split into the painted span and its complement."""
+    """Roots split into the painted span and its complement.  Splits compare
+    and hash by value: system, painted nodes and tangent roots."""
 
     sys: RootSystem
     sigma_k: frozenset[int]
-    delta_k: frozenset[RootVector]
-    delta_k_pos: frozenset[RootVector]
     delta_m_pos: frozenset[RootVector]
     m_pos_sorted: tuple[RootVector, ...] = field(repr=False)
     k_pos_sorted: tuple[RootVector, ...] = field(repr=False)
@@ -78,7 +81,10 @@ class ParabolicSplit:
         return table
 
     def in_k(self, root: RootVector) -> bool:
-        return root in self.delta_k
+        """Whether ``root`` is a root in the painted span; False for any
+        other vector."""
+        i = self.sys.ids.get(root)
+        return i is not None and self.part.item(i) == 0
 
     def in_m_pos(self, root: RootVector) -> bool:
         return root in self.delta_m_pos
@@ -89,7 +95,8 @@ class ParabolicSplit:
             "rank": self.sys.rank,
             "painted": self.painted_nodes,
             "diagram": PaintedDiagram(self.sys, self.sigma_k).render(),
-            "delta_k": [list(r.coords) for r in sorted(self.delta_k)],
+            # ids follow the root order
+            "delta_k": [list(self.sys.roots[i].coords) for i in np.flatnonzero(self.part == 0)],
             "delta_m_pos": [list(r.coords) for r in self.m_pos_sorted],
             "v": self.v,
         }
@@ -116,8 +123,6 @@ def split(sys: RootSystem, painted: PaintedDiagram) -> ParabolicSplit:
     return ParabolicSplit(
         sys=sys,
         sigma_k=sigma,
-        delta_k=frozenset(roots[i] for i in np.flatnonzero(in_k).tolist()),
-        delta_k_pos=frozenset(k_pos),
         delta_m_pos=frozenset(m_pos),
         m_pos_sorted=m_pos,
         k_pos_sorted=k_pos,

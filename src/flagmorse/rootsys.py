@@ -92,9 +92,11 @@ def _dot_scaled(x: RootVector, y: RootVector) -> int:
     return sum(a * b for a, b in zip(x.coords, y.coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Finite crystallographic root system with exact arithmetic."""
+    """Finite crystallographic root system with exact arithmetic.  Systems
+    compare and hash by identity: ``build_root_system`` makes one per family
+    and rank."""
 
     family: str
     rank: int
@@ -103,16 +105,14 @@ class RootSystem:
     roots: tuple[RootVector, ...]
     positives: tuple[RootVector, ...]
     simples: tuple[RootVector, ...]
-    # coefficients of each root over the simple roots, by root
-    expansions: dict[RootVector, tuple[int, ...]] = field(repr=False)
     # the root index: id of each root, and by id its negative, height, sums,
     # expansion (int[n, rank]) and whether it is long
     ids: dict[RootVector, int] = field(repr=False)
-    neg: np.ndarray = field(repr=False, compare=False)
-    heights: np.ndarray = field(repr=False, compare=False)
-    sums: np.ndarray = field(repr=False, compare=False)
-    expansion_rows: np.ndarray = field(repr=False, compare=False)
-    long: np.ndarray = field(repr=False, compare=False)
+    neg: np.ndarray = field(repr=False)
+    heights: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(repr=False)
+    expansion_rows: np.ndarray = field(repr=False)
+    long: np.ndarray = field(repr=False)
 
     @property
     def name(self) -> str:
@@ -126,7 +126,7 @@ class RootSystem:
         return i is not None and self.heights[i] > 0
 
     def height(self, x: RootVector) -> int:
-        return sum(self.expansions[x])
+        return int(self.heights[self.ids[x]])
 
     def to_json_dict(self) -> dict:
         scale = self.norm_scale
@@ -263,7 +263,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         # the instances in roots, so lookups by them hit __eq__'s identity test
         positives=tuple(roots[i] for i in np.flatnonzero(positive).tolist()),
         simples=tuple(roots[id_of[k]] for k in simple_keys),
-        expansions=dict(zip(roots, map(tuple, expansion_rows.tolist()))),
         ids=ids,
         neg=neg,
         heights=expansion_rows.sum(axis=1),
@@ -355,12 +354,7 @@ def w_set(sys: RootSystem, delta: RootVector) -> frozenset[RootVector]:
     return frozenset(sys.roots[a] for a in np.flatnonzero(rests >= 0))
 
 
-def w_pairs(sys: RootSystem, delta: RootVector) -> frozenset[frozenset[RootVector]]:
-    """Unordered root pairs {alpha, beta} with alpha + beta = delta."""
-    rests = sys.sums[sys.ids[delta], sys.neg]
-    return frozenset(frozenset((sys.roots[a], sys.roots[rests[a]]))
-                     for a in np.flatnonzero(rests >= 0))
-
-
 def w_pair_count(sys: RootSystem, delta: RootVector) -> int:
-    return len(w_pairs(sys, delta))
+    """Unordered root pairs {alpha, beta} with alpha + beta = delta: no root
+    is twice a root, so each pair puts two distinct roots in ``w_set``."""
+    return len(w_set(sys, delta)) // 2

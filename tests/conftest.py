@@ -17,6 +17,12 @@ SMALL_SYSTEMS = [(f, r) for f, r in ALL_SYSTEMS if r <= 4]
 
 ACCEPTANCE_FRAMES = [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
 
+# every system, Borel and with node 1, node r, and nodes 1 and r painted
+# (0-based here), where a tangent block is left: 111 frames
+END_NODE_FRAMES = [(f, r, p) for f, r in ALL_SYSTEMS
+                   for p in sorted({(), (0,), (r - 1,), tuple(sorted({0, r - 1}))})
+                   if len(p) < r]
+
 
 @pytest.fixture(scope="session")
 def rng():

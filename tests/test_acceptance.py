@@ -158,7 +158,7 @@ def _integer_chevalley(family, rank):
     cartan = 2 * gram // sq  # cartan[x, y] = <x, y^vee>
     simple = [ids[s] for s in sys_.simples]
     # coroot of a over the simple coroots: n_i |s_i|^2 / |a|^2
-    exp = np.array([sys_.expansions[r] for r in roots], dtype=np.int64)
+    exp = sys_.expansion_rows.astype(np.int64)
     assert np.all(exp * sq[simple] % sq[:, None] == 0)
     cor = exp * sq[simple] // sq[:, None]
     sums = sys_.sums.astype(np.int64)

@@ -199,6 +199,13 @@ def test_n0_examples():
     assert n0_constant(chev("C", 3)) == pytest.approx(2 ** -0.5)
 
 
+def test_tables_compare_and_hash_by_identity():
+    data = chev("A", 3)
+    assert build_chevalley(data.sys) is data and hash(data) == object.__hash__(data)
+    twin = dataclasses.replace(data)
+    assert twin != data and {data: 1}.get(twin) is None
+
+
 def test_csv_rows_shape():
     data = chev("A", 2)
     rows = csv_rows(data)

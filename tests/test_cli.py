@@ -83,6 +83,34 @@ def test_parabolic_render():
     assert "v = 3" in result.stdout
 
 
+# the exact commands, each with its usual inputs: none needs a matrix
+# exponential, so none should pay for importing scipy
+EXACT_COMMANDS = [
+    ["roots", "--family", "E", "--rank", "7", "--json"],
+    ["chevalley", "--family", "B", "--rank", "3"],
+    ["parabolic", "--family", "A", "--rank", "3", "--painted", "2"],
+    ["ell", "--family", "B", "--rank", "3", "--gamma", "0,1,0:1,0;1,1,0:0,1", "--delta", "auto"],
+    ["ell-table"],
+    ["index-bound", "--family", "D", "--rank", "4", "--m", "6", "--n", "2"],
+]
+
+
+def test_exact_commands_load_no_scipy():
+    script = ("import contextlib, io, sys\n"
+              "from flagmorse import cli\n"
+              f"for args in {EXACT_COMMANDS!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(args) == 0, args\n"
+              "    assert 'scipy' not in sys.modules, args\n"
+              # a velocity with a nonzero transport generator needs expm
+              "cli.main(['hessian', '--family', 'A', '--rank', '3', '--gamma',\n"
+              "          '1,-1,0,0:1,0;0,1,-1,0:1,2', '--field', '1,0,-1,0:1,1'])\n"
+              "assert 'scipy.linalg' in sys.modules\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=_this_tree_env())
+    assert result.returncode == 0, result.stderr
+
+
 def test_ell_command_auto_delta(run_cli):
     result = run_cli("ell", "--family", "B", "--rank", "3",
                      "--gamma", "0,1,0:1,0;1,1,0:0,1", "--delta", "auto", "--json")

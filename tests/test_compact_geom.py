@@ -47,7 +47,7 @@ from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
 from flagmorse.rootsys import RootVector, build_root_system, inner, is_long
 
-from conftest import ALL_SYSTEMS, SMALL_SYSTEMS
+from conftest import ALL_SYSTEMS, END_NODE_FRAMES, SMALL_SYSTEMS
 from test_rootsys import rv
 
 TOL = 1e-10
@@ -76,20 +76,20 @@ def _delta_and_gdot(frame, a=1.1, b=-0.7, long_only=True):
 
 def _exact_basis(frame):
     """The real basis as complexified elements: h_j = i * simple_j,
-    X_a = E_a - E_-a and Y_a = i (E_a + E_-a)."""
+    X_a = E_a - E_-a and Y_a = i (E_a + E_-a), each at the coordinate that
+    ``frame.slot`` gives; every coordinate is filled exactly once."""
     sys_ = frame.sys
     i1 = CSqrt2.make(0, 1)
-    out = []
-    for kind, payload in frame.labels:
-        if kind == "h":
-            coords = tuple(CSqrt2.make(0, c) for c in sys_.simples[payload].unscaled())
-            out.append(ComplexElement.cartan(sys_, coords))
-        elif kind == "X":
-            out.append(ComplexElement.root_vector(sys_, payload)
-                       - ComplexElement.root_vector(sys_, -payload))
-        else:
-            out.append(ComplexElement.root_vector(sys_, payload, i1)
-                       + ComplexElement.root_vector(sys_, -payload, i1))
+    out = [ComplexElement.cartan(sys_, tuple(CSqrt2.make(0, c) for c in simple.unscaled()))
+           for simple in sys_.simples] + [None] * (frame.dim - sys_.rank)
+    for alpha in sys_.positives:
+        ix, iy = frame.slot(alpha)
+        assert out[ix] is None and out[iy] is None
+        out[ix] = (ComplexElement.root_vector(sys_, alpha)
+                   - ComplexElement.root_vector(sys_, -alpha))
+        out[iy] = (ComplexElement.root_vector(sys_, alpha, i1)
+                   + ComplexElement.root_vector(sys_, -alpha, i1))
+    assert None not in out
     return out
 
 
@@ -126,7 +126,8 @@ def _project_exact(frame, simples_inv, z):
     coords = np.zeros(frame.dim)
     half = Fraction(1, 2)
     zero = CSqrt2.of(0)
-    for mu, (ix, iy) in frame.slots.items():
+    for mu in frame.sys.positives:
+        ix, iy = frame.slot(mu)
         c_plus = z.coeffs.get(mu, zero)
         c_minus = z.coeffs.get(-mu, zero)
         x = (c_plus - c_minus) * half
@@ -211,12 +212,14 @@ def _sorted_sub_plan(plan, inputs, outputs):
                                    len(inputs), len(outputs))
 
 
-def _structure_constants_oracle(chev, slots):
+def _structure_constants_oracle(frame):
     """The plan's entries built one pair at a time, as ``(n, 3)`` int32 (i, j, k)
     and float64 constants: one loop over the pairs with a root sum and one
     over the opposite pairs (a, -a), with ``slots`` mapping each positive root
-    to its (X, Y) coordinates."""
+    to its (X, Y) coordinates from ``frame.slot``."""
+    chev = frame.chev
     sys_ = chev.sys
+    slots = {alpha: frame.slot(alpha) for alpha in sys_.positives}
     ijk, c = [], []
 
     def add(i, j, k, value):
@@ -229,7 +232,7 @@ def _structure_constants_oracle(chev, slots):
 
     for a, (xa, ya) in slots.items():
         # [E_a, E_-a] is the dual of a
-        for l, n_l in enumerate(sys_.expansions[a]):
+        for l, n_l in enumerate(sys_.expansion_rows[sys_.ids[a]].tolist()):
             if n_l:
                 add(xa, ya, l, 2 * n_l)
                 add(ya, xa, l, -2 * n_l)
@@ -269,7 +272,7 @@ def test_plan_matches_per_pair_oracle(family, rank, painted):
     # the array-built plan and its tangent sub-plans equal, bit for bit and in
     # dtype, the plans of the per-pair loop
     frame = frame_for(family, rank, painted)
-    ijk, c = _structure_constants_oracle(frame.chev, frame.slots)
+    ijk, c = _structure_constants_oracle(frame)
     plan = compact_geom._make_plan(*ijk.T, c, frame.dim, frame.dim)
     m = np.arange(frame.m_start, frame.dim)
     want = (plan, _sorted_sub_plan(plan, m, m),
@@ -381,10 +384,92 @@ def test_isotropy_planes_in_height_order(family, rank, painted):
     # painted roots by (height, coords)
     frame = frame_for(family, rank, painted)
     sys_ = frame.sys
-    want = sorted((r for r in frame.split.delta_k if sys_.is_positive(r)),
+    want = sorted((r for r in sys_.positives if frame.split.in_k(r)),
                   key=lambda r: (sys_.height(r), r.coords))
-    assert list(frame.labels[rank:frame.m_start]) == [
-        (kind, alpha) for alpha in want for kind in ("X", "Y")]
+    assert [frame.slot(alpha) for alpha in want] == [
+        (x, x + 1) for x in range(rank, frame.m_start, 2)]
+
+
+def _retired_layout(split):
+    """The frame layout as it was built before the frame read it by id: the
+    ``labels`` list (Cartan labels, then X and Y per painted-span positive
+    root, then per tangent-positive root, each by (height, coords)), the
+    ``slots`` dict from each positive root to its plane, and the metric and
+    complex structure filled entry by entry over that dict."""
+    sys_ = split.sys
+    rank = sys_.rank
+    order = sorted(sys_.positives,
+                   key=lambda r: (not split.in_k(r), sys_.height(r), r.coords))
+    labels = [("h", j) for j in range(rank)]
+    slots = {}
+    for alpha in order:
+        slots[alpha] = (len(labels), len(labels) + 1)
+        labels.append(("X", alpha))
+        labels.append(("Y", alpha))
+    dim = len(labels)
+    m_start = rank + 2 * sum(split.in_k(r) for r in order)
+    metric = np.zeros((dim, dim))
+    for i, si in enumerate(sys_.simples):
+        for j, sj in enumerate(sys_.simples):
+            metric[i, j] = float(inner(sys_, si, sj))
+    for ix, iy in slots.values():
+        metric[ix, ix] = 2.0
+        metric[iy, iy] = 2.0
+    j_m = np.zeros((dim - m_start, dim - m_start))
+    for alpha in order[(m_start - rank) // 2:]:
+        ix, iy = slots[alpha]
+        ix, iy = ix - m_start, iy - m_start
+        j_m[iy, ix] = 1.0
+        j_m[ix, iy] = -1.0
+    return labels, slots, m_start, metric, j_m
+
+
+def _sums_mask(frame):
+    """The kernel mask from the sum table: row d keeps the plane of alpha
+    unless alpha - m_pos[d] is a tangent-positive root."""
+    sys_ = frame.sys
+    m = np.array([sys_.ids[alpha] for alpha in frame.m_pos])
+    rests = sys_.sums[np.ix_(sys_.neg[m], m)]  # alpha - delta, by (d, a)
+    keep = (rests < 0) | (frame.split.part[rests] != 1)
+    return np.repeat(keep, 2, axis=1)
+
+
+@pytest.mark.parametrize("family,rank,painted", END_NODE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in END_NODE_FRAMES])
+def test_frame_layout_matches_the_retired_tables(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    sys_ = frame.sys
+    labels, slots, m_start, metric, j_m = _retired_layout(frame.split)
+    assert (frame.dim, frame.m_start) == (len(labels), m_start)
+    # slot reads the plane of a root and of its negative, as Python ints
+    for alpha, plane in slots.items():
+        assert frame.slot(alpha) == frame.slot(-alpha) == plane
+        assert all(type(x) is int for x in frame.slot(alpha))
+        assert labels[plane[0]] == ("X", alpha) and labels[plane[1]] == ("Y", alpha)
+        if frame.split.in_k(alpha):
+            assert plane[1] < m_start
+        else:
+            assert frame.m_slot(alpha) == (plane[0] - m_start, plane[1] - m_start)
+    assert frame.m_pos == tuple(alpha for kind, alpha in labels[m_start::2])
+    assert frame.m_pos is frame.split.m_pos_sorted
+    # the whole-array metric and complex structure, bit for bit
+    for got, want in ((frame.metric, metric), (frame.j_m, j_m)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the mask from the S/T table against the one from the sum table
+    assert np.array_equal(compact_geom._kernel_mask(frame), _sums_mask(frame))
+    with pytest.raises(KeyError):
+        frame.slot(RootVector((0,) * sys_.ambient_dim))
+
+
+def test_frames_compare_and_hash_by_identity():
+    frame = frame_for("A", 3)
+    rebuilt = build_frame(frame.split)
+    assert frame == frame and frame != rebuilt
+    assert hash(frame) == object.__hash__(frame) and hash(rebuilt) != hash(frame)
+    assert {frame: 1}.get(rebuilt) is None
+    # the split keeps value equality
+    assert rebuilt.split == frame.split and hash(rebuilt.split) == hash(frame.split)
 
 
 def test_frame_needs_a_tangent_block():
@@ -402,8 +487,8 @@ def test_rank_one_frame_sanity():
     alpha = frame.m_pos[0]
     x_full = np.zeros(frame.dim)
     y_full = np.zeros(frame.dim)
-    x_full[frame.slots[alpha][0]] = 1.0
-    y_full[frame.slots[alpha][1]] = 1.0
+    x_full[frame.slot(alpha)[0]] = 1.0
+    y_full[frame.slot(alpha)[1]] = 1.0
     out = frame.bracket_full(x_full, y_full)
     assert np.max(np.abs(out[1:])) < 1e-14  # lands in the Cartan block
     assert abs(out[0] * float(frame.sys.simples[0].unscaled()[0]) - 2.0 * float(alpha.unscaled()[0])) < 1e-12
@@ -413,7 +498,7 @@ def test_metric_blocks_and_plane_pairing():
     frame = frame_for("A", 2)
     # each root plane carries the diagonal (2, 2) block
     for alpha in frame.m_pos:
-        ix, iy = frame.slots[alpha]
+        ix, iy = frame.slot(alpha)
         assert frame.metric[ix, ix] == 2.0
         assert frame.metric[iy, iy] == 2.0
         assert frame.metric[ix, iy] == 0.0
@@ -425,7 +510,7 @@ def test_plane_bracket_lands_in_cartan_direction():
     alpha = frame.m_pos[0]
     x_full = np.zeros(frame.dim)
     y_full = np.zeros(frame.dim)
-    ix, iy = frame.slots[alpha]
+    ix, iy = frame.slot(alpha)
     x_full[ix] = 1.0
     y_full[iy] = 1.0
     out = frame.bracket_full(x_full, y_full)
@@ -1126,7 +1211,7 @@ def test_adjoint_perturb():
     assert rv(0, 1, -1) in supp  # a long root enters the support
     # growth bound from the exponential series
     x_full = np.zeros(frame.dim)
-    x_full[frame.slots[e3][0]] = 1.0
+    x_full[frame.slot(e3)[0]] = 1.0
     ad_norm = np.linalg.norm(
         frame.ad_matrix(x_full)[frame.m_start:, frame.m_start:], 2
     )
@@ -1256,7 +1341,7 @@ def _reference_blocks(frame, delta, pairs, a, b):
     full adjoint matrix."""
     ad = frame.ad_matrix(tilde_vector(frame, delta, a, b))
     return np.array([ad[np.ix_(idx, idx)]
-                     for idx in ([*frame.slots[x], *frame.slots[y]] for x, y in pairs)])
+                     for idx in ([*frame.slot(x), *frame.slot(y)] for x, y in pairs)])
 
 
 def _reference_map_i(frame, delta, a, b, pair_set):
@@ -1292,7 +1377,7 @@ def test_pair_space_table_matches_reference(family, rank, painted):
         if space.tangent:
             tangent += 1
             want = _sorted_sub_plan(frame.plan, s0_embedding(frame, pairs),
-                                    np.array(frame.slots[delta]))
+                                    np.array(frame.slot(delta)))
             assert all(np.array_equal(got, ref) for got, ref in zip(space.plane, want))
             assert np.array_equal(map_I(frame, delta, a, b, pairs),
                                   _reference_map_i(frame, delta, a, b, pairs))

@@ -253,6 +253,21 @@ def test_complex_times_real_scalars(xr, xi, r):
         z * 1j
 
 
+@given(pairs, pairs, pairs)
+def test_real_and_complex_operands_in_both_orders(xr, xi, y):
+    # a Sqrt2 on the left defers to the CSqrt2's reflected operation, so the
+    # result is the product (sum, difference) of the two as complex values
+    z, x = CSqrt2(value(xr), value(xi)), value(y)
+    cx = CSqrt2.of(x)
+    for got, want in ((x + z, cx + z), (z + x, z + cx), (x - z, cx - z), (z - x, z - cx),
+                      (x * z, cx * z), (z * x, z * cx)):
+        assert type(got) is CSqrt2 and got == want
+        check_canonical(got)
+    assert ONE * C_ONE == C_ONE * ONE == C_ONE
+    assert ONE + C_ONE == C_ONE + ONE == CSqrt2.make(2)
+    assert ONE - C_ONE == C_ONE - ONE == C_ZERO
+
+
 def test_complex_constants_and_equality_with_reals():
     assert C_ZERO.is_zero() and not C_ONE.is_zero()
     assert CSqrt2.I * CSqrt2.I == -C_ONE

@@ -122,7 +122,7 @@ def test_st_sets_checks_inputs_against_the_split():
     sys_ = build_root_system("A", 3)
     sp = split(sys_, PaintedDiagram.of(sys_, (0,)))
     painted, tangent = rv(1, -1, 0, 0), rv(0, 1, -1, 0)
-    assert painted in sp.delta_k and tangent in sp.delta_m_pos
+    assert sp.in_k(painted) and tangent in sp.delta_m_pos
     # a support root in the painted span
     with pytest.raises(ValueError, match="outside the tangent positives"):
         st_sets(sp, GammaSet.of([painted, tangent]), tangent)
@@ -242,7 +242,7 @@ def test_conditions_reject_sets_outside_the_tangent_positives():
     sp = split(sys_, PaintedDiagram.of(sys_, (0,)))
     delta, other = rv(1, 1, 0), rv(0, 1, 0)
     painted, bogus = rv(1, -1, 0), rv(1, 1, 1)
-    assert painted in sp.delta_k and not sys_.contains(bogus)
+    assert sp.in_k(painted) and not sys_.contains(bogus)
     assert {delta, other} <= sp.delta_m_pos
     for gamma in (GammaSet.singleton(delta), GammaSet.of([delta, other])):
         sets = st_sets(sp, gamma, delta)
@@ -557,7 +557,7 @@ def _b_case_oracle(sp, delta):
         if sp.in_k(e):
             raise HypothesisViolated(f"basis root {e} lies in the painted span; "
                                      "perturb the velocity along it and retry")
-    v_set = {e for e in later if e in sp.delta_m_pos and delta - e in sp.delta_k_pos}
+    v_set = {e for e in later if e in sp.delta_m_pos and delta - e in sp.k_pos_sorted}
     return STSets.make(delta, _st_oracle(sp, delta)[0], _above_oracle(sp, delta) | v_set)
 
 
@@ -592,7 +592,7 @@ def test_st_table_and_condition_shortcuts_match_the_oracles(family, rank, monkey
         table = sp.st_table
         assert table.dtype == np.int8 and table.shape == sp.sys.sums.shape
         assert sp.st_table is table  # kept on the split
-        painted = sorted(sp.delta_k_pos)
+        painted = sorted(sp.k_pos_sorted)
         for delta in m:
             s_want, t_want = _st_oracle(sp, delta)
             row = table[sp.sys.ids[delta]]

@@ -55,7 +55,7 @@ def test_root_counts_and_basic_invariants(family, rank):
     assert not positives & negatives
     # every positive root is a nonnegative integer combination of simples
     for r in sys_.positives:
-        assert all(c >= 0 for c in sys_.expansions[r])
+        assert all(c >= 0 for c in sys_.expansion_rows[sys_.ids[r]])
     # long roots have squared length exactly 2, and nothing is longer
     norms = {inner(sys_, r, r) for r in sys_.roots}
     assert max(norms) == 2
@@ -90,12 +90,12 @@ def test_root_index(family, rank):
             assert sums[i][j] == sys_.ids.get(s, -1 if any(s.coords) else -2), (a, b)
     # every root is the sum of the simple roots over its expansion, whose
     # total is the root's height
-    for i, r in enumerate(roots):
-        coords = tuple(sum(n_l * s.coords[k] for n_l, s in zip(sys_.expansions[r], sys_.simples))
+    for i, (r, row) in enumerate(zip(roots, sys_.expansion_rows.tolist())):
+        coords = tuple(sum(n_l * s.coords[k] for n_l, s in zip(row, sys_.simples))
                        for k in range(sys_.ambient_dim))
         assert coords == r.coords
-        assert sys_.heights[i] == sum(sys_.expansions[r]) == sys_.height(r)
-        assert tuple(sys_.expansion_rows[i]) == sys_.expansions[r]
+        assert sys_.heights[i] == sum(row) == sys_.height(r)
+        assert type(sys_.height(r)) is int
     assert sys_.expansion_rows.shape == (n, sys_.rank)
 
 
@@ -129,7 +129,6 @@ def _root_vector_build(family, rank):
         "roots": roots,
         "positives": tuple(r for r in roots if r in walked),
         "simples": tuple(simples),
-        "expansions": list(expansions.items()),
         "ids": list(ids.items()),
         "neg": [ids[-r] for r in roots],
         "heights": [sum(expansions[r]) for r in roots],
@@ -146,7 +145,6 @@ def test_key_walk_matches_root_vector_walk(family, rank):
         "roots": sys_.roots,
         "positives": sys_.positives,
         "simples": sys_.simples,
-        "expansions": list(sys_.expansions.items()),
         "ids": list(sys_.ids.items()),
         "neg": sys_.neg.tolist(),
         "heights": sys_.heights.tolist(),
@@ -155,8 +153,7 @@ def test_key_walk_matches_root_vector_walk(family, rank):
     }
     for name in want:
         assert got[name] == want[name], name
-    # the expansions are tuples of Python ints, as the walk built them
-    assert all(type(c) is int for e in sys_.expansions.values() for c in e)
+    assert sys_.expansion_rows.dtype == np.int8
     assert sys_.long.tolist() == [inner(sys_, r, r) == 2 for r in sys_.roots]
 
 
@@ -261,6 +258,32 @@ def test_reflect_examples():
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_long_orbit_transitive(family, rank):
     assert long_orbit_is_transitive(build_root_system(family, rank))
+
+
+def _w_pairs(sys_, delta):
+    """Unordered root pairs {alpha, beta} with alpha + beta = delta, by
+    vector arithmetic."""
+    return frozenset(frozenset((alpha, delta - alpha)) for alpha in sys_.roots
+                     if sys_.contains(delta - alpha))
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_w_pair_count_matches_pair_sets(family, rank):
+    # w_pair_count halves w_set: no root is twice a root, so no pair is {a, a}
+    sys_ = build_root_system(family, rank)
+    for delta in sys_.roots:
+        pairs = _w_pairs(sys_, delta)
+        assert all(len(pair) == 2 for pair in pairs)
+        assert w_pair_count(sys_, delta) == len(pairs), delta
+        assert w_set(sys_, delta) == frozenset(a for pair in pairs for a in pair)
+
+
+def test_systems_compare_and_hash_by_identity():
+    a3 = build_root_system("A", 3)
+    assert a3 == a3 and hash(a3) == hash(a3) == object.__hash__(a3)
+    # a field-for-field copy is another system: no array is compared
+    twin = dataclasses.replace(a3)
+    assert twin != a3 and {a3: 1}.get(twin) is None
 
 
 def test_w_set_examples():

@@ -7,13 +7,16 @@
 Each mutant is one named replacement in one source file.  Its text must
 occur exactly once in that file, so a refactor that moves or rewrites the
 line makes ``--check`` fail instead of silently dropping the mutant.  A run
-copies ``src/``, ``tests/``, ``docs/`` and ``pyproject.toml`` to a temporary
-directory per mutant, applies the replacement there, runs pytest (``-x``) on
-each of the mutant's test files with that copy's ``src`` first on the path,
-and prints a mutant x test-file matrix: ``K`` where the file's tests failed
-(the mutant was killed), ``.`` where they all passed.  The exit status is 1
-when a mutant survives every file: a survivor is a finding, to be killed by a
-test or shown equivalent.  The repository itself is never modified.
+copies ``src/``, ``tests/``, ``docs/``, ``pyproject.toml`` and ``README.md``
+(the CLI tests run its examples) to a temporary directory per mutant, applies
+the replacement there, runs pytest (``-x``) on each of the mutant's test
+files with that copy's ``src`` first on the path, and prints a mutant x
+test-file matrix: ``K`` where the file's tests failed (the mutant was
+killed), ``.`` where they all passed.  First the same test files run on an
+unmutated copy: a file that fails there would mark every mutant killed, so
+the run stops with status 2.  The exit status is 1 when a mutant survives
+every file: a survivor is a finding, to be killed by a test or shown
+equivalent.  The repository itself is never modified.
 
 Standard library only.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "docs", "pyproject.toml")
+COPIED = ("src", "tests", "docs", "pyproject.toml", "README.md")
 PYTEST_TIMEOUT_S = 900
 
 COMB_TESTS = ("tests/test_index_comb.py", "tests/test_acceptance.py", "tests/test_cli.py")
@@ -62,13 +65,74 @@ MUTANTS = (
            ("tests/test_chevalley.py", "tests/test_acceptance.py",
             "tests/test_compact_geom.py")),
     # keeps alpha when alpha - delta is tangent positive (and drops it when
-    # tangent negative): the onemel identities fail
+    # negative): the onemel identities fail
     Mutant("onemel-mask-widened", "src/flagmorse/compact_geom.py",
-           "frame.split.part[rests] != 1", "frame.split.part[rests] != -1", GEOM_TESTS),
-    # drops alpha when alpha - delta is in the painted span: only narrows the
-    # support, and only on painted frames
+           "split.st_table[np.ix_(m, m)].T != 1, 2", "split.st_table[np.ix_(m, m)].T != 3, 2",
+           GEOM_TESTS),
+    # drops alpha when alpha - delta is a painted-span positive root: only
+    # narrows the support, and only on painted frames
     Mutant("onemel-mask-narrowed-on-painted", "src/flagmorse/compact_geom.py",
-           "frame.split.part[rests] != 1", "frame.split.part[rests] == -1", GEOM_TESTS),
+           "split.st_table[np.ix_(m, m)].T != 1, 2", "split.st_table[np.ix_(m, m)].T % 3 == 0, 2",
+           GEOM_TESTS),
+    # the frame layout and the painted span, read by id
+    Mutant("slot-x-and-y-swapped", "src/flagmorse/compact_geom.py",
+           "        return x, x + 1", "        return x + 1, x", GEOM_TESTS),
+    Mutant("in-k-with-tangent-negatives", "src/flagmorse/parabolic.py",
+           "self.part.item(i) == 0", "self.part.item(i) != 1",
+           ("tests/test_parabolic.py", *COMB_TESTS)),
+    # the transport, the averaging and the twisted form
+    Mutant("twisted-pairing-sign-flipped", "src/flagmorse/compact_geom.py",
+           "return e + 2.0 * k * k * a + 2.0 * k * b", "return e + 2.0 * k * k * a - 2.0 * k * b",
+           GEOM_TESTS),
+    Mutant("pairing-matrix-transposed", "src/flagmorse/compact_geom.py",
+           "return (c - j.T @ c @ j).T", "return (c - j.T @ c @ j)", GEOM_TESTS),
+    Mutant("r-operator-j-term-sign-flipped", "src/flagmorse/compact_geom.py",
+           "return a1 + frame.j_m @ a2", "return a1 - frame.j_m @ a2", GEOM_TESTS),
+    Mutant("hat-transport-ignores-t", "src/flagmorse/compact_geom.py",
+           "return expm(-0.5 * t * r_operator(frame, gdot))",
+           "return expm(-0.5 * r_operator(frame, gdot))", GEOM_TESTS),
+    Mutant("quadrature-generator-sign-flipped", "src/flagmorse/compact_geom.py",
+           "h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m)",
+           "h_bar, g_bar, p_bar = (_averaged(0.5 * r, m)", GEOM_TESTS),
+    Mutant("averaged-without-f22", "src/flagmorse/compact_geom.py",
+           "return f[n:, n:].T @ f[:n, n:]", "return f[:n, n:]", GEOM_TESTS),
+    Mutant("tangent-metric-i-not-2i", "src/flagmorse/compact_geom.py",
+           "for m in (h, 2.0 * np.eye(frame.m_dim),", "for m in (h, np.eye(frame.m_dim),",
+           GEOM_TESTS),
+    Mutant("forms-without-j-conjugate-k-term", "src/flagmorse/compact_geom.py",
+           "h = r.T @ r + kk + j.T @ kk @ j", "h = r.T @ r + kk", GEOM_TESTS),
+    Mutant("p-bound-factor-1", "src/flagmorse/compact_geom.py",
+           "_pairing_matrix(frame, gdot), 2) / 2.0)", "_pairing_matrix(frame, gdot), 2) / 1.0)",
+           GEOM_TESTS),
+    Mutant("k-search-two-rates", "src/flagmorse/compact_geom.py",
+           "    for _ in range(60):", "    for _ in range(2):", GEOM_TESTS),
+    # the plan, the metric, the kernel and the averages at r = 0
+    Mutant("plan-without-eps", "src/flagmorse/compact_geom.py",
+           "c = [eps * sigma * n, n, eps * n, -sigma * n]",
+           "c = [sigma * n, n, eps * n, -sigma * n]", GEOM_TESTS),
+    Mutant("plan-cartan-scale-halved", "src/flagmorse/compact_geom.py",
+           "t = dots[l, r] * (float(sys.norm_scale) / 4)",
+           "t = dots[l, r] * (float(sys.norm_scale) / 2)", GEOM_TESTS),
+    Mutant("metric-cartan-scale-halved", "src/flagmorse/compact_geom.py",
+           "simples @ simples.T * (float(sys.norm_scale) / 4)",
+           "simples @ simples.T * (float(sys.norm_scale) / 2)", GEOM_TESTS),
+    Mutant("pair-floats-column-order", "src/flagmorse/chevalley.py",
+           "return floats[data._slot[data.sys.sums >= 0]]",
+           "return floats[data._slot.T[data.sys.sums.T >= 0]]",
+           ("tests/test_chevalley.py", *GEOM_TESTS)),
+    Mutant("contract-c-before-y", "src/flagmorse/compact_geom.py",
+           "            terms *= np.take(y[s:s + rows], plan.j, axis=1)\n            terms *= plan.c",
+           "            terms *= plan.c\n            terms *= np.take(y[s:s + rows], plan.j, axis=1)",
+           GEOM_TESTS),
+    Mutant("averaged-scaled-at-r-zero", "src/flagmorse/compact_geom.py",
+           "    if not gen.any():\n        return m", "    if not gen.any():\n        return 1.000001 * m",
+           GEOM_TESTS),
+    Mutant("terms-cancel-imaginary-sum", "src/flagmorse/compact_geom.py",
+           "re, im = x * ga + y * gb, y * ga - x * gb", "re, im = x * ga + y * gb, y * ga + x * gb",
+           GEOM_TESTS),
+    Mutant("condition2-scans-delta", "src/flagmorse/index_comb.py",
+           "support = sorted(gamma.support - {delta})\n    if not support:",
+           "support = sorted(gamma.support)\n    if not support:", COMB_TESTS),
     # the five-int complex product: sqrt2 * sqrt2 taken as 1 in the real
     # part, a flipped imaginary cross term, and results left unreduced
     Mutant("complex-product-real-sqrt2-without-2", "src/flagmorse/exactnum.py",
@@ -180,10 +244,16 @@ def main() -> int:
     if args.check:
         print(f"{len(MUTANTS)} mutants, each replacement matches exactly once")
         return 0
+    chosen = [m for m in MUTANTS if args.only is None or m.name in args.only]
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    # an empty replacement leaves the copy as it is
+    control = run_mutant(Mutant("unmutated", chosen[0].path, "", "", tests), args.workdir)
+    failing = [t for t, failed in control.items() if failed]
+    if failing:
+        print(f"failing with no mutant applied: {', '.join(failing)}", file=sys.stderr)
+        return 2
     results = {}
-    for m in MUTANTS:
-        if args.only is not None and m.name not in args.only:
-            continue
+    for m in chosen:
         results[m.name] = run_mutant(m, args.workdir)
         print(f"{m.name}: killed by {[t for t, k in results[m.name].items() if k] or 'nothing'}",
               flush=True)
