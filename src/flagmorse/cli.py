@@ -115,7 +115,7 @@ def _render_root(root: RootVector) -> str:
 
 def _require_tangent_roots(sp, roots) -> None:
     """User-given roots must be tangent positives; names the others as typed."""
-    bad = [r for r in dict.fromkeys(roots) if not sp.in_m_pos(r)]
+    bad = [r for r in dict.fromkeys(roots) if r not in sp.delta_m_pos]
     if bad:
         raise UsageError("support roots outside the tangent positives: "
                          + "; ".join(_render_root(r) for r in bad))

@@ -32,8 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chevalley import ChevalleyData, _pair_floats, build_chevalley
-from .errors import (DegenerateCoefficients, DimensionMismatch, InvalidSampling, NotARoot, NotInK,
-                     NotInTangent, UnknownSuite)
+from .errors import DegenerateCoefficients, InvalidSampling, NotInK, NotInTangent, UnknownSuite
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
 from .rootsys import RootSystem, RootVector, build_root_system
 
@@ -270,13 +269,20 @@ class RealFormFrame:
         return out
 
     def slot(self, alpha: RootVector) -> tuple[int, int]:
-        """Full-frame coordinates (X, Y) of the plane of the root +-alpha."""
-        x = self._x_slot.item(self.split.sys.ids[alpha])
+        """Full-frame coordinates (X, Y) of the plane of the root +-alpha;
+        ``NotARoot`` for a vector that is not a root."""
+        x = self._x_slot.item(self.split.sys.id_of(alpha))
         return x, x + 1
 
     def m_slot(self, alpha: RootVector) -> tuple[int, int]:
-        ix, iy = self.slot(alpha)
-        return ix - self.m_start, iy - self.m_start
+        """Tangent-block coordinates of the plane of the tangent root +-alpha;
+        ``NotInTangent`` for a painted-span root, whose plane lies before the
+        tangent block."""
+        ix = self.slot(alpha)[0] - self.m_start
+        if ix < 0:
+            raise NotInTangent(f"{alpha} is not a tangent root of {self.sys.name} "
+                               f"with painted {sorted(self.split.sigma_k)}")
+        return ix, ix + 1
 
     # -- algebra ------------------------------------------------------------
 
@@ -604,18 +610,16 @@ def map_I(
     if a == 0 and b == 0:
         raise DegenerateCoefficients("both coefficients vanish")
     sys = frame.sys
-    d = _root_id(sys, delta)
+    d = sys.id_of(delta)
     pairs = s0_indices(pair_set)
-    pair_ids = [(_root_id(sys, alpha), _root_id(sys, beta)) for alpha, beta in pairs]
+    pair_ids = [(sys.id_of(alpha), sys.id_of(beta)) for alpha, beta in pairs]
     for pair, (i, j) in zip(pairs, pair_ids):
         if sys.sums[i, j] != d:
             raise ValueError(f"pair {pair} does not sum to {delta}")
     # the pair space lives in the tangent block
-    m_pos = frame.split.delta_m_pos
-    for root in (root for pair in pairs for root in pair):
-        if root not in m_pos:
-            raise NotInTangent(f"pair root {root} is not a positive tangent root of "
-                               f"{sys.name} with painted {sorted(frame.split.sigma_k)}")
+    frame.split.require_tangent([root for pair in pairs for root in pair],
+                                "pair root {0[0]} is not a positive tangent root of "
+                                f"{sys.name} with painted {sorted(frame.split.sigma_k)}")
     if not pairs:
         return np.zeros((0, 0))
     space = frame.pair_spaces[delta]
@@ -1194,22 +1198,12 @@ def holomorphic_kernel_classification(
 _EXACT = (int, Fraction)
 
 
-def _root_id(sys: RootSystem, root: RootVector) -> int:
-    """Id of a root of ``sys``; raises on any other vector."""
-    i = sys.ids.get(root)
-    if i is None:
-        if root.ambient_dim != sys.ambient_dim:
-            raise DimensionMismatch("root does not match the system")
-        raise NotARoot(f"{root.coords} is not a root of {sys.name}")
-    return i
-
-
 def _nonzero_terms(sys: RootSystem, coeffs: dict) -> list[tuple[int, tuple]]:
     """(root id, coefficient pair) for each entry of ``coeffs`` with a nonzero
     pair; raises on a key that is not a root of ``sys``."""
     out = []
     for root, (re, im) in coeffs.items():
-        i = _root_id(sys, root)
+        i = sys.id_of(root)
         # int and Fraction by type first: isinstance against an ABC is slow here
         if not (type(re) in _EXACT and type(im) in _EXACT
                 or isinstance(re, Rational) and isinstance(im, Rational)):

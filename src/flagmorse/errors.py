@@ -17,10 +17,6 @@ class NotARoot(FlagmorseError, ValueError):
     """A vector given as a root is not a root of the system."""
 
 
-class SuperminimalNotFound(FlagmorseError, LookupError):
-    """No element of the given support set qualifies as superminimal."""
-
-
 class HypothesisViolated(FlagmorseError, RuntimeError):
     """A short-root case hypothesis fails; caller should perturb and retry."""
 

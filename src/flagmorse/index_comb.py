@@ -6,11 +6,13 @@ sets, the two admissibility conditions, the resulting invariant
 ell = |S|/2 + |T|, and the short-root case analyses for the B and C families
 (with their starred subsets).
 
-The S/T sets of every root of a split are one table, ``ParabolicSplit.
-st_table``, built once per split; a set is one row of it.  Condition 1 scans
-the support without delta, by the identity beta1 + delta - delta = beta1:
-that term is never a second T member.  So both conditions hold at once when
-delta is the only support root, as it is for every singleton support.
+The logic runs on root ids, read from ``sums``, ``st_table`` and ``part``;
+roots are built only for the returned sets and witnesses.  The S/T sets of
+every root of a split are one table, ``ParabolicSplit.st_table``, built once
+per split; a set is one row of it.  Condition 1 scans the support without
+delta, by the identity beta1 + delta - delta = beta1: that term is never a
+second T member.  So both conditions hold at once when delta is the only
+support root, as it is for every singleton support.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    HypothesisViolated,
-    NegativeDimension,
-    NotInTangent,
-    SuperminimalNotFound,
-    UnsupportedDelta,
-    UnsupportedFamily,
-)
+from .errors import HypothesisViolated, NegativeDimension, UnsupportedDelta, UnsupportedFamily
 from .parabolic import ParabolicSplit
-from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, _minus, _positive_ids
+from .rootsys import SUPPORTED_RANKS, RootSystem, RootVector, _positive_ids
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,7 @@ class GammaSet:
         return GammaSet(frozenset((delta,)))
 
     def validate_against(self, sp: ParabolicSplit) -> None:
-        if not sp.delta_m_pos.issuperset(self.support):
-            bad = [r for r in self.support if not sp.in_m_pos(r)]
-            raise NotInTangent(f"support roots outside the tangent positives: {bad}")
+        sp.require_tangent(self.support, "support roots outside the tangent positives: {}")
 
 
 @dataclass(frozen=True)
@@ -89,22 +82,20 @@ class ConditionResult(NamedTuple):
 def superminimal(sp: ParabolicSplit, gamma: GammaSet) -> RootVector:
     """A minimal support element with no two-step predecessor chain in the support.
 
-    Ties are broken lexicographically on coordinates.  Raises
-    SuperminimalNotFound when nothing qualifies.
+    Ties are broken lexicographically on coordinates: the first qualifying
+    root in id order.  Some root always qualifies: a support root that
+    precedes delta, or precedes a root below delta, is lower than delta, so
+    nothing disqualifies the support root of least height.
     """
     gamma.validate_against(sp)
     sys = sp.sys
-    minus_support = sys.neg[[sys.ids[r] for r in gamma.support]]
-    for delta in sorted(gamma.support):
-        plus = sys.sums[sys.ids[delta]]  # by id: delta plus that root
-        # no support root precedes delta (delta itself leaves zero) ...
-        if _positive_ids(sys, plus[minus_support]).any():
-            continue
-        # ... nor does one precede a root below delta
-        below = np.flatnonzero(_positive_ids(sys, plus[sys.neg]))
-        if not _positive_ids(sys, sys.sums[np.ix_(below, minus_support)]).any():
-            return delta
-    raise SuperminimalNotFound(f"no superminimal element in {sorted(gamma.support)}")
+    ids = sorted([sys.ids[r] for r in gamma.support])
+    # by id: whether a support root precedes the root, and by (d, mu) whether
+    # mu is below the support root d
+    preceded = _positive_ids(sys, sys.sums[:, sys.neg[ids]]).any(axis=1)
+    below = _positive_ids(sys, sys.sums[np.ix_(ids, sys.neg)])
+    qualifies = ~preceded[ids] & ~(below & preceded).any(axis=1)
+    return sys.roots[ids[qualifies.argmax()]]
 
 
 def _members(sp: ParabolicSplit, mask: np.ndarray) -> frozenset[RootVector]:
@@ -112,42 +103,30 @@ def _members(sp: ParabolicSplit, mask: np.ndarray) -> frozenset[RootVector]:
     return frozenset([roots[x] for x in mask.nonzero()[0].tolist()])
 
 
-def _st(sp: ParabolicSplit, delta: RootVector) -> tuple[frozenset, frozenset]:
-    """S and T of a tangent-positive root, one row of the split's table: a
-    tangent-positive x with delta - x a root is in S when delta - x is
-    tangent-positive too, else in T (delta - x negative, or in the painted
-    span); T also holds delta."""
-    row = sp.st_table[sp.sys.ids[delta]]
-    return _members(sp, row == 1), _members(sp, row >= 2)
-
-
 def st_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSets:
-    """S and T sets of a chosen support element, with ell and h."""
+    """S and T sets of a chosen support element, with ell and h, from one row
+    of the split's table: a tangent-positive x with delta - x a root is in S
+    when delta - x is tangent-positive too, else in T (delta - x negative, or
+    in the painted span); T also holds delta."""
     gamma.validate_against(sp)
     if delta not in gamma.support:
         raise ValueError(f"{delta} is not in the support set")
-    return STSets.make(delta, *_st(sp, delta))
+    row = sp.st_table[sp.sys.ids[delta]]
+    return STSets.make(delta, _members(sp, row == 1), _members(sp, row >= 2))
 
 
-def _plus_minus(sys: RootSystem, x: RootVector, y: RootVector, z: RootVector) -> int:
-    """Id of x + y - z for three roots, or a negative sentinel.  If it is a
+def _plus_minus(sys: RootSystem, x: int, y: int, z: int) -> int:
+    """Id of x + y - z for three root ids, or a negative sentinel.  If it is a
     root, one of x + y, x - z, y - z is a root or zero: else (x, y) >= 0,
     (x, z) <= 0 and (y, z) <= 0, so |x + y - z|^2 >= 3 short^2 > long^2."""
-    sums, x, y, nz = sys.sums, sys.ids[x], sys.ids[y], sys.neg[sys.ids[z]]
+    sums, nz = sys.sums, sys.neg.item(z)
     for first, second, then in ((x, y, nz), (x, nz, y), (y, nz, x)):
-        s = sums[first, second]
+        s = sums.item(first, second)
         if s >= 0:
-            return sums[s, then]
+            return sums.item(s, then)
         if s == -2:
             return then
     return -1
-
-
-def _check_condition_inputs(sp: ParabolicSplit, gamma: GammaSet, name: str, roots) -> None:
-    gamma.validate_against(sp)
-    if not sp.delta_m_pos.issuperset(roots):
-        bad = sorted(set(roots) - sp.delta_m_pos)
-        raise NotInTangent(f"{name} set roots outside the tangent positives: {bad}")
 
 
 def condition1(
@@ -162,17 +141,20 @@ def condition1(
     Raises ``NotInTangent`` when the support or T leaves the tangent
     positives.
     """
-    _check_condition_inputs(sp, gamma, "T", t_set)
-    if gamma.support == {delta}:
+    gamma.validate_against(sp)
+    sp.require_tangent(t_set, "T set roots outside the tangent positives: {}")
+    rest = gamma.support - {delta}
+    if not rest:
         return ConditionResult(True, None)
     sys = sp.sys
-    others = set(t_set) - {delta}
-    support = sorted(gamma.support - {delta})
+    ids, roots, d = sys.ids, sys.roots, sys.ids[delta]
+    others = {ids[r] for r in t_set} - {d}
+    support = sorted([ids[r] for r in rest])
     for beta1 in sorted(others):
         for lam in support:
-            beta0 = _plus_minus(sys, beta1, delta, lam)
-            if beta0 >= 0 and sys.roots[beta0] != beta1 and sys.roots[beta0] in others:
-                return ConditionResult(False, (sys.roots[beta0], beta1, lam))
+            beta0 = _plus_minus(sys, beta1, d, lam)
+            if beta0 != beta1 and beta0 in others:
+                return ConditionResult(False, (roots[beta0], roots[beta1], roots[lam]))
     return ConditionResult(True, None)
 
 
@@ -185,19 +167,24 @@ def condition2(
     support root, so it does not depend on how the sets were built.  Raises
     ``NotInTangent`` when the support or S leaves the tangent positives.
     """
-    _check_condition_inputs(sp, gamma, "S", s_set)
+    gamma.validate_against(sp)
+    sp.require_tangent(s_set, "S set roots outside the tangent positives: {}")
     if s_set and delta not in gamma.support:
         alpha = min(s_set)
         return ConditionResult(False, (alpha, delta - alpha, delta))
-    support = sorted(gamma.support - {delta})
-    if not support:  # delta is the only support root
+    rest = gamma.support - {delta}
+    if not rest:  # delta is the only support root
         return ConditionResult(True, None)
     sys = sp.sys
-    for alpha in sorted(s_set):
+    ids, roots, sums, neg = sys.ids, sys.roots, sys.sums, sys.neg
+    members = {ids[r] for r in s_set}
+    support = sorted([ids[r] for r in rest])
+    for alpha in sorted(members):
+        minus = neg.item(alpha)
         for lam in support:
-            beta = _minus(sys, lam, alpha)
-            if beta >= 0 and sys.roots[beta] in s_set:
-                return ConditionResult(False, (alpha, sys.roots[beta], lam))
+            beta = sums.item(lam, minus)
+            if beta in members:
+                return ConditionResult(False, (roots[alpha], roots[beta], roots[lam]))
     return ConditionResult(True, None)
 
 
@@ -316,15 +303,18 @@ def b_case_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSet
                 f"basis root {ek} lies in the painted span; "
                 "perturb the velocity along it and retry"
             )
-    row = sp.st_table[sys.ids[delta]]
-    u_set = _members(sp, row == 3)  # delta, and the tangent roots above it
-    v_set = {e for e in later
-             if e in sp.delta_m_pos and sp.in_k(delta - e) and sys.is_positive(delta - e)}
-    s_set = _members(sp, row == 1)
-    allowed = {x for e in later for x in (delta - e, e)}
-    if not s_set <= allowed:
-        raise RuntimeError(f"unexpected S membership: {sorted(s_set - allowed)}")
-    sets = STSets.make(delta, s_set, u_set | v_set)
+    d = sys.ids[delta]
+    row = sp.st_table[d]
+    t_mask = row == 3  # U: delta, and the tangent roots above it
+    # every later e is tangent positive here, and delta - e is a positive root
+    later_ids = [sys.ids[e] for e in later]
+    rests = sys.sums[d, sys.neg[later_ids]].tolist()
+    t_mask[[e for e, rest in zip(later_ids, rests) if sp.part[rest] == 0]] = True  # V
+    s_ids = np.flatnonzero(row == 1).tolist()
+    if not {*later_ids, *rests}.issuperset(s_ids):
+        bad = [sys.roots[x] for x in s_ids if x not in later_ids + rests]
+        raise RuntimeError(f"unexpected S membership: {bad}")
+    sets = STSets.make(delta, _members(sp, row == 1), _members(sp, t_mask))
     _verify_conditions(sp, gamma, delta, sets, "B short-root case")
     return sets
 

@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NotInTangent
 from .rootsys import RootSystem, RootVector
 
 
@@ -86,8 +87,12 @@ class ParabolicSplit:
         i = self.sys.ids.get(root)
         return i is not None and self.part.item(i) == 0
 
-    def in_m_pos(self, root: RootVector) -> bool:
-        return root in self.delta_m_pos
+    def require_tangent(self, roots, message: str) -> None:
+        """The tangent check: ``NotInTangent`` unless every root of the
+        collection ``roots`` is a tangent-positive root.  The error text is
+        ``message`` formatted with the list of the others in root order."""
+        if not self.delta_m_pos.issuperset(roots):
+            raise NotInTangent(message.format(sorted(set(roots) - self.delta_m_pos)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedFamily
+from .errors import DimensionMismatch, NotARoot, UnsupportedFamily
 
 SUPPORTED_RANKS = {
     "A": range(1, 9),
@@ -120,6 +120,17 @@ class RootSystem:
 
     def contains(self, x: RootVector) -> bool:
         return x in self.ids
+
+    def id_of(self, root: RootVector) -> int:
+        """Id of a root of the system, the one way from a user's root to the
+        root index: ``DimensionMismatch`` for a vector of another ambient
+        space, ``NotARoot`` for any other vector that is not a root."""
+        i = self.ids.get(root)
+        if i is None:
+            if root.ambient_dim != self.ambient_dim:
+                raise DimensionMismatch("root does not match the system")
+            raise NotARoot(f"{root.coords} is not a root of {self.name}")
+        return i
 
     def is_positive(self, x: RootVector) -> bool:
         i = self.ids.get(x)

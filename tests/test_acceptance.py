@@ -283,6 +283,63 @@ def test_criterion_5_long_root_conditions():
                "sampled at >= 100 paintings or fully when fewer exist)")
 
 
+# the first failing case of each condition, as (delta, *witness), and the
+# failure counts of the negative control below
+SHORT_DELTA_FAILURES = {
+    ("B", "condition1"): ((0, 0, 1), (0, 1, 1), (1, 0, 0), (1, -1, 0)),
+    ("B", "condition2"): ((1, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)),
+    ("C", "condition1"): ((0, 1, -1), (0, 2, 0), (1, 1, 0), (1, 0, -1)),
+    ("C", "condition2"): ((1, 0, 1), (0, 1, 1), (1, 0, -1), (1, 1, 0)),
+}
+SHORT_DELTA_COUNTS = {"B": {"cases": 300, "condition1": 41, "condition2": 24},
+                      "C": {"cases": 600, "condition1": 223, "condition2": 101}}
+
+
+def test_criterion_5_negative_control_short_delta():
+    # the control the paper motivates: at a short delta in B and C the plain
+    # S/T sets fail the conditions, which is why the criterion-10 case
+    # analyses exist.  Drawn as the rank <= 4 half of criterion 5 draws, with
+    # a fixed seed: each short tangent delta of the B3 and C3 Borel splits
+    # with 1-3 other tangent roots, 100 times
+    rng = np.random.default_rng(51)
+    counts, first = {}, {}
+    for family in ("B", "C"):
+        sp = borel_split(build_root_system(family, 3))
+        m = sp.m_pos_sorted
+        counts[family] = {"cases": 0, "condition1": 0, "condition2": 0}
+        for delta in m:
+            if is_long(sp.sys, delta):
+                continue
+            others = [r for r in m if r != delta]
+            for _ in range(100):
+                picks = rng.choice(len(others), size=int(rng.integers(1, 4)), replace=False)
+                gamma = GammaSet.of([delta, *(others[i] for i in picks)])
+                sets = st_sets(sp, gamma, delta)
+                counts[family]["cases"] += 1
+                for name, result in (("condition1", condition1(sp, gamma, delta, sets.t_set)),
+                                     ("condition2", condition2(sp, gamma, delta, sets.s_set))):
+                    if result.ok:
+                        continue
+                    counts[family][name] += 1
+                    first.setdefault((family, name), (delta, *result.witness))
+                    # each witness is a violation, by vector arithmetic
+                    if name == "condition1":
+                        beta0, beta1, lam = result.witness
+                        assert beta0 - beta1 == delta - lam and beta0 != beta1
+                        assert {beta0, beta1} <= sets.t_set - {delta}
+                    else:
+                        alpha, beta, lam = result.witness
+                        assert alpha + beta == lam and {alpha, beta} <= sets.s_set
+                    assert lam in gamma.support and lam != delta
+    for row in counts.values():
+        assert row["condition1"] > 0 and row["condition2"] > 0, counts
+    assert {key: tuple(tuple(Fraction(c, 2) for c in r.coords) for r in roots)
+            for key, roots in first.items()} == SHORT_DELTA_FAILURES
+    assert counts == SHORT_DELTA_COUNTS
+    _report(5, f"negative control: at a short delta the plain sets fail both "
+               f"conditions ({counts})")
+
+
 # -- criterion 6 ---------------------------------------------------------------
 
 

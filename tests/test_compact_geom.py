@@ -448,8 +448,11 @@ def test_frame_layout_matches_the_retired_tables(family, rank, painted):
         assert labels[plane[0]] == ("X", alpha) and labels[plane[1]] == ("Y", alpha)
         if frame.split.in_k(alpha):
             assert plane[1] < m_start
+            with pytest.raises(NotInTangent):
+                frame.m_slot(alpha)
         else:
-            assert frame.m_slot(alpha) == (plane[0] - m_start, plane[1] - m_start)
+            assert frame.m_slot(alpha) == frame.m_slot(-alpha) == (plane[0] - m_start,
+                                                                   plane[1] - m_start)
     assert frame.m_pos == tuple(alpha for kind, alpha in labels[m_start::2])
     assert frame.m_pos is frame.split.m_pos_sorted
     # the whole-array metric and complex structure, bit for bit
@@ -458,8 +461,26 @@ def test_frame_layout_matches_the_retired_tables(family, rank, painted):
         assert got.tobytes() == want.tobytes()
     # the mask from the S/T table against the one from the sum table
     assert np.array_equal(compact_geom._kernel_mask(frame), _sums_mask(frame))
-    with pytest.raises(KeyError):
+    with pytest.raises(NotARoot):
         frame.slot(RootVector((0,) * sys_.ambient_dim))
+
+
+def test_slots_reject_non_roots_and_m_slot_rejects_painted_roots():
+    # a painted-span plane lies before the tangent block: m_slot once gave
+    # (-2, -1) here, which numpy wraps onto the last tangent plane
+    frame = frame_for("B", 3, (0,))
+    painted = RootVector((2, -2, 0))
+    assert frame.split.in_k(painted) and frame.slot(painted)[1] < frame.m_start
+    for root in (painted, -painted):
+        with pytest.raises(NotInTangent, match=re.escape(f"{root} is not a tangent root of B3")):
+            frame.m_slot(root)
+    # a vector that is not a root once raised a bare KeyError
+    a3 = frame_for("A", 3)
+    for call in (a3.slot, a3.m_slot, lambda root: tilde_vector(a3, root, 1.0, 0.0)):
+        with pytest.raises(NotARoot, match=r"\(2, 2, 0, 0\) is not a root of A3"):
+            call(RootVector((2, 2, 0, 0)))
+        with pytest.raises(DimensionMismatch):
+            call(rv(1, -1, 0))
 
 
 def test_frames_compare_and_hash_by_identity():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from flagmorse.errors import NotInTangent
 from flagmorse.parabolic import PaintedDiagram, ParabolicSplit, borel_split, split, verify_m_closure
 from flagmorse.index_comb import _e_vector
 from flagmorse.rootsys import RootVector, build_root_system
@@ -191,6 +192,19 @@ def test_splits_and_diagrams_compare_by_value_and_hash():
     # the same nodes of another system are another diagram
     d5 = build_root_system("D", 5)
     assert PaintedDiagram.of(d5, (0, 3)) != PaintedDiagram.of(sys_, (0, 3))
+
+
+def test_require_tangent_names_the_roots_outside_in_root_order():
+    sys_ = build_root_system("B", 3)
+    sp = split(sys_, PaintedDiagram.of(sys_, (0,)))
+    tangent = list(sp.m_pos_sorted)
+    for roots in (tangent, [], sp.delta_m_pos):
+        sp.require_tangent(roots, "{}")
+    # a non-root, a painted-span root and a tangent negative root
+    outside = [rv(1, 1, 1), rv(1, -1, 0), -tangent[0]]
+    with pytest.raises(NotInTangent) as info:
+        sp.require_tangent([*reversed(outside), *tangent], "outside: {}")
+    assert str(info.value) == f"outside: {sorted(outside)}"
 
 
 def test_v_monotone_under_painting_growth():

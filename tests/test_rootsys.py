@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagmorse.errors import DimensionMismatch, UnsupportedFamily
+from flagmorse.errors import DimensionMismatch, NotARoot, UnsupportedFamily
 from flagmorse.rootsys import (
     RootVector,
     _enumerate_scaled_roots,
@@ -77,6 +78,7 @@ def test_root_index(family, rank):
     n = len(roots)
     assert n == CLOSED_FORM_COUNTS[family](rank) == 2 * len(sys_.positives)
     assert sys_.ids == {r: i for i, r in enumerate(roots)}
+    assert [sys_.id_of(r) for r in roots] == list(range(n))
     # neg is negation, and an involution
     assert [roots[j] for j in sys_.neg] == [-r for r in roots]
     assert np.array_equal(sys_.neg[sys_.neg], np.arange(n))
@@ -171,6 +173,15 @@ def test_root_hash_is_the_dataclass_value(family, rank):
     assert RootVector((2, -2)).__eq__((2, -2)) is NotImplemented
     with pytest.raises(dataclasses.FrozenInstanceError):
         sys_.roots[0].coords = (0,) * sys_.ambient_dim
+
+
+def test_id_of_rejects_vectors_that_are_not_roots():
+    sys_ = build_root_system("A", 3)
+    for x in (RootVector((0, 0, 0, 0)), RootVector((2, 2, 0, 0)), rv(1, -1, 0, 0).scale(2)):
+        with pytest.raises(NotARoot, match=re.escape(f"{x.coords} is not a root of A3")):
+            sys_.id_of(x)
+    with pytest.raises(DimensionMismatch):
+        sys_.id_of(rv(1, -1, 0))
 
 
 def test_unsupported_families():

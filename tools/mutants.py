@@ -59,7 +59,13 @@ MUTANTS = (
            "np.select([part == 1, sys.heights > 0], [1, 2], 3)",
            "np.select([part >= 0, sys.heights > 0], [1, 2], 3)", COMB_TESTS),
     Mutant("condition1-early-when-delta-in-support", "src/flagmorse/index_comb.py",
-           "    if gamma.support == {delta}:", "    if delta in gamma.support:", COMB_TESTS),
+           "    rest = gamma.support - {delta}\n    if not rest:\n",
+           "    rest = gamma.support - {delta}\n    if delta in gamma.support:\n", COMB_TESTS),
+    # the lexicographic minimum qualifies on every A-D support, and on only
+    # some E supports
+    Mutant("superminimal-returns-lex-min", "src/flagmorse/index_comb.py",
+           "return sys.roots[ids[qualifies.argmax()]]", "return sys.roots[ids[0]]",
+           ("tests/test_index_comb.py",)),
     Mutant("slot-transposed", "src/flagmorse/chevalley.py",
            "ChevalleyData(sys=sys, _slot=slot,", "ChevalleyData(sys=sys, _slot=slot.T,",
            ("tests/test_chevalley.py", "tests/test_acceptance.py",
@@ -77,6 +83,10 @@ MUTANTS = (
     # the frame layout and the painted span, read by id
     Mutant("slot-x-and-y-swapped", "src/flagmorse/compact_geom.py",
            "        return x, x + 1", "        return x + 1, x", GEOM_TESTS),
+    # a painted-span root's tangent coordinates are negative, and numpy wraps
+    # them onto the last tangent planes
+    Mutant("m-slot-without-painted-check", "src/flagmorse/compact_geom.py",
+           "        if ix < 0:", "        if False:", GEOM_TESTS),
     Mutant("in-k-with-tangent-negatives", "src/flagmorse/parabolic.py",
            "self.part.item(i) == 0", "self.part.item(i) != 1",
            ("tests/test_parabolic.py", *COMB_TESTS)),
@@ -131,8 +141,8 @@ MUTANTS = (
            "re, im = x * ga + y * gb, y * ga - x * gb", "re, im = x * ga + y * gb, y * ga + x * gb",
            GEOM_TESTS),
     Mutant("condition2-scans-delta", "src/flagmorse/index_comb.py",
-           "support = sorted(gamma.support - {delta})\n    if not support:",
-           "support = sorted(gamma.support)\n    if not support:", COMB_TESTS),
+           "rest = gamma.support - {delta}\n    if not rest:  # delta is the only support root",
+           "rest = gamma.support\n    if not rest:  # delta is the only support root", COMB_TESTS),
     # the five-int complex product: sqrt2 * sqrt2 taken as 1 in the real
     # part, a flipped imaginary cross term, and results left unreduced
     Mutant("complex-product-real-sqrt2-without-2", "src/flagmorse/exactnum.py",
