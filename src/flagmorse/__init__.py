@@ -8,7 +8,6 @@ from .rootsys import (
     build_root_system,
     inner,
     is_long,
-    is_root,
     long_orbit_is_transitive,
     precedes,
     reflect,

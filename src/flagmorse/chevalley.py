@@ -25,8 +25,9 @@ of the two.
 
 All arithmetic is exact.  ``_pair_floats`` rounds each stored constant to
 float64 once and gathers the floats by id pair for the numeric frame's plan.
-``RootVector`` appears only at the edges: the functions that take roots look
-up their ids.
+``RootVector`` appears only at the edges: the functions that take roots
+resolve them through ``RootSystem.id_of``, and ``ComplexElement`` keys its
+coefficients by root id.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotARoot
 from .exactnum import C_ZERO, CSqrt2, Sqrt2
 from .rootsys import RootSystem, RootVector, _positive_ids, build_root_system, inner
 
@@ -57,11 +58,11 @@ class ChevalleyData:
     _consts: tuple[Sqrt2, ...] = field(repr=False)
 
     def constant(self, a: RootVector, b: RootVector) -> Sqrt2:
-        """Normalized constant c_{a,b} for roots with a + b again a root."""
-        i, j = self.sys.ids.get(a), self.sys.ids.get(b)
-        k = -1 if i is None or j is None else self._slot[i, j]
+        """Normalized constant c_{a,b} for roots with a + b again a root;
+        ``NotARoot`` when a, b or their sum is not a root."""
+        k = self._slot[self.sys.id_of(a), self.sys.id_of(b)]
         if k < 0:
-            raise KeyError(f"{a} + {b} is not a root")
+            raise NotARoot(f"{a} + {b} is not a root")
         return self._consts[k]
 
     def classical_constant(self, a: RootVector, b: RootVector) -> int:
@@ -69,7 +70,7 @@ class ChevalleyData:
         the largest integer such that b - p a is a root (Chevalley's theorem)."""
         sign = self.constant(a, b).sign()
         sys = self.sys
-        return sign * (_chain_down_length(sys.sums, sys.neg, sys.ids[a], sys.ids[b]) + 1)
+        return sign * (_chain_down_length(sys.sums, sys.neg, sys.id_of(a), sys.id_of(b)) + 1)
 
     def all_pairs(self) -> list[tuple[RootVector, RootVector]]:
         """Every ordered root pair whose sum is a root, sorted: ids follow the
@@ -157,9 +158,8 @@ def build_chevalley(sys: RootSystem) -> ChevalleyData:
 
 def coroot(data: ChevalleyData, alpha: RootVector) -> tuple[Fraction, ...]:
     """Dual vector t_a of a root under the normalized invariant form: the
-    root's own ambient coordinates.  Raises ``KeyError`` for a non-root."""
-    if alpha not in data.sys.ids:
-        raise KeyError(alpha)
+    root's own ambient coordinates.  Raises ``NotARoot`` for a non-root."""
+    data.sys.id_of(alpha)
     return alpha.unscaled()
 
 
@@ -168,25 +168,26 @@ def coroot(data: ChevalleyData, alpha: RootVector) -> tuple[Fraction, ...]:
 
 
 class ComplexElement:
-    """Finitely supported element of the complexified algebra."""
+    """Finitely supported element of the complexified algebra of ``sys``: a
+    Cartan part in unscaled ambient coordinates and root coefficients keyed by
+    root id.  ``+``, ``bracket_c`` and ``pairing`` take elements of one system
+    only (E6 and E8 share an ambient space, not their roots)."""
 
-    __slots__ = ("ambient_dim", "h_part", "coeffs")
+    __slots__ = ("sys", "h_part", "coeffs")
 
-    def __init__(self, ambient_dim: int, h_part: HVector, coeffs=None):
-        self.ambient_dim = ambient_dim
+    def __init__(self, sys: RootSystem, h_part: HVector, coeffs=None):
+        self.sys = sys
         self.h_part = h_part
-        self.coeffs: dict[RootVector, CSqrt2] = coeffs if coeffs is not None else {}
+        self.coeffs: dict[int, CSqrt2] = coeffs if coeffs is not None else {}
 
     @staticmethod
     def zero(sys: RootSystem) -> "ComplexElement":
-        return ComplexElement(sys.ambient_dim, (C_ZERO,) * sys.ambient_dim, {})
+        return ComplexElement(sys, (C_ZERO,) * sys.ambient_dim, {})
 
     @staticmethod
     def root_vector(sys: RootSystem, alpha: RootVector, coeff=1) -> "ComplexElement":
-        if alpha.ambient_dim != sys.ambient_dim:
-            raise DimensionMismatch("root does not match the system")
         return ComplexElement(
-            sys.ambient_dim, (C_ZERO,) * sys.ambient_dim, {alpha: CSqrt2.of(coeff)}
+            sys, (C_ZERO,) * sys.ambient_dim, {sys.id_of(alpha): CSqrt2.of(coeff)}
         )
 
     @staticmethod
@@ -194,10 +195,10 @@ class ComplexElement:
         coords = tuple(CSqrt2.of(c) if not isinstance(c, CSqrt2) else c for c in coords)
         if len(coords) != sys.ambient_dim:
             raise DimensionMismatch("Cartan coordinates have the wrong length")
-        return ComplexElement(sys.ambient_dim, coords, {})
+        return ComplexElement(sys, coords, {})
 
     def __add__(self, other: "ComplexElement") -> "ComplexElement":
-        if self.ambient_dim != other.ambient_dim:
+        if self.sys is not other.sys:
             raise DimensionMismatch("elements from different systems")
         coeffs = dict(self.coeffs)
         for r, c in other.coeffs.items():
@@ -216,7 +217,7 @@ class ComplexElement:
             h = other.h_part
         else:
             h = tuple(a + b for a, b in zip(self.h_part, other.h_part))
-        return ComplexElement(self.ambient_dim, h, coeffs)
+        return ComplexElement(self.sys, h, coeffs)
 
     def __sub__(self, other: "ComplexElement") -> "ComplexElement":
         return self + other.scaled(-1)
@@ -228,7 +229,7 @@ class ComplexElement:
             kc = k * c
             if not kc.is_zero():
                 coeffs[r] = kc
-        return ComplexElement(self.ambient_dim, tuple(k * h for h in self.h_part), coeffs)
+        return ComplexElement(self.sys, tuple(k * h for h in self.h_part), coeffs)
 
     def is_zero(self) -> bool:
         return _zero_h(self.h_part) and not any(
@@ -241,7 +242,8 @@ class ComplexElement:
         return (self - other).is_zero()
 
     def __repr__(self) -> str:
-        parts = [f"{c!r}*E{r.coords}" for r, c in sorted(self.coeffs.items())]
+        # ids follow the root order
+        parts = [f"{c!r}*E{self.sys.roots[i].coords}" for i, c in sorted(self.coeffs.items())]
         if any(not h.is_zero() for h in self.h_part):
             parts.insert(0, f"h{tuple(repr(h) for h in self.h_part)}")
         return " + ".join(parts) if parts else "0"
@@ -257,12 +259,12 @@ def _zero_h(h: HVector) -> bool:
 _HALF = Sqrt2(Fraction(1, 2))
 
 
-def _root_eval(alpha: RootVector, h: HVector, half_scale: Sqrt2) -> CSqrt2:
-    """alpha(h) for h given in unscaled ambient coordinates; ``half_scale`` is
-    the system's norm_scale / 2, applied once to the sum over alpha's integer
-    coords."""
+def _root_eval(coords: tuple[int, ...], h: HVector, half_scale: Sqrt2) -> CSqrt2:
+    """alpha(h) for a root's integer ``coords`` and h given in unscaled
+    ambient coordinates; ``half_scale`` is the system's norm_scale / 2,
+    applied once to the sum over the integer coords."""
     total = C_ZERO
-    for a_i, h_i in zip(alpha.coords, h):
+    for a_i, h_i in zip(coords, h):
         if a_i:
             total = total + h_i * a_i
     return total * half_scale
@@ -271,15 +273,16 @@ def _root_eval(alpha: RootVector, h: HVector, half_scale: Sqrt2) -> CSqrt2:
 def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> ComplexElement:
     """Bilinear bracket of complexified elements."""
     sys = data.sys
-    if x.ambient_dim != sys.ambient_dim or y.ambient_dim != sys.ambient_dim:
+    if x.sys is not sys or y.sys is not sys:
         raise DimensionMismatch("elements do not match the system")
+    roots = sys.roots
     zero_h = (C_ZERO,) * sys.ambient_dim
     # twice the Cartan part, made on the first pair (a, -a): sums of integer
     # coords, halved once at the end
     twice_h = None
-    out_coeffs: dict[RootVector, CSqrt2] = {}
+    out_coeffs: dict[int, CSqrt2] = {}
 
-    def add_root(r: RootVector, c: CSqrt2) -> None:
+    def add_root(r: int, c: CSqrt2) -> None:
         old = out_coeffs.get(r)
         s = c if old is None else old + c
         if s.is_zero():
@@ -294,20 +297,19 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
     # [h_x, E_b] terms
     if x_cartan:
         for b, cb in y.coeffs.items():
-            add_root(b, _root_eval(b, x.h_part, half_scale) * cb)
+            add_root(b, _root_eval(roots[b].coords, x.h_part, half_scale) * cb)
     # [E_a, h_y] = -a(h_y) E_a terms
     if y_cartan:
         minus_half_scale = -half_scale
         for a, ca in x.coeffs.items():
-            add_root(a, _root_eval(a, y.h_part, minus_half_scale) * ca)
+            add_root(a, _root_eval(roots[a].coords, y.h_part, minus_half_scale) * ca)
     # root-root terms, by id: a root sum reads the slot table, and a pair
     # (a, -a) brackets to the dual of a, half a's integer coords
-    ids, roots, sums, slot, consts = sys.ids, sys.roots, sys.sums, data._slot, data._consts
-    y_terms = [(ids[b], cb) for b, cb in y.coeffs.items()]
-    for a, ca in x.coeffs.items():
-        i = ids[a]
+    sums, slot, consts = sys.sums, data._slot, data._consts
+    y_terms = list(y.coeffs.items())
+    for i, ca in x.coeffs.items():
         for j, cb in y_terms:
-            s = sums[i, j]
+            s = sums.item(i, j)
             if s == -1:
                 continue
             scale = ca * cb
@@ -316,22 +318,24 @@ def bracket_c(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> Comp
             if s == -2:
                 if twice_h is None:
                     twice_h = list(zero_h)
-                for l, c in enumerate(a.coords):
+                for l, c in enumerate(roots[i].coords):
                     if c:
                         twice_h[l] = twice_h[l] + scale * c
             else:
-                add_root(roots[s], scale * consts[slot[i, j]])
+                add_root(s, scale * consts[slot.item(i, j)])
     out_h = zero_h if twice_h is None else tuple(
         t if t is C_ZERO else t * _HALF for t in twice_h)
-    return ComplexElement(sys.ambient_dim, out_h, out_coeffs)
+    return ComplexElement(sys, out_h, out_coeffs)
 
 
 def pairing(data: ChevalleyData, x: ComplexElement, y: ComplexElement) -> CSqrt2:
     """Invariant bilinear pairing with unit value on opposite root vectors."""
     sys = data.sys
+    if x.sys is not sys or y.sys is not sys:
+        raise DimensionMismatch("elements do not match the system")
     total = C_ZERO
     for a, ca in x.coeffs.items():
-        cb = y.coeffs.get(-a)
+        cb = y.coeffs.get(sys.neg.item(a))
         if cb is not None:
             total = total + ca * cb
     for hx, hy in zip(x.h_part, y.h_part):

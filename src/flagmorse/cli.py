@@ -102,10 +102,8 @@ def _build_split(args):
 
 
 def _build_frame(args):
-    """Frame of a validated split; the frame needs a tangent block."""
+    """Frame of a validated split."""
     sp = _build_split(args)
-    if not sp.delta_m_pos:
-        raise UsageError("every node is painted; the frame has no tangent block")
     return geom.frame_for(sp.sys.family, sp.sys.rank, sp.sigma_k)
 
 

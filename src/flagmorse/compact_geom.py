@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chevalley import ChevalleyData, _pair_floats, build_chevalley
-from .errors import DegenerateCoefficients, InvalidSampling, NotInK, NotInTangent, UnknownSuite
+from .errors import (DegenerateCoefficients, InvalidSampling, NoTangentBlock, NotInK,
+                     NotInTangent, UnknownSuite)
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
 from .rootsys import RootSystem, RootVector, build_root_system
 
@@ -324,12 +325,12 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     """Structure-constant plan, metric and complex structure over the ordered
     real basis."""
     if not split.delta_m_pos:
-        raise ValueError("every node is painted; the frame has no tangent block")
+        raise NoTangentBlock("every node is painted; the frame has no tangent block")
     sys = split.sys
     chev = build_chevalley(sys)
     rank = sys.rank
     # painted-span planes, then tangent planes, each by (height, coords)
-    planes = [sys.ids[alpha] for alpha in (*split.k_pos_sorted, *split.m_pos_sorted)]
+    planes = [sys.id_of(alpha) for alpha in (*split.k_pos_sorted, *split.m_pos_sorted)]
     dim = rank + 2 * len(planes)
     m_start = dim - 2 * len(split.m_pos_sorted)
     x_slot = np.empty(len(sys.roots), dtype=int)
@@ -696,13 +697,15 @@ def adjoint_perturb(
     """Push the velocity by the isotropy flow of one painted-span root plane.
 
     Returns the perturbed tangent coordinates and their root support above
-    1e-9 times the original norm.
+    1e-9 times the original norm.  ``root_k`` must be a root (``NotARoot``,
+    ``DimensionMismatch``) and a positive one in the painted span (``NotInK``).
     """
-    if not (frame.split.in_k(root_k) and frame.sys.is_positive(root_k)):
+    i = frame.sys.id_of(root_k)
+    if frame.split.part.item(i) != 0 or frame.sys.heights.item(i) < 0:
         raise NotInK(f"{root_k} is not a positive painted-span root")
     from scipy.linalg import expm
     x_full = np.zeros(frame.dim)
-    x_full[frame.slot(root_k)[0]] = 1.0
+    x_full[frame._x_slot.item(i)] = 1.0
     ad = frame.ad_matrix(x_full)
     ad_mm = ad[frame.m_start:, frame.m_start:]
     leak = ad[: frame.m_start, frame.m_start:]
@@ -710,12 +713,9 @@ def adjoint_perturb(
         raise RuntimeError("isotropy action leaked outside the tangent block")
     new = expm(t * ad_mm) @ gamma_coeffs
     cutoff = 1e-9 * np.sqrt(frame.m_norm2(gamma_coeffs))
-    support = set()
-    for alpha in frame.m_pos:
-        ix, iy = frame.m_slot(alpha)
-        if np.hypot(new[ix], new[iy]) > cutoff:
-            support.add(alpha)
-    return new, frozenset(support)
+    # tangent plane p holds coordinates 2p and 2p + 1
+    norms = np.hypot(new[0::2], new[1::2])
+    return new, frozenset([frame.m_pos[p] for p in np.flatnonzero(norms > cutoff).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +871,7 @@ def _kernel_mask(frame) -> np.ndarray:
     unless alpha - delta is a tangent-positive root, that is unless delta is
     in S of alpha; it has coordinates 2a and 2a + 1."""
     split = frame.split
-    m = [split.sys.ids[alpha] for alpha in frame.m_pos]
+    m = [split.sys.id_of(alpha) for alpha in frame.m_pos]
     return np.repeat(split.st_table[np.ix_(m, m)].T != 1, 2, axis=1)
 
 

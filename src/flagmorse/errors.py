@@ -33,6 +33,10 @@ class NotInTangent(FlagmorseError, ValueError):
     """A pair-space root is not a positive root of the tangent block."""
 
 
+class NoTangentBlock(FlagmorseError, ValueError):
+    """Every node is painted, so a frame would have no tangent block."""
+
+
 class DegenerateCoefficients(FlagmorseError, ValueError):
     """Both twisting coefficients vanish."""
 

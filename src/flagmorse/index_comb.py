@@ -89,7 +89,7 @@ def superminimal(sp: ParabolicSplit, gamma: GammaSet) -> RootVector:
     """
     gamma.validate_against(sp)
     sys = sp.sys
-    ids = sorted([sys.ids[r] for r in gamma.support])
+    ids = sorted([sys.id_of(r) for r in gamma.support])
     # by id: whether a support root precedes the root, and by (d, mu) whether
     # mu is below the support root d
     preceded = _positive_ids(sys, sys.sums[:, sys.neg[ids]]).any(axis=1)
@@ -111,7 +111,7 @@ def st_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSets:
     gamma.validate_against(sp)
     if delta not in gamma.support:
         raise ValueError(f"{delta} is not in the support set")
-    row = sp.st_table[sp.sys.ids[delta]]
+    row = sp.st_table[sp.sys.id_of(delta)]
     return STSets.make(delta, _members(sp, row == 1), _members(sp, row >= 2))
 
 
@@ -139,7 +139,7 @@ def condition1(
     once.  The witness is the first failing beta1 in root order, then the
     first support root, so it does not depend on how the sets were built.
     Raises ``NotInTangent`` when the support or T leaves the tangent
-    positives.
+    positives, and ``NotARoot`` when delta is not a root.
     """
     gamma.validate_against(sp)
     sp.require_tangent(t_set, "T set roots outside the tangent positives: {}")
@@ -147,9 +147,9 @@ def condition1(
     if not rest:
         return ConditionResult(True, None)
     sys = sp.sys
-    ids, roots, d = sys.ids, sys.roots, sys.ids[delta]
-    others = {ids[r] for r in t_set} - {d}
-    support = sorted([ids[r] for r in rest])
+    id_of, roots, d = sys.id_of, sys.roots, sys.id_of(delta)
+    others = {id_of(r) for r in t_set} - {d}
+    support = sorted([id_of(r) for r in rest])
     for beta1 in sorted(others):
         for lam in support:
             beta0 = _plus_minus(sys, beta1, d, lam)
@@ -165,20 +165,22 @@ def condition2(
 
     The witness is the first failing S member in root order, then the first
     support root, so it does not depend on how the sets were built.  Raises
-    ``NotInTangent`` when the support or S leaves the tangent positives.
+    ``NotInTangent`` when the support or S leaves the tangent positives, and
+    ``NotARoot`` when delta is not a root.
     """
     gamma.validate_against(sp)
     sp.require_tangent(s_set, "S set roots outside the tangent positives: {}")
+    sys = sp.sys
+    sys.id_of(delta)  # the root check, before any shortcut
     if s_set and delta not in gamma.support:
         alpha = min(s_set)
         return ConditionResult(False, (alpha, delta - alpha, delta))
     rest = gamma.support - {delta}
     if not rest:  # delta is the only support root
         return ConditionResult(True, None)
-    sys = sp.sys
-    ids, roots, sums, neg = sys.ids, sys.roots, sys.sums, sys.neg
-    members = {ids[r] for r in s_set}
-    support = sorted([ids[r] for r in rest])
+    id_of, roots, sums, neg = sys.id_of, sys.roots, sys.sums, sys.neg
+    members = {id_of(r) for r in s_set}
+    support = sorted([id_of(r) for r in rest])
     for alpha in sorted(members):
         minus = neg.item(alpha)
         for lam in support:
@@ -303,11 +305,11 @@ def b_case_sets(sp: ParabolicSplit, gamma: GammaSet, delta: RootVector) -> STSet
                 f"basis root {ek} lies in the painted span; "
                 "perturb the velocity along it and retry"
             )
-    d = sys.ids[delta]
+    d = sys.id_of(delta)
     row = sp.st_table[d]
     t_mask = row == 3  # U: delta, and the tangent roots above it
     # every later e is tangent positive here, and delta - e is a positive root
-    later_ids = [sys.ids[e] for e in later]
+    later_ids = [sys.id_of(e) for e in later]
     rests = sys.sums[d, sys.neg[later_ids]].tolist()
     t_mask[[e for e, rest in zip(later_ids, rests) if sp.part[rest] == 0]] = True  # V
     s_ids = np.flatnonzero(row == 1).tolist()

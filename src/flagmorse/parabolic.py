@@ -84,8 +84,8 @@ class ParabolicSplit:
     def in_k(self, root: RootVector) -> bool:
         """Whether ``root`` is a root in the painted span; False for any
         other vector."""
-        i = self.sys.ids.get(root)
-        return i is not None and self.part.item(i) == 0
+        sys = self.sys
+        return sys.contains(root) and self.part.item(sys.id_of(root)) == 0
 
     def require_tangent(self, roots, message: str) -> None:
         """The tangent check: ``NotInTangent`` unless every root of the
@@ -144,7 +144,7 @@ def verify_m_closure(sp: ParabolicSplit) -> list[tuple[RootVector, RootVector]]:
 
     Expected empty for every valid split.
     """
-    m = [sp.sys.ids[r] for r in sp.m_pos_sorted]
+    m = [sp.sys.id_of(r) for r in sp.m_pos_sorted]
     s = sp.sys.sums[np.ix_(m, m)]
     bad = np.argwhere((s >= 0) & (sp.part[s] == 0))
     return [(sp.m_pos_sorted[a], sp.m_pos_sorted[b]) for a, b in bad.tolist()]

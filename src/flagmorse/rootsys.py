@@ -13,7 +13,8 @@ coordinates (``_keys``), so no step builds a ``RootVector``.  Each
 system carries one integer root index that the exact code shares: a root's
 id is its position in ``roots``; ``neg``, ``heights``, ``expansion_rows``,
 ``long`` and the sum table ``sums`` are indexed by id, and ``sums[i, j]`` is
--1 when the sum is not a root and -2 when it is zero.
+-1 when the sum is not a root and -2 when it is zero.  A root argument
+becomes an id only through ``RootSystem.id_of``.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ class RootVector:
         return f"RootVector({self.coords})"
 
 
-def _dot_scaled(x: RootVector, y: RootVector) -> int:
-    return sum(a * b for a, b in zip(x.coords, y.coords))
-
-
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Finite crystallographic root system with exact arithmetic.  Systems
@@ -122,8 +119,8 @@ class RootSystem:
         return x in self.ids
 
     def id_of(self, root: RootVector) -> int:
-        """Id of a root of the system, the one way from a user's root to the
-        root index: ``DimensionMismatch`` for a vector of another ambient
+        """Id of a root of the system, the one way from a root argument to
+        the root index: ``DimensionMismatch`` for a vector of another ambient
         space, ``NotARoot`` for any other vector that is not a root."""
         i = self.ids.get(root)
         if i is None:
@@ -133,11 +130,11 @@ class RootSystem:
         return i
 
     def is_positive(self, x: RootVector) -> bool:
-        i = self.ids.get(x)
-        return i is not None and self.heights[i] > 0
+        """Whether ``x`` is a positive root; False for any other vector."""
+        return self.contains(x) and self.heights[self.id_of(x)] > 0
 
     def height(self, x: RootVector) -> int:
-        return int(self.heights[self.ids[x]])
+        return int(self.heights[self.id_of(x)])
 
     def to_json_dict(self) -> dict:
         scale = self.norm_scale
@@ -285,7 +282,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 def _minus(sys: RootSystem, x: RootVector, y: RootVector) -> int:
     """Id of x - y for two roots, or a -1/-2 sentinel."""
-    return sys.sums[sys.ids[x], sys.neg[sys.ids[y]]]
+    return sys.sums[sys.id_of(x), sys.neg[sys.id_of(y)]]
 
 
 def _positive_ids(sys: RootSystem, ids) -> np.ndarray:
@@ -298,16 +295,12 @@ def inner(sys: RootSystem, x: RootVector, y: RootVector) -> Fraction:
     """Normalized inner product; long roots have (x, x) = 2."""
     if x.ambient_dim != sys.ambient_dim or y.ambient_dim != sys.ambient_dim:
         raise DimensionMismatch("vector does not match the system's ambient space")
-    return sys.norm_scale * Fraction(_dot_scaled(x, y), 4)
-
-
-def is_root(sys: RootSystem, x: RootVector) -> bool:
-    return sys.contains(x)
+    return sys.norm_scale * Fraction(sum(a * b for a, b in zip(x.coords, y.coords)), 4)
 
 
 def add(sys: RootSystem, x: RootVector, y: RootVector) -> Optional[RootVector]:
     """Sum of two roots when it is again a root, else None."""
-    s = sys.sums[sys.ids[x], sys.ids[y]]
+    s = sys.sums[sys.id_of(x), sys.id_of(y)]
     return sys.roots[s] if s >= 0 else None
 
 
@@ -317,15 +310,8 @@ def precedes(sys: RootSystem, alpha: RootVector, delta: RootVector) -> bool:
 
 
 def is_long(sys: RootSystem, alpha: RootVector) -> bool:
-    """Whether (alpha, alpha) = 2: looked up by id for a root, and for any
-    other vector compared in ints, norm_scale * |scaled|^2 / 4 = 2."""
-    if alpha.ambient_dim != sys.ambient_dim:
-        raise DimensionMismatch("vector does not match the system's ambient space")
-    i = sys.ids.get(alpha)
-    if i is not None:
-        return bool(sys.long[i])
-    scale = sys.norm_scale
-    return _dot_scaled(alpha, alpha) * scale.numerator == 8 * scale.denominator
+    """Whether the root alpha has (alpha, alpha) = 2, looked up by id."""
+    return bool(sys.long[sys.id_of(alpha)])
 
 
 def long_roots(sys: RootSystem) -> tuple[RootVector, ...]:
@@ -333,14 +319,13 @@ def long_roots(sys: RootSystem) -> tuple[RootVector, ...]:
 
 
 def reflect(sys: RootSystem, beta: RootVector, alpha: RootVector) -> RootVector:
-    """Reflection of beta through the hyperplane orthogonal to alpha."""
+    """Reflection of the root beta through the hyperplane orthogonal to the
+    root alpha; for two roots the Cartan number is an integer and the image
+    is again a root."""
+    sys.id_of(beta)
+    sys.id_of(alpha)
     num = 2 * inner(sys, beta, alpha) / inner(sys, alpha, alpha)
-    if num.denominator != 1:
-        raise ValueError("non-integral Cartan coefficient; inputs are not roots")
-    result = beta - alpha.scale(int(num))
-    if not sys.contains(result):
-        raise ValueError(f"reflection left the root set: {result}")
-    return result
+    return beta - alpha.scale(int(num))
 
 
 def long_orbit_is_transitive(sys: RootSystem) -> bool:
@@ -361,7 +346,7 @@ def long_orbit_is_transitive(sys: RootSystem) -> bool:
 
 def w_set(sys: RootSystem, delta: RootVector) -> frozenset[RootVector]:
     """All roots alpha such that delta - alpha is again a root."""
-    rests = sys.sums[sys.ids[delta], sys.neg]
+    rests = sys.sums[sys.id_of(delta), sys.neg]
     return frozenset(sys.roots[a] for a in np.flatnonzero(rests >= 0))
 
 

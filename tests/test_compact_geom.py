@@ -128,8 +128,8 @@ def _project_exact(frame, simples_inv, z):
     zero = CSqrt2.of(0)
     for mu in frame.sys.positives:
         ix, iy = frame.slot(mu)
-        c_plus = z.coeffs.get(mu, zero)
-        c_minus = z.coeffs.get(-mu, zero)
+        c_plus = z.coeffs.get(frame.sys.id_of(mu), zero)
+        c_minus = z.coeffs.get(frame.sys.id_of(-mu), zero)
         x = (c_plus - c_minus) * half
         y = (c_plus + c_minus) * CSqrt2.make(0, -half)
         if not x.im.is_zero() or not y.im.is_zero():
@@ -707,8 +707,8 @@ def _reference_classification(frame, gamma_coeffs, field_coeffs):
     if any(not h.is_zero() for h in result.h_part):
         return False
     return all(coeff.is_zero()
-               or (sys_.is_positive(-root) and -root in frame.split.delta_m_pos)
-               for root, coeff in result.coeffs.items())
+               or (sys_.is_positive(-sys_.roots[i]) and -sys_.roots[i] in frame.split.delta_m_pos)
+               for i, coeff in result.coeffs.items())
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from flagmorse.rootsys import (
     build_root_system,
     inner,
     is_long,
-    is_root,
     long_orbit_is_transitive,
     long_roots,
     precedes,
@@ -233,8 +232,10 @@ def test_is_long_examples():
     assert not is_long(c3, rv(1, 1, 0))
     with pytest.raises(DimensionMismatch):
         is_long(b3, rv(1, 0))
-    # a vector that is not a root is compared by its length alone
-    assert is_long(a3, rv(1, 1, 0, 0)) and not is_long(a3, rv(1, 0, 0, 0))
+    # is_long takes roots only
+    for vector in (rv(1, 1, 0, 0), rv(1, 0, 0, 0)):
+        with pytest.raises(NotARoot):
+            is_long(a3, vector)
     # the integer comparison agrees with the inner product on every root
     for family, rank in ALL_SYSTEMS:
         sys_ = build_root_system(family, rank)
@@ -248,8 +249,8 @@ def test_add_and_membership():
     assert add(a3, rv(1, -1, 0, 0), rv(0, 0, 1, -1)) is None
     alpha = rv(1, -1, 0, 0)
     assert add(a3, alpha, -alpha) is None
-    assert is_root(a3, alpha)
-    assert not is_root(a3, rv(2, -2, 0, 0))
+    assert a3.contains(alpha)
+    assert not a3.contains(rv(2, -2, 0, 0))
 
 
 def test_precedes_examples():

@@ -88,7 +88,7 @@ MUTANTS = (
     Mutant("m-slot-without-painted-check", "src/flagmorse/compact_geom.py",
            "        if ix < 0:", "        if False:", GEOM_TESTS),
     Mutant("in-k-with-tangent-negatives", "src/flagmorse/parabolic.py",
-           "self.part.item(i) == 0", "self.part.item(i) != 1",
+           "self.part.item(sys.id_of(root)) == 0", "self.part.item(sys.id_of(root)) != 1",
            ("tests/test_parabolic.py", *COMB_TESTS)),
     # the transport, the averaging and the twisted form
     Mutant("twisted-pairing-sign-flipped", "src/flagmorse/compact_geom.py",
@@ -143,6 +143,29 @@ MUTANTS = (
     Mutant("condition2-scans-delta", "src/flagmorse/index_comb.py",
            "rest = gamma.support - {delta}\n    if not rest:  # delta is the only support root",
            "rest = gamma.support\n    if not rest:  # delta is the only support root", COMB_TESTS),
+    # always-pass decisions: each says yes after its input checks, so only a
+    # case where the decision goes the other way can kill it
+    Mutant("condition1-always-holds", "src/flagmorse/index_comb.py",
+           '    sp.require_tangent(t_set, "T set roots outside the tangent positives: {}")\n',
+           '    sp.require_tangent(t_set, "T set roots outside the tangent positives: {}")\n'
+           "    return ConditionResult(True, None)\n", COMB_TESTS),
+    # acceptance alone: criterion 5's short-delta negative control pins the
+    # condition-2 failures
+    Mutant("condition2-always-holds", "src/flagmorse/index_comb.py",
+           "    sys.id_of(delta)  # the root check, before any shortcut\n",
+           "    sys.id_of(delta)  # the root check, before any shortcut\n"
+           "    return ConditionResult(True, None)\n",
+           ("tests/test_acceptance.py",)),
+    Mutant("validate-against-does-nothing", "src/flagmorse/index_comb.py",
+           'sp.require_tangent(self.support, "support roots outside the tangent positives: {}")',
+           "pass", COMB_TESTS),
+    # every identity residual reads 0
+    Mutant("max-norm-reads-zero", "src/flagmorse/compact_geom.py",
+           "return float(np.max(np.abs(arr))) if arr.size else 0.0", "return 0.0", GEOM_TESTS),
+    # accepts a tangent-positive root as the isotropy direction
+    Mutant("adjoint-perturb-accepts-tangent-roots", "src/flagmorse/compact_geom.py",
+           "if frame.split.part.item(i) != 0 or", "if frame.split.part.item(i) < 0 or",
+           ("tests/test_boundary.py", *GEOM_TESTS)),
     # the five-int complex product: sqrt2 * sqrt2 taken as 1 in the real
     # part, a flipped imaginary cross term, and results left unreduced
     Mutant("complex-product-real-sqrt2-without-2", "src/flagmorse/exactnum.py",
