@@ -17,7 +17,11 @@ The quarter-turn map and the twomel suite read it instead of full adjoint
 matrices.  The averaged Hessian, the tangent norm and the twist pairing are
 forms in the initial fields: each averaged matrix int_0^1 exp(tA)^T M exp(tA)
 dt is read off one block exponential (Van Loan), exactly in t, so no time grid
-or node count is involved.
+or node count is involved.  A velocity on one long root plane delta needs no
+exponential at all: for long delta, alpha - 2 delta is never a root when
+alpha - delta is one, so the transport generator A moves each plane it moves
+onto a plane it fixes, A^2 = 0 exactly, exp(tA) = I + tA, and every average
+is a closed form in A and M.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chevalley import ChevalleyData, _pair_floats, build_chevalley
-from .errors import (DegenerateCoefficients, InvalidSampling, NoTangentBlock, NotInK,
-                     NotInTangent, UnknownSuite)
+from .errors import (DegenerateCoefficients, DimensionMismatch, InvalidSampling,
+                     NoTangentBlock, NotInK, NotInTangent, UnknownSuite)
 from .parabolic import PaintedDiagram, ParabolicSplit, split as make_split
 from .rootsys import RootSystem, RootVector, build_root_system
 
@@ -465,8 +469,19 @@ def bracket_k(frame: RealFormFrame, x_m: np.ndarray, y_m: np.ndarray) -> np.ndar
     return _contract(frame.plan_k, x_m, y_m)
 
 
+def _require_velocity(frame: RealFormFrame, gdot: np.ndarray) -> None:
+    """``DimensionMismatch`` unless ``gdot`` is one vector of tangent
+    coordinates: ``_ad`` would read the first ``m_dim`` entries of a longer
+    one, and index out of a shorter or 2-D one."""
+    shape = np.shape(gdot)
+    if shape != (frame.m_dim,):
+        raise DimensionMismatch(f"velocity has shape {shape}; the tangent block of "
+                                f"{frame.sys.name} needs ({frame.m_dim},)")
+
+
 def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix of X -> [gdot, X]_m + J [J gdot, X]_m on the tangent block."""
+    _require_velocity(frame, gdot)
     if not np.any(gdot):
         raise ValueError("velocity must be nonzero")
     a1 = _ad(frame.plan_m, gdot)
@@ -474,16 +489,37 @@ def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     return a1 + frame.j_m @ a2
 
 
+def _square_zero(gen: np.ndarray) -> bool:
+    """Whether no coordinate is both an input (a nonzero column) and an output
+    (a nonzero row) of ``gen``.  Then every product in ``gen @ gen`` has a zero
+    factor, so the square is exactly 0.0 and exp(t gen) = I + t gen exactly."""
+    return not (gen.any(axis=0) & gen.any(axis=1)).any()
+
+
 def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarray:
-    """Transport matrix at time t (identity at t = 0)."""
+    """Transport matrix exp(-t r / 2) at time t (identity at t = 0).
+
+    On a long root plane delta the generator squares to zero, and the
+    transport is I - t r / 2 exactly: r sends the plane of alpha only to
+    that of alpha - delta, and alpha - 2 delta is never a root when
+    alpha - delta is one (a delta-string through alpha != +-delta has length
+    at most 2 for long delta), so no plane is both moved and reached.
+    ``_square_zero`` tests this on the matrix itself; any other generator
+    (a short delta in B or C, a velocity off one root plane) takes scipy's
+    ``expm``.
+    """
+    gen = -0.5 * t * r_operator(frame, gdot)
+    if _square_zero(gen):
+        return np.eye(frame.m_dim) + gen
     from scipy.linalg import expm  # here, so the exact commands never load scipy
-    return expm(-0.5 * t * r_operator(frame, gdot))
+    return expm(gen)
 
 
 def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix p of the bracket pairing, P(x, y) = <[y, x]_m - [Jy, Jx]_m, gdot>
     = x.p.y.  By ad-invariance of the metric <[y, x]_m, gdot> = y.C.x with
     C = -2 ad_m(gdot), so no bracket is evaluated."""
+    _require_velocity(frame, gdot)
     c = -2.0 * _ad(frame.plan_m, gdot)
     j = frame.j_m
     return (c - j.T @ c @ j).T
@@ -502,11 +538,21 @@ def _forms(frame: RealFormFrame, gdot: np.ndarray):
 
 
 def _averaged(gen: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """int_0^1 exp(t gen)^T m exp(t gen) dt, exact in t: with
-    F = expm([[-gen^T, m], [0, gen]]) it is F22^T F12 (Van Loan, IEEE TAC
-    23(3), 1978).  A zero generator gives ``m`` itself: exp(0) = I exactly."""
+    """int_0^1 exp(t gen)^T m exp(t gen) dt, exact in t.
+
+    A zero generator gives ``m`` itself: exp(0) = I exactly.  A generator
+    that squares to zero (``_square_zero``: every long root plane, see
+    ``hat_transport``) has exp(t gen) = I + t gen, and the integral of
+    (I + t gen)^T m (I + t gen) over [0, 1] is
+    m + (gen^T m + m gen) / 2 + gen^T m gen / 3.  Any other generator takes
+    one block exponential: with F = expm([[-gen^T, m], [0, gen]]) the
+    integral is F22^T F12 (Van Loan, IEEE TAC 23(3), 1978).
+    """
     if not gen.any():
         return m
+    if _square_zero(gen):
+        m_gen = m @ gen
+        return m + 0.5 * (gen.T @ m + m_gen) + (gen.T @ m_gen) / 3.0
     from scipy.linalg import expm
     n = gen.shape[0]
     f = expm(np.block([[-gen.T, m], [np.zeros_like(gen), gen]]))

@@ -398,6 +398,12 @@ def _check_transport_contract(frame, delta, gdot):
             w /= np.sqrt(frame.m_norm2(w))
             assert np.max(np.abs(r @ w)) < 1e-12
             assert np.max(np.abs(tau @ w - w)) < 1e-10
+    if r.any():
+        # the group law of a one-parameter transport, which only a transport
+        # that reads its time can keep where it moves
+        for s, t in ((0.3, 0.45), (0.5, 0.5), (0.2, 0.8)):
+            product = hat_transport(frame, gdot, s) @ hat_transport(frame, gdot, t)
+            assert np.max(np.abs(product - hat_transport(frame, gdot, s + t))) < 1e-10
     return r.any()
 
 
@@ -413,7 +419,8 @@ def test_criterion_7_transport_contract():
         roots += len(moving)
     assert roots == 27
     _report(7, "transport preserves velocity pairing, commutes with the "
-               "complex structure, and fixes annihilated planes "
+               "complex structure, fixes annihilated planes, and keeps the group "
+               "law where it moves "
                f"(100 configurations per long root, {roots} roots, < 1e-10)")
 
 

@@ -1,7 +1,9 @@
 """Every public function that takes a root resolves it through
 ``RootSystem.id_of``: a vector that is not a root raises ``NotARoot``, one of
 another ambient dimension raises ``DimensionMismatch``, and the three
-predicates say False for both.  Exact elements of two systems never mix."""
+predicates say False for both.  Exact elements of two systems never mix.
+Every public function that takes a velocity raises ``DimensionMismatch`` for
+one that is not a vector of the frame's tangent coordinates."""
 
 import re
 
@@ -19,9 +21,17 @@ from flagmorse.chevalley import (
 )
 from flagmorse.compact_geom import (
     adjoint_perturb,
+    complex_hessian,
+    complex_hessian_many,
     frame_for,
+    hat_transport,
     holomorphic_kernel_classification,
+    k_search,
     map_I,
+    p_bound,
+    p_pairing,
+    q_form,
+    r_operator,
     tilde_vector,
 )
 from flagmorse.errors import (
@@ -184,3 +194,33 @@ def test_a_frame_needs_a_tangent_block(capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == ("error: NoTangentBlock: every node is painted; "
                                            "the frame has no tangent block\n")
+
+
+# each call puts its argument in the velocity position; A3's tangent block has
+# 12 coordinates
+M_DIM = 12
+ONES = np.ones(M_DIM)
+TAKES_A_VELOCITY = {
+    "r_operator": lambda g: r_operator(_frame(), g),
+    "hat_transport": lambda g: hat_transport(_frame(), g, 0.5),
+    "complex_hessian": lambda g: complex_hessian(_frame(), g, ONES),
+    "complex_hessian_many": lambda g: complex_hessian_many(_frame(), g, np.eye(M_DIM)),
+    "p_pairing": lambda g: p_pairing(_frame(), ONES, ONES, g),
+    "p_bound": lambda g: p_bound(_frame(), g),
+    "q_form": lambda g: q_form(_frame(), g, ONES, ONES, 0.5),
+    "k_search": lambda g: k_search(_frame(), g, [(ONES, ONES)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_VELOCITY))
+def test_a_velocity_must_be_one_tangent_vector(name):
+    call = TAKES_A_VELOCITY[name]
+    assert _frame().m_dim == M_DIM
+    # too long (once read as its first 12 entries), too short, 2-D, a scalar
+    for shape in ((M_DIM + 2,), (M_DIM - 1,), (1, M_DIM), ()):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"velocity has shape {shape}")):
+            call(np.ones(shape))
+    call(ONES)  # the right shape goes through
+    if name not in ("p_pairing", "p_bound"):  # these two read no transport
+        with pytest.raises(ValueError, match="velocity must be nonzero"):
+            call(np.zeros(M_DIM))

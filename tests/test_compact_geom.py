@@ -1089,19 +1089,29 @@ ZERO_R_FRAMES = [("A", 3, ()), ("E", 7, (0, 2))]
 ] + [
     pytest.param(f, r, p, "lowest-root", 1.0, id=f"{f}{r}{list(p)}-lowest-root")
     for f, r, p in ZERO_R_FRAMES
+] + [
+    pytest.param("B", 2, (), "short-root", 1.0, id="B2[]-short-root"),
 ])
 def test_quadrature_matches_per_node_brackets(family, rank, painted, velocity, speed):
     frame = frame_for(family, rank, painted)
     rng = np.random.default_rng(41)
     if velocity == "generic":
         gdot = speed * _unit(frame, frame.random_m(rng))  # not one root plane
-    else:
-        # the lowest long root's plane moves the transport, so the forms take
-        # the block exponential
+    elif velocity == "lowest-root":
+        # the lowest long root's plane moves the transport, and its generator
+        # squares to zero: the forms take the closed form in r
         lowest = min((r for r in frame.m_pos if is_long(frame.sys, r)),
                      key=lambda r: (frame.sys.height(r), r.coords))
         gdot = speed * _plane_vector(frame, lowest, 0.9, -0.5)
-        assert r_operator(frame, gdot).any()
+        r = r_operator(frame, gdot)
+        assert r.any() and compact_geom._square_zero(r)
+    else:
+        # the short simple root e2 of B2 (doubled coordinates): its string
+        # through e1 + e2 has length 3, so r @ r is not zero and the forms
+        # take the block exponential
+        gdot = speed * _plane_vector(frame, RootVector((0, 2)), 0.9, -0.5)
+        r = r_operator(frame, gdot)
+        assert (r @ r).any() and not compact_geom._square_zero(r)
     fields = frame.random_m(rng, 6)
     e, _, _ = _reference_parts(frame, gdot, fields, np.zeros_like(fields))
     _assert_relative(complex_hessian_many(frame, gdot, fields), e, np.abs(e))
@@ -1178,6 +1188,53 @@ def test_zero_generator_forms_match_van_loan(family, rank, painted):
     _assert_q_values(k_search(frame, gdot, list(zip(xs, ys))),
                      -(form(xs, h_bar, xs) + form(ys, h_bar, ys)),
                      form(xs, g_bar, xs) + form(ys, g_bar, ys), form(xs, p_bar, ys))
+
+
+# every painting with a tangent block of the rank <= 4 systems, and the Borel,
+# node-1 and node-r paintings (0-based here) of each larger system
+SQUARE_ZERO_FRAMES = [
+    (f, r, p) for f, r in ALL_SYSTEMS
+    for p in (itertools.chain.from_iterable(itertools.combinations(range(r), n) for n in range(r))
+              if r <= 4 else ((), (0,), (r - 1,)))
+]
+
+
+def _long_roots_by_height(frame):
+    return sorted((r for r in frame.m_pos if is_long(frame.sys, r)),
+                  key=lambda r: (frame.sys.height(r), r.coords))
+
+
+def test_long_root_generators_square_to_zero():
+    # for long delta, alpha - 2 delta is never a root when alpha - delta is one:
+    # no plane is both moved and reached, so r @ r is exactly zero
+    planes = 0
+    for family, rank, painted in SQUARE_ZERO_FRAMES:
+        frame = frame_for(family, rank, painted)
+        for delta in _long_roots_by_height(frame):
+            r = r_operator(frame, _plane_vector(frame, delta, 0.9, -0.5))
+            assert compact_geom._square_zero(r), (family, rank, painted, delta)
+            assert not (r @ r).any()
+            planes += 1
+    assert (len(SQUARE_ZERO_FRAMES), planes) == (145, 2435)
+
+
+@pytest.mark.parametrize("family,rank,painted", SQUARE_ZERO_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in SQUARE_ZERO_FRAMES])
+def test_square_zero_closed_forms_match_expm_and_van_loan(family, rank, painted):
+    # the lowest, middle and highest long root; the highest often has r = 0,
+    # which the zero shortcut takes first
+    frame = frame_for(family, rank, painted)
+    longs = _long_roots_by_height(frame)
+    for delta in dict.fromkeys((longs[0], longs[len(longs) // 2], longs[-1])):
+        gdot = _plane_vector(frame, delta, 0.9, -0.5)
+        r, h = compact_geom._forms(frame, gdot)
+        for t in (0.37, 1.0):
+            want = scipy_expm(-0.5 * t * r)
+            _assert_relative(hat_transport(frame, gdot, t), want, np.abs(want))
+        gen = -0.5 * r
+        for m in (h, 2.0 * np.eye(frame.m_dim), compact_geom._pairing_matrix(frame, gdot)):
+            want = _van_loan(gen, m)
+            _assert_relative(compact_geom._averaged(gen, m), want, np.abs(want))
 
 
 # -- slice pairing -----------------------------------------------------------------

@@ -98,9 +98,19 @@ MUTANTS = (
            "return (c - j.T @ c @ j).T", "return (c - j.T @ c @ j)", GEOM_TESTS),
     Mutant("r-operator-j-term-sign-flipped", "src/flagmorse/compact_geom.py",
            "return a1 + frame.j_m @ a2", "return a1 - frame.j_m @ a2", GEOM_TESTS),
+    # both branches of the transport read this generator; criterion 7's group
+    # law kills it in acceptance
     Mutant("hat-transport-ignores-t", "src/flagmorse/compact_geom.py",
-           "return expm(-0.5 * t * r_operator(frame, gdot))",
-           "return expm(-0.5 * r_operator(frame, gdot))", GEOM_TESTS),
+           "gen = -0.5 * t * r_operator(frame, gdot)",
+           "gen = -0.5 * r_operator(frame, gdot)", GEOM_TESTS),
+    # the closed forms of a generator that squares to zero (every long root
+    # plane): the group law holds with either sign, so only a comparison with
+    # the exponential or the per-node oracle can kill these
+    Mutant("square-zero-transport-sign-flipped", "src/flagmorse/compact_geom.py",
+           "return np.eye(frame.m_dim) + gen", "return np.eye(frame.m_dim) - gen", GEOM_TESTS),
+    Mutant("square-zero-average-without-third-term", "src/flagmorse/compact_geom.py",
+           "return m + 0.5 * (gen.T @ m + m_gen) + (gen.T @ m_gen) / 3.0",
+           "return m + 0.5 * (gen.T @ m + m_gen)", GEOM_TESTS),
     Mutant("quadrature-generator-sign-flipped", "src/flagmorse/compact_geom.py",
            "h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m)",
            "h_bar, g_bar, p_bar = (_averaged(0.5 * r, m)", GEOM_TESTS),
