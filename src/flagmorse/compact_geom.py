@@ -10,14 +10,16 @@ bracket, adjoint matrix and identity check contracts through that one plan.
 Every tensor along a geodesic is reduced to constant coefficients in this
 frame, so transport is a single matrix exponential and all the pointwise
 identities become finite-dimensional residual checks.  Each frame also builds,
-once and on first use, a table of the pair spaces S0(delta) of the
-tangent-positive roots: their pairs, constants and slots, the 4x4 blocks of
-ad(X_delta) and ad(Y_delta) on each pair, and the bracket onto delta's plane.
-The quarter-turn map and the twomel suite read it instead of full adjoint
-matrices.  The averaged Hessian, the tangent norm and the twist pairing are
-forms in the initial fields: each averaged matrix int_0^1 exp(tA)^T M exp(tA)
-dt is read off one block exponential (Van Loan), exactly in t, so no time grid
-or node count is involved.  A velocity on one long root plane delta needs no
+once and on first use, one table of the pair spaces S0(delta) of the
+tangent-positive roots, stacked over all pairs in delta order (``PairTable``):
+each space is a slice of it, and one plan brackets all pair coordinates onto
+all tangent delta planes.  The quarter-turn map reads a slice instead of full
+adjoint matrices; the twomel checks run on the whole arrays at once, with
+per-space sums by ``reduceat`` and one contraction.  The averaged Hessian,
+the tangent norm and the twist pairing are forms in the initial fields: each
+averaged matrix int_0^1 exp(tA)^T M exp(tA) dt is read off one block
+exponential (Van Loan), exactly in t, so no time grid or node count is
+involved.  A velocity on one long root plane delta needs no
 exponential at all: for long delta, alpha - 2 delta is never a root when
 alpha - delta is one, so the transport generator A moves each plane it moves
 onto a plane it fixes, A^2 = 0 exactly, exp(tA) = I + tA, and every average
@@ -136,27 +138,31 @@ def _ad(plan: BracketPlan, w: np.ndarray) -> np.ndarray:
     return flat.reshape(plan.n_out, plan.n_in)
 
 
-class PairSpace(NamedTuple):
-    """The pair space S0(delta) of one tangent-positive root delta.
+class PairTable(NamedTuple):
+    """The pair spaces S0(delta) of the tangent-positive roots, stacked.
 
-    ``pairs`` are the positive pairs (alpha, beta), alpha < beta, with
-    alpha + beta = delta, sorted; ``consts`` their constants c_{alpha,beta}
-    as floats, and ``slots`` their full-frame coordinates X_alpha, Y_alpha,
-    X_beta, Y_beta.  ``bx[p]`` and ``by[p]`` are ad(X_delta) and ad(Y_delta)
-    on pair p's own four coordinates, so ad(a X_delta + b Y_delta) there is
-    ``a * bx[p] + b * by[p]``.  ``tangent`` says whether every pair root lies
-    in the tangent block; only then is ``plane`` set: the plan of the bracket
-    from the pair coordinates (by position in ``slots.ravel()``) onto delta's
-    plane (X_delta, Y_delta).
+    Pair p is the positive pair of root ids ``pairs[p]`` = (alpha, beta),
+    alpha < beta, alpha + beta = delta, sorted by delta, then alpha.  Space g
+    is delta id ``deltas[g]`` (increasing) with the pairs
+    ``starts[g]:starts[g + 1]`` (``starts`` ends with the pair count), and
+    ``tangent[g]`` says whether all their roots lie in the tangent block.
+    Per pair: ``consts`` c_{alpha,beta}, ``slots`` the full-frame X_alpha,
+    Y_alpha, X_beta, Y_beta, and ``bx``, ``by`` ad(X_delta) and ad(Y_delta) on
+    those four, so ad(a X_delta + b Y_delta) there is ``a * bx + b * by``.
+    ``plane`` brackets the pair coordinates (pair p's at 4p to 4p + 3) onto
+    the tangent spaces' planes (space g's X_delta, Y_delta at 2g, 2g + 1): a
+    space's entries are the run with ``k // 2 == g``, none if not tangent.
     """
 
-    pairs: tuple[tuple[RootVector, RootVector], ...]
+    deltas: np.ndarray
+    starts: np.ndarray
+    tangent: np.ndarray
+    pairs: np.ndarray
     consts: np.ndarray
     slots: np.ndarray
     bx: np.ndarray
     by: np.ndarray
-    tangent: bool
-    plane: Optional[BracketPlan]
+    plane: BracketPlan
 
 
 def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
@@ -319,10 +325,10 @@ class RealFormFrame:
     # -- pair spaces ----------------------------------------------------------
 
     @cached_property
-    def pair_spaces(self) -> dict[RootVector, PairSpace]:
+    def pair_table(self) -> PairTable:
         """The pair space of every tangent-positive root with at least one
         positive pair, in root order; built on first use."""
-        return _pair_spaces(self)
+        return _pair_table(self)
 
 
 def build_frame(split: ParabolicSplit) -> RealFormFrame:
@@ -367,7 +373,7 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     )
 
 
-def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
+def _pair_table(frame: RealFormFrame) -> PairTable:
     """Every positive pair summing to a tangent-positive root, grouped by that
     root, in one pass over the root index and two over the plan.
 
@@ -376,7 +382,7 @@ def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
     pair of delta; two pair roots bracket onto delta's plane only when they
     sum to delta.  So a plan entry whose third slot is in delta's plane and
     whose other two are pair coordinates of delta stays within one pair: the
-    blocks keep those with delta's plane as input, the sub-plans those with
+    blocks keep those with delta's plane as input, the plane plan those with
     it as output.
     """
     sys, part, plan = frame.sys, frame.split.part, frame.plan
@@ -388,15 +394,13 @@ def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
     d, a, b = s[first, second], pos[first], pos[second]
     order = np.lexsort((a, d))
     d, a, b = d[order], a[order], b[order]
-    if not d.size:
-        return {}
     x_slot = frame._x_slot
     slots = np.stack([x_slot[a], x_slot[a] + 1, x_slot[b], x_slot[b] + 1], axis=1)
     new = np.ones(d.size, dtype=bool)
     new[1:] = d[1:] != d[:-1]
     starts = np.flatnonzero(new)
-    deltas, ends = d[starts], np.append(starts[1:], d.size)
-    # by delta row and full-frame slot: 4 * pair + offset among delta's pairs
+    deltas = d[starts]
+    # by delta row and full-frame slot: 4 * pair + offset, over all pairs
     at = np.full((deltas.size, frame.dim), -1)
     at[np.cumsum(new)[:, None] - 1, slots] = np.arange(slots.size).reshape(slots.shape)
     row = np.full(frame.dim, -1)
@@ -422,26 +426,16 @@ def _pair_spaces(frame: RealFormFrame) -> dict[RootVector, PairSpace]:
     consts = np.zeros(d.size)
     own = (k == 0) & (i % 4 == 0) & (j == i + 2)
     consts[i[own] // 4] = plan.c[n[own]]
-    by_row = np.argsort(r, kind="stable")
-    n, r, i, j, k = n[by_row], r[by_row], i[by_row], j[by_row], k[by_row]
-    cuts = np.searchsorted(r, np.arange(deltas.size + 1))
-    i, j = i - 4 * starts[r], j - 4 * starts[r]
-
     tangent = np.logical_and.reduceat((part[a] == 1) & (part[b] == 1), starts)
-    roots = sys.roots
-    pairs = [(roots[x], roots[y]) for x, y in zip(a.tolist(), b.tolist())]
-    for shared in (consts, slots, blocks):  # every caller gets views of these
+    keep = tangent[r]
+    plane = _make_plan(i[keep], j[keep], 2 * r[keep] + k[keep], plan.c[n[keep]],
+                       slots.size, 2 * deltas.size)
+    blocks.flags.writeable = False  # before its views bx and by are taken
+    table = PairTable(deltas, np.append(starts, d.size), tangent, np.stack([a, b], axis=1),
+                      consts, slots, *blocks, plane)
+    for shared in table[:6]:  # every caller reads these, or views of them
         shared.flags.writeable = False
-    out = {}
-    for g, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-        plane = None
-        if tangent[g]:
-            e = slice(cuts[g], cuts[g + 1])
-            plane = _make_plan(i[e], j[e], k[e], plan.c[n[e]], 4 * (hi - lo), 2)
-        out[roots[deltas[g]]] = PairSpace(tuple(pairs[lo:hi]), consts[lo:hi], slots[lo:hi],
-                                          blocks[0, lo:hi], blocks[1, lo:hi],
-                                          bool(tangent[g]), plane)
-    return out
+    return table
 
 
 def frame_for(family: str, rank: int, painted: Sequence[int] = ()) -> RealFormFrame:
@@ -479,14 +473,24 @@ def _require_velocity(frame: RealFormFrame, gdot: np.ndarray) -> None:
                                 f"{frame.sys.name} needs ({frame.m_dim},)")
 
 
+def _apply_j(m: np.ndarray) -> np.ndarray:
+    """``frame.j_m @ m`` without arithmetic: J X_a = Y_a on each tangent plane
+    moves row 2p of ``m`` to row 2p + 1 and minus row 2p + 1 to row 2p.  As
+    J^T = -J, J^T m J is ``_apply_j(_apply_j(m.T).T)``."""
+    out = np.empty_like(m)
+    out[0::2] = -m[1::2]
+    out[1::2] = m[0::2]
+    return out
+
+
 def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix of X -> [gdot, X]_m + J [J gdot, X]_m on the tangent block."""
     _require_velocity(frame, gdot)
     if not np.any(gdot):
         raise ValueError("velocity must be nonzero")
     a1 = _ad(frame.plan_m, gdot)
-    a2 = _ad(frame.plan_m, frame.j_m @ gdot)
-    return a1 + frame.j_m @ a2
+    a2 = _ad(frame.plan_m, _apply_j(gdot))
+    return a1 + _apply_j(a2)
 
 
 def _square_zero(gen: np.ndarray) -> bool:
@@ -521,8 +525,7 @@ def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     C = -2 ad_m(gdot), so no bracket is evaluated."""
     _require_velocity(frame, gdot)
     c = -2.0 * _ad(frame.plan_m, gdot)
-    j = frame.j_m
-    return (c - j.T @ c @ j).T
+    return (c - _apply_j(_apply_j(c.T).T)).T
 
 
 def _forms(frame: RealFormFrame, gdot: np.ndarray):
@@ -532,8 +535,7 @@ def _forms(frame: RealFormFrame, gdot: np.ndarray):
     ad_k = _ad(frame.plan_k, gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
     g_k = frame.metric[: frame.m_start, : frame.m_start]
     kk = ad_k.T @ g_k @ ad_k
-    j = frame.j_m
-    h = r.T @ r + kk + j.T @ kk @ j
+    h = r.T @ r + kk + _apply_j(_apply_j(kk.T).T)
     return r, h
 
 
@@ -629,17 +631,13 @@ def tilde_vector(frame: RealFormFrame, delta: RootVector, a: float, b: float) ->
     return out
 
 
-def _quarter_turn(space: PairSpace, a: float, b: float, rows=slice(None)) -> np.ndarray:
-    """Quarter-turn operator on the pairs ``rows`` of a pair space (all of
-    them by default): on each pair, ad(a X_delta + b Y_delta) / (|(a, b)|
-    |c_{alpha,beta}|)."""
-    scale = float(np.hypot(a, b)) * np.abs(space.consts[rows])
-    blocks = (a * space.bx[rows] + b * space.by[rows]) / scale[:, None, None]
-    n = blocks.shape[0]
-    out = np.zeros((4 * n, 4 * n))
-    diag = np.arange(n)
-    out.reshape(n, 4, n, 4)[diag, :, diag, :] = blocks
-    return out
+def _quarter_blocks(table: PairTable, rows, a, b) -> np.ndarray:
+    """The quarter turn on the pairs ``rows`` of the table, one 4x4 block per
+    pair: ad(a X_delta + b Y_delta) / (|(a, b)| |c_{alpha,beta}|), with ``a``
+    and ``b`` one number for every pair or one per pair."""
+    a, b = np.reshape(a, (-1, 1, 1)), np.reshape(b, (-1, 1, 1))
+    scale = np.hypot(a, b) * np.abs(table.consts[rows])[:, None, None]
+    return (a * table.bx[rows] + b * table.by[rows]) / scale
 
 
 def map_I(
@@ -669,9 +667,17 @@ def map_I(
                                 f"{sys.name} with painted {sorted(frame.split.sigma_k)}")
     if not pairs:
         return np.zeros((0, 0))
-    space = frame.pair_spaces[delta]
-    index = {pair: p for p, pair in enumerate(space.pairs)}
-    return _quarter_turn(space, a, b, [index[pair] for pair in pairs])
+    table = frame.pair_table
+    # the sorted pairs are sorted by alpha id, as delta's rows of the table
+    g = np.searchsorted(table.deltas, d)
+    lo, hi = table.starts[g], table.starts[g + 1]
+    rows = lo + np.searchsorted(table.pairs[lo:hi, 0], [i for i, _ in pair_ids])
+    blocks = _quarter_blocks(table, rows, a, b)
+    n = len(rows)
+    out = np.zeros((4 * n, 4 * n))
+    diag = np.arange(n)
+    out.reshape(n, 4, n, 4)[diag, :, diag, :] = blocks
+    return out
 
 
 def p_pairing(
@@ -957,12 +963,11 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
 
 
 def _check_double_bracket(frame, rng, trials) -> CheckResult:
-    spaces = frame.pair_spaces.values()
-    if not spaces:
+    table = frame.pair_table
+    bx, by, consts = table.bx, table.by, table.consts
+    if not consts.size:
         return CheckResult("double-bracket", "no decomposable roots in this frame",
                            0, 0.0, TOL_IDENTITY)
-    bx, by, consts = (np.concatenate([getattr(space, name) for space in spaces])
-                      for name in ("bx", "by", "consts"))
     combos = consts.size
     per = -(-trials // combos)
     # per pair, in pair order: a and b, then its ``per`` rows of x
@@ -983,79 +988,93 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
     )
 
 
-def _quarter_turn_draws(frame, rng, trials) -> list:
-    """Per pair space whose roots all lie in the tangent block, in root order:
-    (delta, space, a, b, I, J, x).  Each draws (a, b), with a = 1 if both
-    vanish, then ceil(trials / spaces) rows of x on the pair coordinates; I is
-    the quarter turn at (a, b) and J the complex structure there."""
-    usable = [(delta, space) for delta, space in frame.pair_spaces.items() if space.tangent]
-    out = []
-    for delta, space in usable:
-        a, b = rng.standard_normal(2)
-        if a == 0 and b == 0:
-            a = 1.0
-        i_mat = _quarter_turn(space, a, b)
-        emb = space.slots.ravel() - frame.m_start
-        j_s0 = frame.j_m[np.ix_(emb, emb)]
-        x = rng.standard_normal((-(-trials // len(usable)), i_mat.shape[0]))
-        out.append((delta, space, a, b, i_mat, j_s0, x))
-    return out
+def _quarter_turn_draws(frame, rng, trials):
+    """Inputs of the quarter-turn and pair-bound checks: (usable, rows, ab,
+    I, J, x), or None.  Each pair space with all its roots in the tangent
+    block (``usable``), in root order, draws (a, b) (a row of ``ab``), with
+    a = 1 if both vanish, then ceil(trials / spaces) rows of x on its pairs
+    (``rows``).  Per pair of the table: the quarter-turn block I, the
+    complex-structure block J gathered from ``frame.j_m`` at the pair slots,
+    and x as ``(rows per space, pairs, 4)``; all three are zero on the other
+    spaces' pairs, so every product there is zero too."""
+    table = frame.pair_table
+    usable = np.flatnonzero(table.tangent)
+    if not usable.size:
+        return None
+    per = -(-trials // usable.size)
+    lo, hi = table.starts[usable], table.starts[usable + 1]
+    ab = np.empty((usable.size, 2))
+    x = np.zeros((per, table.consts.size, 4))
+    for g, (start, end) in enumerate(zip(lo.tolist(), hi.tolist())):
+        ab[g] = rng.standard_normal(2)
+        x[:, start:end] = rng.standard_normal((per, 4 * (end - start))).reshape(per, -1, 4)
+    ab[~ab.any(axis=1), 0] = 1.0
+    rows = np.flatnonzero(np.repeat(table.tangent, np.diff(table.starts)))
+    i_blk, j_blk = np.zeros((2, table.consts.size, 4, 4))
+    i_blk[rows] = _quarter_blocks(table, rows, *np.repeat(ab, hi - lo, axis=0).T)
+    emb = table.slots[rows] - frame.m_start
+    j_blk[rows] = frame.j_m[emb[:, :, None], emb[:, None, :]]
+    return usable, rows, ab, i_blk, j_blk, x
+
+
+def _per_pair(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each pair's block applied to its four coordinates, on every row of x."""
+    return np.einsum("pij,rpj->rpi", blocks, x, optimize=True)
+
+
+def _space_norm2(table: PairTable, x: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of x on each pair space: per-pair sums,
+    added over each space's run of pairs."""
+    return np.add.reduceat(np.einsum("rpi,rpi->rp", x, x), table.starts[:-1], axis=1)
 
 
 def _check_quarter_turn(frame, rng, trials) -> CheckResult:
-    """Involution, anticommutation and isometry of the pair-space operator."""
+    """Involution, anticommutation and isometry of the pair-space operator,
+    block by block; the isometry sums each space's pairs."""
     draws = _quarter_turn_draws(frame, rng, trials)
-    if not draws:
+    if draws is None:
         return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
-    worst = 0.0
-    total = 0
-    for _, _, _, _, i_mat, j_s0, x in draws:
-        worst = max(worst, _max_norm(i_mat @ i_mat + np.eye(i_mat.shape[0])))
-        worst = max(worst, _max_norm(i_mat @ j_s0 + j_s0 @ i_mat))
-        worst = max(
-            worst,
-            _max_norm(np.einsum("ni,ni->n", x @ i_mat.T, x @ i_mat.T)
-                      - np.einsum("ni,ni->n", x, x)),
-        )
-        total += x.shape[0]
+    usable, rows, _, i_all, j_all, x = draws
+    i_blk, j_blk = i_all[rows], j_all[rows]
+    norm2 = [_space_norm2(frame.pair_table, v)[:, usable] for v in (_per_pair(i_all, x), x)]
+    worst = max(_max_norm(i_blk @ i_blk + np.eye(4)),
+                _max_norm(i_blk @ j_blk + j_blk @ i_blk),
+                _max_norm(norm2[0] - norm2[1]))
     return CheckResult(
         "quarter-turn",
         "pair-space operator squares to minus identity, anticommutes with "
         "the complex structure, and is an isometry",
-        total, worst, TOL_IDENTITY,
+        x.shape[0] * usable.size, worst, TOL_IDENTITY,
     )
 
 
 def _check_pair_bounds(frame, rng, trials) -> CheckResult:
-    """Lower bound of the bracket pairing on pair spaces, slice level."""
+    """Lower bound of the bracket pairing on pair spaces, slice level.
+
+    The metric pairing with the twist direction reads only the bracket onto
+    delta's plane, so both brackets, [Ix, x] and [JIx, Jx], of every space
+    come from one contraction through the table's plane plan."""
     draws = _quarter_turn_draws(frame, rng, trials)
-    if not draws:
+    if draws is None:
         return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
-    worst = 0.0
-    total = 0
-    for delta, space, a, b, i_mat, j_s0, x in draws:
-        n0 = float(np.min(np.abs(space.consts)))
-        # the bracket from the pair coordinates onto delta's plane, which is
-        # all the metric pairing with the twist direction reads
-        sub = space.plane
-        plane = np.array(frame.slot(delta))
-        twist = frame.metric[np.ix_(plane, plane)] @ (a, b)  # pairs with a*X_delta + b*Y_delta
-        ix = x @ i_mat.T
-        br = _contract(sub, ix, x)
-        val = br @ twist
-        norms = 2.0 * np.einsum("ni,ni->n", x, x)
-        excess = val + n0 * np.hypot(a, b) * norms
-        worst = max(worst, float(np.max(np.maximum(excess, 0.0))))
-        # slice-level form of the twisted pairing bound (rate-free)
-        p_val = (br - _contract(sub, ix @ j_s0.T, x @ j_s0.T)) @ twist
-        excess2 = p_val + 2.0 * n0 * np.hypot(a, b) * norms
-        worst = max(worst, float(np.max(np.maximum(excess2, 0.0))))
-        total += x.shape[0]
+    usable, _, ab, i_blk, j_blk, x = draws
+    table, per = frame.pair_table, x.shape[0]
+    ix = _per_pair(i_blk, x)
+    ins = np.stack([ix, _per_pair(j_blk, ix), x, _per_pair(j_blk, x)]).reshape(4, per, -1)
+    br = _contract(table.plane, ins[:2], ins[2:]).reshape(2, per, -1, 2)[:, :, usable]
+    # pairs with a*X_delta + b*Y_delta
+    plane = frame._x_slot[table.deltas[usable], None] + np.arange(2)
+    twist = np.einsum("sij,sj->si", frame.metric[plane[:, :, None], plane[:, None, :]], ab)
+    val, val_j = np.einsum("nrsk,sk->nrs", br, twist)
+    n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[:-1])[usable]
+    bound = n0 * np.hypot(*ab.T) * 2.0 * _space_norm2(table, x)[:, usable]
+    # and the slice-level form of the twisted pairing bound (rate-free)
+    worst = float(max(0.0, np.max(val + bound), np.max(val - val_j + 2.0 * bound)))
     return CheckResult(
         "pair-bound",
         "bracket pairing against the twist direction is at most minus the "
         "minimal structure constant times the squared norm",
-        total, worst, 1e-8,
+        per * usable.size, worst, 1e-8,
         note="the rate-free slice-level bound is checked; the literal "
              "rate-weighted display is dimensionally inconsistent at a slice",
     )

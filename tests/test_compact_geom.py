@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -841,6 +843,21 @@ def test_classifier_rejects_keys_that_are_not_roots():
 # -- pair-space operator -----------------------------------------------------------
 
 
+def _table_spaces(frame):
+    """The frame's pair table by delta, in table order: per space its index
+    ``g``, its pairs as root pairs, its ``tangent`` flag, and its slices of
+    the per-pair arrays."""
+    table, roots = frame.pair_table, frame.sys.roots
+    out = {}
+    for g, d in enumerate(table.deltas.tolist()):
+        rows = slice(table.starts[g], table.starts[g + 1])
+        pairs = tuple((roots[a], roots[b]) for a, b in table.pairs[rows].tolist())
+        out[roots[d]] = SimpleNamespace(
+            g=g, start=rows.start, pairs=pairs, tangent=bool(table.tangent[g]),
+            **{name: getattr(table, name)[rows] for name in ("consts", "slots", "bx", "by")})
+    return out
+
+
 def _s_pairs(frame, delta):
     sys_ = frame.sys
     pairs = set()
@@ -886,7 +903,8 @@ def test_map_i_and_q_form_reject_pair_roots_outside_the_tangent_block():
     # tangent block: a tangent-block index for them would be negative
     frame = frame_for("E", 7, (0, 2))
     delta = RootVector((-2, 0, 2, 0, 0, 0, 0, 0))
-    space = frame.pair_spaces[delta]
+    spaces = _table_spaces(frame)
+    space = spaces[delta]
     assert not space.tangent
     pairs = {frozenset(pair) for pair in space.pairs}
     assert s0_embedding(frame, pairs).min() < frame.m_start
@@ -896,15 +914,15 @@ def test_map_i_and_q_form_reject_pair_roots_outside_the_tangent_block():
         map_I(frame, delta, 0.9, -0.5, pairs)
     assert issubclass(NotInTangent, FlagmorseError) and issubclass(NotInTangent, ValueError)
     # the tangent pairs of a root with painted pairs still give an operator
-    mixed, s_pairs = next((d, _s_pairs(frame, d)) for d, sp in frame.pair_spaces.items()
+    mixed, s_pairs = next((d, _s_pairs(frame, d)) for d, sp in spaces.items()
                           if not sp.tangent and _s_pairs(frame, d))
-    assert len(s_pairs) < len(frame.pair_spaces[mixed].pairs)
+    assert len(s_pairs) < len(spaces[mixed].pairs)
     i_mat = map_I(frame, mixed, 0.9, -0.5, s_pairs)
     assert np.max(np.abs(i_mat @ i_mat + np.eye(i_mat.shape[0]))) < 1e-12
     # a pair of another root is still a plain ValueError
-    other = next(d for d, sp in frame.pair_spaces.items() if d != delta and sp.tangent)
+    other = next(d for d, sp in spaces.items() if d != delta and sp.tangent)
     with pytest.raises(ValueError, match="does not sum to") as info:
-        map_I(frame, delta, 0.9, -0.5, [frame.pair_spaces[other].pairs[0]])
+        map_I(frame, delta, 0.9, -0.5, [spaces[other].pairs[0]])
     assert not isinstance(info.value, NotInTangent)
 
 
@@ -1391,7 +1409,7 @@ PAIR_SET_FRAMES = ORACLE_FRAMES + [("E", 6, ())]
 def test_pair_sets_list_each_decomposition_once(family, rank, painted):
     frame = frame_for(family, rank, painted)
     sys_ = frame.sys
-    pair_sets = {delta: space.pairs for delta, space in frame.pair_spaces.items()}
+    pair_sets = {delta: space.pairs for delta, space in _table_spaces(frame).items()}
     for delta in frame.m_pos:
         want = {frozenset((alpha, delta - alpha)) for alpha in sys_.positives
                 if sys_.is_positive(delta - alpha)}
@@ -1440,11 +1458,17 @@ TABLE_FRAMES = PAIR_SET_FRAMES + [("E", 7, (0, 2)), ("E", 8, ())]
 def test_pair_space_table_matches_reference(family, rank, painted):
     frame = frame_for(family, rank, painted)
     reference = _reference_pair_sets(frame)
-    assert list(frame.pair_spaces) == list(reference)
+    spaces = _table_spaces(frame)
+    assert list(spaces) == list(reference)
+    # one plan onto every tangent delta plane: pair p's coordinates in at 4p
+    # to 4p + 3, space g's plane out at 2g and 2g + 1
+    table = frame.pair_table
+    plane = table.plane
+    assert (plane.n_in, plane.n_out) == (4 * table.consts.size, 2 * table.deltas.size)
     m_pos = frame.split.delta_m_pos
     a, b = 0.6, -1.7
     tangent = subsets = 0
-    for delta, space in frame.pair_spaces.items():
+    for delta, space in spaces.items():
         pairs = reference[delta]
         assert space.pairs == pairs
         assert np.array_equal(space.slots.ravel(), s0_embedding(frame, pairs))
@@ -1452,15 +1476,21 @@ def test_pair_space_table_matches_reference(family, rank, painted):
         assert np.array_equal(space.bx, _reference_blocks(frame, delta, pairs, 1.0, 0.0))
         assert np.array_equal(space.by, _reference_blocks(frame, delta, pairs, 0.0, 1.0))
         assert space.tangent == all(r in m_pos for pair in pairs for r in pair)
+        # delta's entries of the combined plan, shifted back to its own pairs
+        # and plane: (i, j, k, c)
+        own = plane.k // 2 == space.g
+        entries = (plane.i[own] - 4 * space.start, plane.j[own] - 4 * space.start,
+                   plane.k[own] - 2 * space.g, plane.c[own])
         if space.tangent:
             tangent += 1
             want = _sorted_sub_plan(frame.plan, s0_embedding(frame, pairs),
                                     np.array(frame.slot(delta)))
-            assert all(np.array_equal(got, ref) for got, ref in zip(space.plane, want))
+            assert want.c.size > 0
+            assert all(np.array_equal(got, ref) for got, ref in zip(entries, want))
             assert np.array_equal(map_I(frame, delta, a, b, pairs),
                                   _reference_map_i(frame, delta, a, b, pairs))
         else:
-            assert space.plane is None
+            assert not own.any()
         # the S-set pairs: every pair of tangent roots, all of them or a subset
         s_set = st_sets(frame.split, GammaSet.singleton(delta), delta).s_set
         s_pairs = {frozenset((x, delta - x)) for x in s_set}
@@ -1470,6 +1500,144 @@ def test_pair_space_table_matches_reference(family, rank, painted):
                                   _reference_map_i(frame, delta, b, a, s_pairs))
     assert tangent > 0 or rank == 1
     assert subsets > 0 or not painted
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_j_sign_and_swap_matches_dense_products(family, rank, painted):
+    # J is a signed permutation, so swapping the coordinates of each tangent
+    # plane with one sign flip gives the dense products with j_m bit for bit
+    frame = frame_for(family, rank, painted)
+    j = frame.j_m
+    longs = [alpha for alpha in frame.m_pos if is_long(frame.sys, alpha)]
+    for delta in (longs[0], longs[-1]):  # the lowest and the highest
+        gdot = _plane_vector(frame, delta, 0.8, -0.6)
+        a1 = compact_geom._ad(frame.plan_m, gdot)
+        r = a1 + j @ compact_geom._ad(frame.plan_m, j @ gdot)
+        assert np.array_equal(r_operator(frame, gdot), r)
+        ad_k = compact_geom._ad(frame.plan_k, gdot)
+        kk = ad_k.T @ frame.metric[:frame.m_start, :frame.m_start] @ ad_k
+        assert np.array_equal(compact_geom._forms(frame, gdot)[1], r.T @ r + kk + j.T @ kk @ j)
+        c = -2.0 * a1
+        assert np.array_equal(compact_geom._pairing_matrix(frame, gdot), (c - j.T @ c @ j).T)
+
+
+def _reference_twomel_spaces(frame):
+    """Per pair space with every pair root in the tangent block, from the scan
+    of the pairs with a root sum: delta, the blocks of ad(X_delta) and
+    ad(Y_delta) cut from full adjoint matrices, |c| of each pair, the
+    tangent-block coordinates of the pairs, the sorted sub-plan onto delta's
+    plane and the metric there."""
+    m_pos, out = frame.split.delta_m_pos, []
+    for delta, pairs in _reference_pair_sets(frame).items():
+        if all(r in m_pos for pair in pairs for r in pair):
+            plane = np.array(frame.slot(delta))
+            out.append((_reference_blocks(frame, delta, pairs, 1.0, 0.0),
+                        _reference_blocks(frame, delta, pairs, 0.0, 1.0),
+                        np.array([abs(float(frame.chev.constant(x, y))) for x, y in pairs]),
+                        s0_embedding(frame, pairs) - frame.m_start,
+                        _sorted_sub_plan(frame.plan, s0_embedding(frame, pairs), plane),
+                        frame.metric[np.ix_(plane, plane)]))
+    return out
+
+
+def _reference_twomel_draws(frame, spaces, rng, trials):
+    """The quarter-turn and pair-bound inputs as the per-space loop drew them:
+    per space, (a, b) (a = 1 if both vanish), then ceil(trials / spaces) rows
+    of x; with the dense operator I and the complex structure J there."""
+    for bx, by, consts, emb, sub, metric in spaces:
+        a, b = rng.standard_normal(2)
+        if a == 0 and b == 0:
+            a = 1.0
+        n = len(consts)
+        i_mat = np.zeros((4 * n, 4 * n))
+        for p in range(n):
+            i_mat[4 * p:4 * p + 4, 4 * p:4 * p + 4] = ((a * bx[p] + b * by[p])
+                                                       / (np.hypot(a, b) * consts[p]))
+        x = rng.standard_normal((-(-trials // len(spaces)), 4 * n))
+        yield a, b, i_mat, frame.j_m[np.ix_(emb, emb)], x, consts.min(), sub, metric
+
+
+def _reference_quarter_turn(frame, spaces, rng, trials):
+    worst, total = 0.0, 0
+    for _, _, i_mat, j_s0, x, _, _, _ in _reference_twomel_draws(frame, spaces, rng, trials):
+        ix = x @ i_mat.T
+        worst = max(worst, np.max(np.abs(i_mat @ i_mat + np.eye(len(i_mat)))),
+                    np.max(np.abs(i_mat @ j_s0 + j_s0 @ i_mat)),
+                    np.max(np.abs(np.einsum("ni,ni->n", ix, ix) - np.einsum("ni,ni->n", x, x))))
+        total += len(x)
+    return total, worst
+
+
+def _reference_pair_bounds(frame, spaces, rng, trials):
+    worst, total = 0.0, 0
+    for a, b, i_mat, j_s0, x, n0, sub, metric in _reference_twomel_draws(frame, spaces, rng,
+                                                                         trials):
+        twist = metric @ (a, b)
+        ix = x @ i_mat.T
+        br = _contract_oracle(sub, ix, x)
+        norms = 2.0 * np.einsum("ni,ni->n", x, x)
+        p_val = (br - _contract_oracle(sub, ix @ j_s0.T, x @ j_s0.T)) @ twist
+        worst = max(worst, np.max(br @ twist + n0 * np.hypot(a, b) * norms),
+                    np.max(p_val + 2.0 * n0 * np.hypot(a, b) * norms), 0.0)
+        total += len(x)
+    return total, worst
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_stacked_twomel_checks_match_per_space_loops(family, rank, painted):
+    # the whole-array checks against the per-space loops they replaced, on the
+    # same draws: same trials, residuals within 1e-12, both below tolerance
+    frame = frame_for(family, rank, painted)
+    spaces = _reference_twomel_spaces(frame)
+    checks = ((compact_geom._check_quarter_turn, _reference_quarter_turn),
+              (compact_geom._check_pair_bounds, _reference_pair_bounds))
+    for (check, reference), seed, trials in itertools.product(checks, (5, 23), (8, 500)):
+        got = check(frame, np.random.default_rng([seed, 1]), trials)
+        if not spaces:
+            assert (got.trials, got.max_residual) == (0, 0.0)
+            continue
+        total, worst = reference(frame, spaces, np.random.default_rng([seed, 1]), trials)
+        assert got.trials == total >= trials
+        assert abs(got.max_residual - worst) <= 1e-12, (check.__name__, seed, trials)
+        assert got.passed and worst < got.tolerance
+
+
+def _with_table(frame, **fields):
+    """A copy of the frame whose pair table has ``fields`` replaced."""
+    copy = dataclasses.replace(frame)
+    copy.__dict__["pair_table"] = frame.pair_table._replace(**fields)
+    return copy
+
+
+def _with_twist_flipped(frame):
+    """A copy of the frame with the metric negated on the tangent block, which
+    flips the sign of the twist direction the pair bound pairs with."""
+    metric = frame.metric.copy()
+    metric[frame.m_start:, frame.m_start:] *= -1.0
+    return dataclasses.replace(frame, metric=metric)
+
+
+# one wrong input per twomel check, fixed before the run: the constants
+# doubled, the quarter turn without its 1/|c| scale (which matters only where
+# some |c| != 1, as the 1/sqrt 2 of C), and the twist direction with its sign
+# flipped
+TWOMEL_CONTROLS = {
+    "_check_double_bracket": lambda frame: _with_table(frame, consts=2.0 * frame.pair_table.consts),
+    "_check_quarter_turn": lambda frame: _with_table(frame, consts=np.sign(frame.pair_table.consts)),
+    "_check_pair_bounds": _with_twist_flipped,
+}
+
+
+@pytest.mark.parametrize("check", list(TWOMEL_CONTROLS))
+@pytest.mark.parametrize("family,rank", [("C", 3), ("C", 4)])
+def test_twomel_checks_fail_on_wrong_inputs(family, rank, check):
+    frame = frame_for(family, rank)
+    run = getattr(compact_geom, check)
+    assert run(frame, np.random.default_rng(3), 200).passed
+    result = run(TWOMEL_CONTROLS[check](frame), np.random.default_rng(3), 200)
+    assert result.trials > 0 and result.max_residual > result.tolerance, result
 
 
 @pytest.mark.parametrize("family,rank,painted,pairs", [("E", 7, (0, 2), 335), ("E", 8, (), 1120)],
@@ -1483,7 +1651,7 @@ def test_identity_suite_all_on_e7_and_e8(family, rank, painted, pairs):
     assert all(check.passed and check.trials > 0 for check in checks.values())
     # double-bracket visits every decomposition pair once
     assert checks["double-bracket"].trials == pairs
-    assert pairs == sum(len(space.pairs) for space in frame.pair_spaces.values())
+    assert pairs == frame.pair_table.consts.size
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS, ids=[f"{f}{r}" for f, r in ALL_SYSTEMS])

@@ -95,9 +95,10 @@ MUTANTS = (
            "return e + 2.0 * k * k * a + 2.0 * k * b", "return e + 2.0 * k * k * a - 2.0 * k * b",
            GEOM_TESTS),
     Mutant("pairing-matrix-transposed", "src/flagmorse/compact_geom.py",
-           "return (c - j.T @ c @ j).T", "return (c - j.T @ c @ j)", GEOM_TESTS),
+           "return (c - _apply_j(_apply_j(c.T).T)).T", "return (c - _apply_j(_apply_j(c.T).T))",
+           GEOM_TESTS),
     Mutant("r-operator-j-term-sign-flipped", "src/flagmorse/compact_geom.py",
-           "return a1 + frame.j_m @ a2", "return a1 - frame.j_m @ a2", GEOM_TESTS),
+           "return a1 + _apply_j(a2)", "return a1 - _apply_j(a2)", GEOM_TESTS),
     # both branches of the transport read this generator; criterion 7's group
     # law kills it in acceptance
     Mutant("hat-transport-ignores-t", "src/flagmorse/compact_geom.py",
@@ -120,7 +121,7 @@ MUTANTS = (
            "for m in (h, 2.0 * np.eye(frame.m_dim),", "for m in (h, np.eye(frame.m_dim),",
            GEOM_TESTS),
     Mutant("forms-without-j-conjugate-k-term", "src/flagmorse/compact_geom.py",
-           "h = r.T @ r + kk + j.T @ kk @ j", "h = r.T @ r + kk", GEOM_TESTS),
+           "h = r.T @ r + kk + _apply_j(_apply_j(kk.T).T)", "h = r.T @ r + kk", GEOM_TESTS),
     Mutant("p-bound-factor-1", "src/flagmorse/compact_geom.py",
            "_pairing_matrix(frame, gdot), 2) / 2.0)", "_pairing_matrix(frame, gdot), 2) / 1.0)",
            GEOM_TESTS),
@@ -169,6 +170,21 @@ MUTANTS = (
     Mutant("validate-against-does-nothing", "src/flagmorse/index_comb.py",
            'sp.require_tangent(self.support, "support roots outside the tangent positives: {}")',
            "pass", COMB_TESTS),
+    # the stacked pair-space table and the twomel checks on it: each space's
+    # sums read from its last pair on (the isometry is a difference of sums,
+    # so only the pair bound's norms can see it), the quarter turn scaled by
+    # the signed constant (still an isometric involution: only the sign of
+    # the pairing shows it), and delta's X and Y outputs swapped in the plane
+    # plan
+    Mutant("pair-space-sums-shifted-starts", "src/flagmorse/compact_geom.py",
+           "np.einsum(\"rpi,rpi->rp\", x, x), table.starts[:-1], axis=1)",
+           "np.einsum(\"rpi,rpi->rp\", x, x), table.starts[1:] - 1, axis=1)", GEOM_TESTS),
+    Mutant("quarter-turn-scaled-by-signed-consts", "src/flagmorse/compact_geom.py",
+           "scale = np.hypot(a, b) * np.abs(table.consts[rows])[:, None, None]",
+           "scale = np.hypot(a, b) * table.consts[rows][:, None, None]", GEOM_TESTS),
+    Mutant("pair-plane-x-and-y-swapped", "src/flagmorse/compact_geom.py",
+           "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + k[keep],",
+           "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + 1 - k[keep],", GEOM_TESTS),
     # every identity residual reads 0
     Mutant("max-norm-reads-zero", "src/flagmorse/compact_geom.py",
            "return float(np.max(np.abs(arr))) if arr.size else 0.0", "return 0.0", GEOM_TESTS),
