@@ -2,11 +2,13 @@
 
 A frame packages the ordered real basis (Cartan block, isotropy root planes,
 tangent root planes, each plane found by root id through ``slot``), its sparse
-structure-constant plan, metric, and complex structure.  The plan lists the
-nonzero constants ``[e_i, e_j] = c e_k`` as index arrays, built as whole
-arrays over the root index: the sum table gives the root pairs, and the
-Chevalley table the float64 of each exact constant, rounded once.  Every
-bracket, adjoint matrix and identity check contracts through that one plan.
+structure-constant plan and its metric.  The complex structure J, a quarter
+turn on each tangent plane, is not stored: every J is ``_apply_j``, a swap of
+each plane's two coordinates with one sign flip.  The plan lists the nonzero
+constants ``[e_i, e_j] = c e_k`` as index arrays, built as whole arrays over
+the root index: the sum table gives the root pairs, and the Chevalley table
+the float64 of each exact constant, rounded once.  Every bracket, adjoint
+matrix and identity check contracts through that one plan.
 Every tensor along a geodesic is reduced to constant coefficients in this
 frame, so transport is a single matrix exponential and all the pointwise
 identities become finite-dimensional residual checks.  Each frame also builds,
@@ -231,8 +233,8 @@ def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
 class RealFormFrame:
     """Constant-coefficient model of the compact form at the base point:
     the Cartan block, then a plane (X_a, Y_a) per positive root a, painted
-    span first, in the split's order, found by id through ``slot``.
-    Compared and hashed by identity."""
+    span first, in the split's order, found by id through ``slot``; J is not
+    stored (``_apply_j``).  Compared and hashed by identity."""
 
     split: ParabolicSplit
     chev: ChevalleyData = field(repr=False)
@@ -242,7 +244,6 @@ class RealFormFrame:
     plan_m: BracketPlan = field(repr=False)  # tangent x tangent -> tangent
     plan_k: BracketPlan = field(repr=False)  # tangent x tangent -> isotropy
     metric: np.ndarray = field(repr=False)
-    j_m: np.ndarray = field(repr=False)
     # by root id, the X coordinate of the root's plane (shared by a and -a)
     _x_slot: np.ndarray = field(repr=False)
 
@@ -330,10 +331,16 @@ class RealFormFrame:
         positive pair, in root order; built on first use."""
         return _pair_table(self)
 
+    @cached_property
+    def j_m(self) -> np.ndarray:
+        """Dense J on the tangent block, built on first read for callers
+        outside the package; nothing in ``src/`` reads it.  ``_apply_j`` on
+        the identity is J^T = -J; 0.0 minus it leaves no signed zeros."""
+        return 0.0 - _apply_j(np.eye(self.m_dim))
+
 
 def build_frame(split: ParabolicSplit) -> RealFormFrame:
-    """Structure-constant plan, metric and complex structure over the ordered
-    real basis."""
+    """Structure-constant plan and metric over the ordered real basis."""
     if not split.delta_m_pos:
         raise NoTangentBlock("every node is painted; the frame has no tangent block")
     sys = split.sys
@@ -353,11 +360,6 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
     simples = np.array([root.coords for root in sys.simples])
     metric[:rank, :rank] = simples @ simples.T * (float(sys.norm_scale) / 4)
     metric[np.arange(rank, dim), np.arange(rank, dim)] = 2.0
-    # J X_a = Y_a on each tangent plane
-    j_m = np.zeros((dim - m_start, dim - m_start))
-    x = np.arange(0, dim - m_start, 2)
-    j_m[x + 1, x] = 1.0
-    j_m[x, x + 1] = -1.0
 
     return RealFormFrame(
         split=split,
@@ -368,7 +370,6 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
         plan_m=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start, dim)),
         plan_k=_sub_plan(plan, np.arange(m_start, dim), np.arange(m_start)),
         metric=metric,
-        j_m=j_m,
         _x_slot=x_slot,
     )
 
@@ -463,34 +464,38 @@ def bracket_k(frame: RealFormFrame, x_m: np.ndarray, y_m: np.ndarray) -> np.ndar
     return _contract(frame.plan_k, x_m, y_m)
 
 
-def _require_velocity(frame: RealFormFrame, gdot: np.ndarray) -> None:
-    """``DimensionMismatch`` unless ``gdot`` is one vector of tangent
-    coordinates: ``_ad`` would read the first ``m_dim`` entries of a longer
-    one, and index out of a shorter or 2-D one."""
-    shape = np.shape(gdot)
-    if shape != (frame.m_dim,):
-        raise DimensionMismatch(f"velocity has shape {shape}; the tangent block of "
-                                f"{frame.sys.name} needs ({frame.m_dim},)")
+def _require_tangent(frame: RealFormFrame, rows: bool = False, **arrays) -> None:
+    """``DimensionMismatch``, naming the argument and the shape it needs,
+    unless each array is one vector of tangent coordinates (with ``rows``, a
+    2-D batch of them): ``_ad`` would read the first ``m_dim`` entries of a
+    longer velocity, and numpy raise its own errors on other shapes."""
+    for name, x in arrays.items():
+        shape = np.shape(x)
+        if len(shape) != (2 if rows else 1) or shape[-1] != frame.m_dim:
+            want = f"(n, {frame.m_dim})" if rows else f"({frame.m_dim},)"
+            raise DimensionMismatch(f"{name} has shape {shape}; the tangent block of "
+                                    f"{frame.sys.name} needs {want}")
 
 
-def _apply_j(m: np.ndarray) -> np.ndarray:
-    """``frame.j_m @ m`` without arithmetic: J X_a = Y_a on each tangent plane
-    moves row 2p of ``m`` to row 2p + 1 and minus row 2p + 1 to row 2p.  As
-    J^T = -J, J^T m J is ``_apply_j(_apply_j(m.T).T)``."""
-    out = np.empty_like(m)
-    out[0::2] = -m[1::2]
-    out[1::2] = m[0::2]
+def _apply_j(x: np.ndarray) -> np.ndarray:
+    """J on the last axis (``x @ J^T`` on rows), which may be any run of whole
+    planes: J X_a = Y_a moves coordinate 2p to 2p + 1 and minus 2p + 1 to 2p,
+    the numbers of a product with J, whose entries are one +-1 term each.
+    J m is ``_apply_j(m.T).T``, and J^T m J ``_apply_j(_apply_j(m.T).T)``."""
+    out = np.empty_like(x)
+    out[..., 0::2] = -x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
     return out
 
 
 def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix of X -> [gdot, X]_m + J [J gdot, X]_m on the tangent block."""
-    _require_velocity(frame, gdot)
+    _require_tangent(frame, velocity=gdot)
     if not np.any(gdot):
         raise ValueError("velocity must be nonzero")
     a1 = _ad(frame.plan_m, gdot)
     a2 = _ad(frame.plan_m, _apply_j(gdot))
-    return a1 + _apply_j(a2)
+    return a1 + _apply_j(a2.T).T
 
 
 def _square_zero(gen: np.ndarray) -> bool:
@@ -523,7 +528,7 @@ def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix p of the bracket pairing, P(x, y) = <[y, x]_m - [Jy, Jx]_m, gdot>
     = x.p.y.  By ad-invariance of the metric <[y, x]_m, gdot> = y.C.x with
     C = -2 ad_m(gdot), so no bracket is evaluated."""
-    _require_velocity(frame, gdot)
+    _require_tangent(frame, velocity=gdot)
     c = -2.0 * _ad(frame.plan_m, gdot)
     return (c - _apply_j(_apply_j(c.T).T)).T
 
@@ -590,6 +595,7 @@ def _twisted(e, a, b, k: float):
 
 def complex_hessian(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray) -> float:
     """Averaged second-variation value on a transport-parallel field."""
+    _require_tangent(frame, x0=x0)
     return float(complex_hessian_many(frame, gdot, np.atleast_2d(x0))[0])
 
 
@@ -597,6 +603,7 @@ def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
                          x0_batch: np.ndarray) -> np.ndarray:
     # the e part of _quadrature alone: one block exponential, not three, and
     # none when r is exactly zero
+    _require_tangent(frame, rows=True, x0_batch=x0_batch)
     r, h = _forms(frame, gdot)
     return -_form(x0_batch, _averaged(-0.5 * r, h), x0_batch)
 
@@ -684,6 +691,7 @@ def p_pairing(
     frame: RealFormFrame, x: np.ndarray, y: np.ndarray, gdot: np.ndarray
 ) -> float:
     """Slice value of the mixed bracket pairing against the velocity."""
+    _require_tangent(frame, x=x, y=y)
     return float(x @ _pairing_matrix(frame, gdot) @ y)
 
 
@@ -703,6 +711,7 @@ def q_form(
     """Quaternionic average of the energy Hessian on one (xbar0, ybar0)
     configuration, as ``k_search`` takes them.  A pair-space twist w enters
     as (x0 + w, y0 + I w), with I from ``map_I``."""
+    _require_tangent(frame, x0=x0, y0=y0)
     e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0), np.atleast_2d(y0))
     return float(_twisted(e, a, b, k)[0])
 
@@ -728,6 +737,8 @@ def k_search(
     """
     if len(configs) == 0:
         raise ValueError("k_search needs at least one configuration")
+    for x0, y0 in configs:
+        _require_tangent(frame, x0=x0, y0=y0)
     e, a, b = _quadrature(frame, gdot, np.array([c[0] for c in configs]),
                           np.array([c[1] for c in configs]))
     k = 1.0
@@ -752,6 +763,7 @@ def adjoint_perturb(
     1e-9 times the original norm.  ``root_k`` must be a root (``NotARoot``,
     ``DimensionMismatch``) and a positive one in the painted span (``NotInK``).
     """
+    _require_tangent(frame, gamma_coeffs=gamma_coeffs)
     i = frame.sys.id_of(root_k)
     if frame.split.part.item(i) != 0 or frame.sys.heights.item(i) < 0:
         raise NotInK(f"{root_k} is not a positive painted-span root")
@@ -834,14 +846,14 @@ def _max_norm(arr: np.ndarray) -> float:
 
 
 def _check_integrability(frame: RealFormFrame, rng, trials: int) -> CheckResult:
-    j = frame.j_m
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
+    jx, jy = _apply_j(x), _apply_j(y)
     res = (
         bracket_m(frame, x, y)
-        + bracket_m(frame, x @ j.T, y) @ j.T
-        + bracket_m(frame, x, y @ j.T) @ j.T
-        - bracket_m(frame, x @ j.T, y @ j.T)
+        + _apply_j(bracket_m(frame, jx, y))
+        + _apply_j(bracket_m(frame, x, jy))
+        - bracket_m(frame, jx, jy)
     )
     return CheckResult(
         "integrability-defect",
@@ -850,16 +862,16 @@ def _check_integrability(frame: RealFormFrame, rng, trials: int) -> CheckResult:
     )
 
 
-def _split_10(frame, x_m):
+def _split_10(x_m):
     """(1,0) part in complexified tangent coordinates."""
-    return 0.5 * (x_m - 1j * (x_m @ frame.j_m.T))
+    return 0.5 * (x_m - 1j * _apply_j(x_m))
 
 
 def _check_holomorphic_closure(frame, rng, trials) -> CheckResult:
-    x10 = _split_10(frame, frame.random_m(rng, trials))
-    y10 = _split_10(frame, frame.random_m(rng, trials))
+    x10 = _split_10(frame.random_m(rng, trials))
+    y10 = _split_10(frame.random_m(rng, trials))
     z = bracket_m(frame, x10, y10)
-    res = z @ frame.j_m.T - 1j * z
+    res = _apply_j(z) - 1j * z
     return CheckResult(
         "holomorphic-closure",
         "brackets of (1,0) fields stay of type (1,0) in the tangent block",
@@ -868,12 +880,11 @@ def _check_holomorphic_closure(frame, rng, trials) -> CheckResult:
 
 
 def _check_r_operator_form(frame, rng, trials) -> CheckResult:
-    j = frame.j_m
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
-    r_val = bracket_m(frame, y, x) + bracket_m(frame, y @ j.T, x) @ j.T
-    w = bracket_m(frame, _split_10(frame, x), _split_10(frame, y).conj())
-    z = w - 1j * (w @ j.T)
+    r_val = bracket_m(frame, y, x) + _apply_j(bracket_m(frame, _apply_j(y), x))
+    w = bracket_m(frame, _split_10(x), _split_10(y).conj())
+    z = w - 1j * _apply_j(w)
     res = r_val + (z + z.conj()).real
     return CheckResult(
         "r-operator-form",
@@ -883,8 +894,8 @@ def _check_r_operator_form(frame, rng, trials) -> CheckResult:
 
 
 def _check_isotropy_vanishing(frame, rng, trials) -> CheckResult:
-    x10 = _split_10(frame, frame.random_m(rng, trials))
-    y10 = _split_10(frame, frame.random_m(rng, trials))
+    x10 = _split_10(frame.random_m(rng, trials))
+    y10 = _split_10(frame.random_m(rng, trials))
     res = bracket_k(frame, x10, y10)
     return CheckResult(
         "isotropy-vanishing",
@@ -900,12 +911,11 @@ def _check_isotropy_pairing(frame, rng, trials) -> CheckResult:
     of squares (kxy - Re u) g (kxy + Re u) + (kjxy + Im u) g (kjxy - Im u): its
     rounding then follows the residual, not the size of either side (about
     6,500 on E8 at unnormalized inputs)."""
-    j = frame.j_m
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
     kxy = bracket_k(frame, x, y)
-    kjxy = bracket_k(frame, x @ j.T, y)
-    u = 2.0 * bracket_k(frame, _split_10(frame, x), _split_10(frame, y).conj())
+    kjxy = bracket_k(frame, _apply_j(x), y)
+    u = 2.0 * bracket_k(frame, _split_10(x), _split_10(y).conj())
     res = (frame.k_inner(kxy - u.real, kxy + u.real)
            + frame.k_inner(kjxy + u.imag, kjxy - u.imag))
     return CheckResult(
@@ -939,9 +949,8 @@ def _conditioned_batch(frame, rng, trials):
 
 
 def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
-    j = frame.j_m
     x, y = _conditioned_batch(frame, rng, trials)
-    res = bracket_m(frame, y, x) @ j.T - bracket_m(frame, y @ j.T, x)
+    res = _apply_j(bracket_m(frame, y, x)) - bracket_m(frame, _apply_j(y), x)
     return CheckResult(
         "conditioned-commutation",
         "complex structure passes through the bracket when the transport "
@@ -951,10 +960,9 @@ def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
 
 
 def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
-    j = frame.j_m
     x, y = _conditioned_batch(frame, rng, trials)
-    z = bracket_m(frame, _split_10(frame, y), _split_10(frame, x))
-    res = bracket_m(frame, y, x) @ j.T + bracket_m(frame, y, x @ j.T) + 4.0 * z.imag
+    z = bracket_m(frame, _split_10(y), _split_10(x))
+    res = _apply_j(bracket_m(frame, y, x)) + bracket_m(frame, y, _apply_j(x)) + 4.0 * z.imag
     return CheckResult(
         "conditioned-skew",
         "the anti-linear defect of the bracket reduces to holomorphic terms",
@@ -990,13 +998,12 @@ def _check_double_bracket(frame, rng, trials) -> CheckResult:
 
 def _quarter_turn_draws(frame, rng, trials):
     """Inputs of the quarter-turn and pair-bound checks: (usable, rows, ab,
-    I, J, x), or None.  Each pair space with all its roots in the tangent
+    I, x), or None.  Each pair space with all its roots in the tangent
     block (``usable``), in root order, draws (a, b) (a row of ``ab``), with
     a = 1 if both vanish, then ceil(trials / spaces) rows of x on its pairs
-    (``rows``).  Per pair of the table: the quarter-turn block I, the
-    complex-structure block J gathered from ``frame.j_m`` at the pair slots,
-    and x as ``(rows per space, pairs, 4)``; all three are zero on the other
-    spaces' pairs, so every product there is zero too."""
+    (``rows``).  Per pair of the table: the quarter-turn block I, and x as
+    ``(rows per space, pairs, 4)``, both zero on the other spaces' pairs.  A
+    pair's four coordinates are two planes, so J there is ``_apply_j``."""
     table = frame.pair_table
     usable = np.flatnonzero(table.tangent)
     if not usable.size:
@@ -1010,11 +1017,9 @@ def _quarter_turn_draws(frame, rng, trials):
         x[:, start:end] = rng.standard_normal((per, 4 * (end - start))).reshape(per, -1, 4)
     ab[~ab.any(axis=1), 0] = 1.0
     rows = np.flatnonzero(np.repeat(table.tangent, np.diff(table.starts)))
-    i_blk, j_blk = np.zeros((2, table.consts.size, 4, 4))
+    i_blk = np.zeros((table.consts.size, 4, 4))
     i_blk[rows] = _quarter_blocks(table, rows, *np.repeat(ab, hi - lo, axis=0).T)
-    emb = table.slots[rows] - frame.m_start
-    j_blk[rows] = frame.j_m[emb[:, :, None], emb[:, None, :]]
-    return usable, rows, ab, i_blk, j_blk, x
+    return usable, rows, ab, i_blk, x
 
 
 def _per_pair(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1034,11 +1039,12 @@ def _check_quarter_turn(frame, rng, trials) -> CheckResult:
     draws = _quarter_turn_draws(frame, rng, trials)
     if draws is None:
         return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
-    usable, rows, _, i_all, j_all, x = draws
-    i_blk, j_blk = i_all[rows], j_all[rows]
+    usable, rows, _, i_all, x = draws
+    i_blk = i_all[rows]
     norm2 = [_space_norm2(frame.pair_table, v)[:, usable] for v in (_per_pair(i_all, x), x)]
+    # IJ + JI, as J I = (I^T J^T)^T and I J = -I J^T
     worst = max(_max_norm(i_blk @ i_blk + np.eye(4)),
-                _max_norm(i_blk @ j_blk + j_blk @ i_blk),
+                _max_norm(_apply_j(i_blk.swapaxes(1, 2)).swapaxes(1, 2) - _apply_j(i_blk)),
                 _max_norm(norm2[0] - norm2[1]))
     return CheckResult(
         "quarter-turn",
@@ -1057,15 +1063,13 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     draws = _quarter_turn_draws(frame, rng, trials)
     if draws is None:
         return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
-    usable, _, ab, i_blk, j_blk, x = draws
+    usable, _, ab, i_blk, x = draws
     table, per = frame.pair_table, x.shape[0]
     ix = _per_pair(i_blk, x)
-    ins = np.stack([ix, _per_pair(j_blk, ix), x, _per_pair(j_blk, x)]).reshape(4, per, -1)
+    ins = np.stack([ix, _apply_j(ix), x, _apply_j(x)]).reshape(4, per, -1)
     br = _contract(table.plane, ins[:2], ins[2:]).reshape(2, per, -1, 2)[:, :, usable]
-    # pairs with a*X_delta + b*Y_delta
-    plane = frame._x_slot[table.deltas[usable], None] + np.arange(2)
-    twist = np.einsum("sij,sj->si", frame.metric[plane[:, :, None], plane[:, None, :]], ab)
-    val, val_j = np.einsum("nrsk,sk->nrs", br, twist)
+    # pairs with a*X_delta + b*Y_delta through the tangent metric, 2 * identity
+    val, val_j = np.einsum("nrsk,sk->nrs", br, 2.0 * ab)
     n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[:-1])[usable]
     bound = n0 * np.hypot(*ab.T) * 2.0 * _space_norm2(table, x)[:, usable]
     # and the slice-level form of the twisted pairing bound (rate-free)
@@ -1113,23 +1117,23 @@ def curvature_quadratic(frame: RealFormFrame, x_m, y_m) -> np.ndarray:
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:
-    j = frame.j_m
     a_f = frame.random_m(rng, trials)
     x = frame.random_m(rng, trials)
     g = frame.random_m(rng, trials)
+    jx = _apply_j(x)
     bm = bracket_m(frame, g, x)
-    bmj = bracket_m(frame, g, x @ j.T)
+    bmj = bracket_m(frame, g, jx)
     lhs = (
         frame.m_norm2(a_f + 0.5 * bm)
-        + frame.m_norm2(a_f @ j.T + 0.5 * bmj)
+        + frame.m_norm2(_apply_j(a_f) + 0.5 * bmj)
         - curvature_quadratic(frame, g, x)
-        - curvature_quadratic(frame, g, x @ j.T)
+        - curvature_quadratic(frame, g, jx)
     )
     kx = bracket_k(frame, x, g)
-    kjx = bracket_k(frame, x @ j.T, g)
+    kjx = bracket_k(frame, jx, g)
     rhs = (
         2.0 * frame.m_norm2(a_f)
-        + frame.m_inner(a_f, bm - bmj @ j.T)
+        + frame.m_inner(a_f, bm - _apply_j(bmj))
         - frame.k_inner(kx, kx)
         - frame.k_inner(kjx, kjx)
     )
@@ -1193,10 +1197,7 @@ def identity_suite(
 def validate_frame(frame: RealFormFrame, trials: int = 2000, seed: int = 1) -> dict:
     """Numeric residuals for the structural frame invariants."""
     rng = np.random.default_rng(seed)
-    d = frame.dim
-    x = rng.standard_normal((trials, d))
-    y = rng.standard_normal((trials, d))
-    z = rng.standard_normal((trials, d))
+    x, y, z = (rng.standard_normal((trials, frame.dim)) for _ in range(3))
     bxy = frame.bracket_full(x, y)
     byz = frame.bracket_full(y, z)
     assoc = np.einsum("ni,ij,nj->n", x, frame.metric, byz) - np.einsum(
@@ -1209,16 +1210,14 @@ def validate_frame(frame: RealFormFrame, trials: int = 2000, seed: int = 1) -> d
     )
     xm = frame.random_m(rng, trials)
     ym = frame.random_m(rng, trials)
-    j = frame.j_m
-    herm = frame.m_inner(xm @ j.T, ym @ j.T) - frame.m_inner(xm, ym)
+    herm = frame.m_inner(_apply_j(xm), _apply_j(ym)) - frame.m_inner(xm, ym)
+    eye = np.eye(frame.m_dim)
     return {
         "associativity": _max_norm(assoc),
         "jacobi": _max_norm(jac),
-        "j_squared": _max_norm(j @ j + np.eye(frame.m_dim)),
+        "j_squared": _max_norm(_apply_j(_apply_j(eye)) + eye),
         "hermitian": _max_norm(herm),
-        "metric_blocks": _max_norm(
-            frame.metric[frame.m_start:, frame.m_start:] - 2.0 * np.eye(frame.m_dim)
-        ),
+        "metric_blocks": _max_norm(frame.metric[frame.m_start:, frame.m_start:] - 2.0 * eye),
     }
 
 

@@ -11,8 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flagmorse import compact_geom
 from flagmorse.chevalley import ComplexElement, bracket_c, build_chevalley, n0_constant
 from flagmorse.compact_geom import (
+    build_frame,
     complex_hessian_many,
     frame_for,
     hat_transport,
@@ -23,6 +25,7 @@ from flagmorse.compact_geom import (
     r_operator,
     s0_embedding,
     tilde_vector,
+    validate_frame,
 )
 from flagmorse.errors import HypothesisViolated
 from flagmorse.index_comb import (
@@ -359,6 +362,39 @@ def test_criterion_6_identity_suites():
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report(6, f"all pointwise identity suites below 1e-10 over >= 10^4 seeded "
                f"trials on A3/B3/C3/D4 ({elapsed:.1f}s)")
+
+
+def test_criterion_6_negative_control_reversed_j_on_theta(monkeypatch):
+    # the control the paper motivates for integrability and mel: J with its
+    # quarter turn reversed on the last tangent plane, that of the highest
+    # root theta.  theta has an S pair on every Borel frame of rank >= 2, so
+    # [E_-theta, E_alpha] lands in a (0,1) direction under the reversed J and
+    # both checks must exceed tolerance.  The reversed J is still a complex
+    # structure and an isometry, so the frame invariants cannot see it.
+    # Fresh frames, so no cached frame meets the wrong J.
+    apply_j = compact_geom._apply_j
+
+    def reversed_on_theta(x):
+        out = apply_j(x)
+        out[..., -2:] *= -1.0
+        return out
+
+    monkeypatch.setattr(compact_geom, "_apply_j", reversed_on_theta)
+    worst = {}
+    for family, rank in ACCEPTANCE_FRAMES:
+        frame = build_frame(borel_split(build_root_system(family, rank)))
+        assert frame.sys.height(frame.m_pos[-1]) == max(map(frame.sys.height, frame.m_pos))
+        for suite, name in (("integrability", "integrability-defect"),
+                            ("mel", "holomorphic-closure")):
+            check = {c.name: c for c in identity_suite(frame, suite, trials=200,
+                                                       seed=42).checks}[name]
+            assert check.max_residual > 1e-10, (family, rank, name, check.max_residual)
+            worst[family, rank, name] = check.max_residual
+        invariants = validate_frame(frame)
+        assert invariants["j_squared"] == invariants["hermitian"] == 0.0, invariants
+    _report(6, f"negative control: J reversed on the plane of theta fails integrability "
+               f"and holomorphic closure (least residual {min(worst.values()):.3g}); "
+               f"j_squared and hermitian read 0.0")
 
 
 # -- criterion 7 ---------------------------------------------------------------

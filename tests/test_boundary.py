@@ -2,8 +2,9 @@
 ``RootSystem.id_of``: a vector that is not a root raises ``NotARoot``, one of
 another ambient dimension raises ``DimensionMismatch``, and the three
 predicates say False for both.  Exact elements of two systems never mix.
-Every public function that takes a velocity raises ``DimensionMismatch`` for
-one that is not a vector of the frame's tangent coordinates."""
+Every public function that takes a velocity or a field raises
+``DimensionMismatch`` for one that is not a vector (or, for a batch, rows) of
+the frame's tangent coordinates, naming the argument."""
 
 import re
 
@@ -224,3 +225,45 @@ def test_a_velocity_must_be_one_tangent_vector(name):
     if name not in ("p_pairing", "p_bound"):  # these two read no transport
         with pytest.raises(ValueError, match="velocity must be nonzero"):
             call(np.zeros(M_DIM))
+
+
+def _painted_frame():
+    """B3 with its third node painted: e3 spans the isotropy roots."""
+    return frame_for("B", 3, (2,))
+
+
+# each call puts its argument in one field position of the frame named beside
+# it, with the right shapes elsewhere
+GDOT = np.arange(1.0, M_DIM + 1)
+TAKES_A_FIELD = {
+    "complex_hessian": ("x0", _frame, lambda f, x: complex_hessian(f, GDOT, x)),
+    "complex_hessian_many": ("x0_batch", _frame,
+                             lambda f, x: complex_hessian_many(f, GDOT, x)),
+    "p_pairing (x)": ("x", _frame, lambda f, x: p_pairing(f, x, ONES, GDOT)),
+    "p_pairing (y)": ("y", _frame, lambda f, x: p_pairing(f, ONES, x, GDOT)),
+    "q_form (x0)": ("x0", _frame, lambda f, x: q_form(f, GDOT, x, ONES, 0.5)),
+    "q_form (y0)": ("y0", _frame, lambda f, x: q_form(f, GDOT, ONES, x, 0.5)),
+    "k_search (x0)": ("x0", _frame, lambda f, x: k_search(f, GDOT, [(ONES, ONES), (x, ONES)])),
+    "k_search (y0)": ("y0", _frame, lambda f, x: k_search(f, GDOT, [(ONES, ONES), (ONES, x)])),
+    "adjoint_perturb": ("gamma_coeffs", _painted_frame,
+                        lambda f, x: adjoint_perturb(f, x, RootVector((0, 0, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_FIELD))
+def test_a_field_must_have_the_tangent_width(name):
+    field, frame_of, call = TAKES_A_FIELD[name]
+    frame = frame_of()
+    n = frame.m_dim
+    if field == "x0_batch":
+        # rows too long, too short, one vector, a stack of batches
+        shapes, want = ((2, n + 2), (2, n - 1), (n,), (2, 2, n)), f"(n, {n})"
+        call(frame, np.ones((3, n)))  # the right shape goes through
+    else:
+        # too long, too short, 2-D, a scalar
+        shapes, want = ((n + 2,), (n - 1,), (1, n), ()), f"({n},)"
+        call(frame, np.ones(n))
+    for shape in shapes:
+        message = f"{field} has shape {shape}; the tangent block of {frame.sys.name} needs {want}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            call(frame, np.ones(shape))

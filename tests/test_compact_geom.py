@@ -1506,9 +1506,28 @@ def test_pair_space_table_matches_reference(family, rank, painted):
                          ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
 def test_j_sign_and_swap_matches_dense_products(family, rank, painted):
     # J is a signed permutation, so swapping the coordinates of each tangent
-    # plane with one sign flip gives the dense products with j_m bit for bit
+    # plane with one sign flip gives the dense products with J bit for bit;
+    # the dense J is the one filled entry by entry in the retired layout
     frame = frame_for(family, rank, painted)
-    j = frame.j_m
+    j = _retired_layout(frame.split)[-1]
+    rng = np.random.default_rng(11)
+    # a batch of tangent rows: x @ J^T
+    x = rng.standard_normal((40, frame.m_dim))
+    assert np.array_equal(compact_geom._apply_j(x), x @ j.T)
+    # pair coordinates (rows, pairs, 4) of the tangent pair spaces: each
+    # pair's 4x4 block of J at its slots
+    table = frame.pair_table
+    emb = table.slots[np.repeat(table.tangent, np.diff(table.starts))] - frame.m_start
+    x = rng.standard_normal((6, len(emb), 4))
+    j_blk = j[emb[:, :, None], emb[:, None, :]]
+    assert np.array_equal(compact_geom._apply_j(x), np.einsum("pij,rpj->rpi", j_blk, x))
+    # nothing in the package reads the dense J: a fresh frame runs every
+    # suite and its invariants without building it
+    fresh = build_frame(frame.split)
+    identity_suite(fresh, "all", trials=8)
+    validate_frame(fresh, trials=8)
+    assert "j_m" not in vars(fresh)
+    assert fresh.j_m is fresh.j_m and "j_m" in vars(fresh)
     longs = [alpha for alpha in frame.m_pos if is_long(frame.sys, alpha)]
     for delta in (longs[0], longs[-1]):  # the lowest and the highest
         gdot = _plane_vector(frame, delta, 0.8, -0.6)
@@ -1612,11 +1631,12 @@ def _with_table(frame, **fields):
 
 
 def _with_twist_flipped(frame):
-    """A copy of the frame with the metric negated on the tangent block, which
-    flips the sign of the twist direction the pair bound pairs with."""
-    metric = frame.metric.copy()
-    metric[frame.m_start:, frame.m_start:] *= -1.0
-    return dataclasses.replace(frame, metric=metric)
+    """A copy of the frame with the quarter turn negated: both brackets the
+    pair bound pairs with the twist direction, [Ix, x] and [JIx, Jx], are
+    linear in I, so this flips the sign of both pairings, as negating the
+    direction would."""
+    table = frame.pair_table
+    return _with_table(frame, bx=-table.bx, by=-table.by)
 
 
 # one wrong input per twomel check, fixed before the run: the constants

@@ -98,7 +98,11 @@ MUTANTS = (
            "return (c - _apply_j(_apply_j(c.T).T)).T", "return (c - _apply_j(_apply_j(c.T).T))",
            GEOM_TESTS),
     Mutant("r-operator-j-term-sign-flipped", "src/flagmorse/compact_geom.py",
-           "return a1 + _apply_j(a2)", "return a1 - _apply_j(a2)", GEOM_TESTS),
+           "return a1 + _apply_j(a2.T).T", "return a1 - _apply_j(a2.T).T", GEOM_TESTS),
+    # J as a symmetric swap of each tangent plane, J^2 = +I: every J in the
+    # package goes through this one function
+    Mutant("apply-j-without-sign", "src/flagmorse/compact_geom.py",
+           "out[..., 0::2] = -x[..., 1::2]", "out[..., 0::2] = x[..., 1::2]", GEOM_TESTS),
     # both branches of the transport read this generator; criterion 7's group
     # law kills it in acceptance
     Mutant("hat-transport-ignores-t", "src/flagmorse/compact_geom.py",
