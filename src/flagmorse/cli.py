@@ -320,7 +320,8 @@ def cmd_check(args) -> int:
               f"painted {frame.split.painted_nodes}  seed {report.seed}")
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
-            print(f"  {c.name:<26} trials {c.trials:>7}  "
+            counted = "pairs " if c.exhaustive else "trials"  # basis pairs, or random inputs
+            print(f"  {c.name:<26} {counted} {c.trials:>7}  "
                   f"max residual {c.max_residual:.3e}  {status}")
             if c.note:
                 print(f"      note: {c.note}")
@@ -425,7 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--suite", default="all",
                    choices=sorted(geom.SUITES) + ["all"])
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=10_000,
+                   help="random inputs per sampled check; an exhaustive check "
+                        "decides its identity on every ordered basis pair and "
+                        "reports that count as its trials (pairs in the text "
+                        "report, exhaustive: true in the JSON)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

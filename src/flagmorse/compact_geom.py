@@ -17,8 +17,12 @@ tangent-positive roots, stacked over all pairs in delta order (``PairTable``):
 each space is a slice of it, and one plan brackets all pair coordinates onto
 all tangent delta planes.  The quarter-turn map reads a slice instead of full
 adjoint matrices; the twomel checks run on the whole arrays at once, with
-per-space sums by ``reduceat`` and one contraction.  The averaged Hessian,
-the tangent norm and the twist pairing are forms in the initial fields: each
+per-space sums by ``reduceat`` and one contraction.  It also builds, once and
+on first use, the tangent brackets cut into 2x2 blocks over planes
+(``PlaneBlocks``): J acts inside each plane, so a bilinear identity on every
+pair of basis vectors is flips and sign multiplies of those blocks, and six
+identity checks are decided that way, with no random draw.  The averaged
+Hessian, the tangent norm and the twist pairing are forms in the initial fields: each
 averaged matrix int_0^1 exp(tA)^T M exp(tA) dt is read off one block
 exponential (Van Loan), exactly in t, so no time grid or node count is
 involved.  A velocity on one long root plane delta needs no
@@ -165,6 +169,28 @@ class PairTable(NamedTuple):
     bx: np.ndarray
     by: np.ndarray
     plane: BracketPlan
+
+
+class PlaneBlocks(NamedTuple):
+    """The tangent-input brackets of ``plan_m`` and ``plan_k`` cut into 2x2
+    blocks over planes, so that a bilinear identity is read on every pair of
+    basis vectors at once.  Tangent plane p holds coordinates 2p and 2p + 1.
+
+    ``m[s, t, u, b]`` is the coefficient of e_{2r+u} in [e_{2p+s}, e_{2q+t}]_m
+    with (p, q, r) = ``m_planes[:, b]``, and ``partner[b]`` the block of
+    (q, p, r): the plan holds [e_j, e_i] beside every [e_i, e_j], so that
+    block exists.  ``k[s, t, b]`` is the coefficient of isotropy
+    coordinate o in [e_{2p+s}, e_{2q+t}]_k with (p, q, o) = ``k_planes[:, b]``.
+    The block index is the last axis: flips and sign multiplies then run over
+    contiguous rows of blocks, about three times faster than over trailing
+    2x2x2 blocks.
+    """
+
+    m: np.ndarray
+    m_planes: np.ndarray
+    partner: np.ndarray
+    k: np.ndarray
+    k_planes: np.ndarray
 
 
 def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
@@ -332,6 +358,11 @@ class RealFormFrame:
         return _pair_table(self)
 
     @cached_property
+    def plane_blocks(self) -> PlaneBlocks:
+        """The tangent brackets as blocks over planes; built on first use."""
+        return _plane_blocks(self)
+
+    @cached_property
     def j_m(self) -> np.ndarray:
         """Dense J on the tangent block, built on first read for callers
         outside the package; nothing in ``src/`` reads it.  ``_apply_j`` on
@@ -439,6 +470,24 @@ def _pair_table(frame: RealFormFrame) -> PairTable:
     return table
 
 
+def _plane_blocks(frame: RealFormFrame) -> PlaneBlocks:
+    """One sort of the plane-triple keys of ``plan_m`` and one of the plane
+    pairs of ``plan_k``; each plan entry is written into its block once, as
+    the plans hold each (i, j, k) once."""
+    v, pm, pk = frame.v, frame.plan_m, frame.plan_k
+    keys, at = np.unique((pm.i // 2 * v + pm.j // 2) * v + pm.k // 2, return_inverse=True)
+    m = np.zeros((2, 2, 2, keys.size))
+    m[pm.i % 2, pm.j % 2, pm.k % 2, at] = pm.c
+    m_planes = np.stack([keys // (v * v), keys // v % v, keys % v])
+    partner = np.searchsorted(keys, (m_planes[1] * v + m_planes[0]) * v + m_planes[2])
+    n_k = frame.m_start
+    keys, at = np.unique((pk.i // 2 * v + pk.j // 2) * n_k + pk.k, return_inverse=True)
+    k = np.zeros((2, 2, keys.size))
+    k[pk.i % 2, pk.j % 2, at] = pk.c
+    k_planes = np.stack([keys // (v * n_k), keys // n_k % v, keys % n_k])
+    return PlaneBlocks(m, m_planes, partner, k, k_planes)
+
+
 def frame_for(family: str, rank: int, painted: Sequence[int] = ()) -> RealFormFrame:
     """Convenience builder from family/rank/painted indices (cached)."""
     return _cached_frame(family.upper(), rank, tuple(sorted(painted)))
@@ -455,24 +504,29 @@ def _cached_frame(family: str, rank: int, painted: tuple) -> RealFormFrame:
 
 
 def bracket_m(frame: RealFormFrame, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
-    """Tangent-block part of the bracket of two tangent vectors."""
+    """Tangent-block part of the bracket of two tangent vectors (or batches)."""
+    _require_tangent(frame, ndim=None, x_m=x_m, y_m=y_m)
     return _contract(frame.plan_m, x_m, y_m)
 
 
 def bracket_k(frame: RealFormFrame, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
-    """Isotropy-block part of the bracket of two tangent vectors."""
+    """Isotropy-block part of the bracket of two tangent vectors (or batches)."""
+    _require_tangent(frame, ndim=None, x_m=x_m, y_m=y_m)
     return _contract(frame.plan_k, x_m, y_m)
 
 
-def _require_tangent(frame: RealFormFrame, rows: bool = False, **arrays) -> None:
+def _require_tangent(frame: RealFormFrame, ndim: Optional[int] = 1, **arrays) -> None:
     """``DimensionMismatch``, naming the argument and the shape it needs,
-    unless each array is one vector of tangent coordinates (with ``rows``, a
-    2-D batch of them): ``_ad`` would read the first ``m_dim`` entries of a
-    longer velocity, and numpy raise its own errors on other shapes."""
+    unless each array has tangent coordinates on its last axis and ``ndim``
+    axes in all (any number from one, for ``ndim=None``): ``_ad`` would read
+    the first ``m_dim`` entries of a longer velocity, and numpy raise its own
+    errors on other shapes."""
     for name, x in arrays.items():
         shape = np.shape(x)
-        if len(shape) != (2 if rows else 1) or shape[-1] != frame.m_dim:
-            want = f"(n, {frame.m_dim})" if rows else f"({frame.m_dim},)"
+        if (not shape or shape[-1] != frame.m_dim
+                or ndim is not None and len(shape) != ndim):
+            n = frame.m_dim
+            want = {1: f"({n},)", 2: f"(n, {n})"}.get(ndim, f"(..., {n})")
             raise DimensionMismatch(f"{name} has shape {shape}; the tangent block of "
                                     f"{frame.sys.name} needs {want}")
 
@@ -603,7 +657,7 @@ def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
                          x0_batch: np.ndarray) -> np.ndarray:
     # the e part of _quadrature alone: one block exponential, not three, and
     # none when r is exactly zero
-    _require_tangent(frame, rows=True, x0_batch=x0_batch)
+    _require_tangent(frame, ndim=2, x0_batch=x0_batch)
     r, h = _forms(frame, gdot)
     return -_form(x0_batch, _averaged(-0.5 * r, h), x0_batch)
 
@@ -794,6 +848,8 @@ class CheckResult:
     max_residual: float
     tolerance: float
     note: str = ""
+    # decided on every ordered basis pair; ``trials`` counts the pairs
+    exhaustive: bool = False
 
     @property
     def passed(self) -> bool:
@@ -810,6 +866,8 @@ class CheckResult:
         }
         if self.note:
             out["note"] = self.note
+        if self.exhaustive:
+            out["exhaustive"] = True
         return out
 
 
@@ -845,21 +903,75 @@ def _max_norm(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+class _BlockJ(NamedTuple):
+    """J on the axes of stacked plane blocks ``c[s, t(, u), b]``, read off
+    ``_apply_j``: per block, the signs of the plane of each axis, shaped to
+    broadcast along that axis, with J e_{2p+s} = sign[s] e_{2p+1-s}.  On an
+    argument axis the block of [J x, y] is sign[s] times that of [e_{1-s}, y];
+    on the output axis (J z)_u = sign[1-u] z_{1-u}.  Every identity is then
+    flips and sign multiplies on whole arrays."""
+
+    s1: np.ndarray
+    s2: np.ndarray
+    s_out: Optional[np.ndarray]
+
+    def first(self, c):
+        return self.s1 * c[::-1]
+
+    def second(self, c):
+        return self.s2 * c[:, ::-1]
+
+    def out(self, c):
+        return (self.s_out * c)[:, :, ::-1]
+
+
+def _block_j(frame: RealFormFrame, planes: np.ndarray) -> Optional[_BlockJ]:
+    """J on blocks over the planes ``planes`` (two argument rows, then the
+    output row of tangent blocks, if any), read from ``_apply_j`` on every
+    call; None when ``_apply_j`` is not a signed swap inside each plane."""
+    rows = _apply_j(np.eye(frame.m_dim))  # row i is J e_i
+    n = np.arange(frame.m_dim)
+    signs = rows[n, n ^ 1]
+    if np.count_nonzero(rows) != frame.m_dim or not np.all(np.abs(signs) == 1.0):
+        return None
+    # [s, axis, block]; np.take, as fancy indexing is several times slower here
+    per_block = np.take(signs.reshape(-1, 2).T, planes, axis=1)
+    axes = []
+    for a in range(len(planes)):
+        shape = [1] * (len(planes) + 1)
+        shape[a], shape[-1] = 2, per_block.shape[-1]
+        axes.append(per_block[:, a].reshape(shape))
+    return _BlockJ(axes[0], axes[1], axes[2] if len(axes) > 2 else None)
+
+
+def _exhaustive(name: str, description: str, pairs: int, res: Optional[np.ndarray]) -> CheckResult:
+    """A check decided on ``pairs`` ordered basis pairs; ``res`` None (J not a
+    signed swap) reads as an infinite residual."""
+    worst = float("inf") if res is None else _max_norm(res)
+    return CheckResult(name, description, pairs, worst, TOL_IDENTITY, exhaustive=True)
+
+
+def _modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|re + i im|, as np.abs reads a complex residual (np.hypot is several
+    times slower on these arrays)."""
+    return np.sqrt(re * re + im * im)
+
+
+def _tangent_blocks(frame: RealFormFrame):
+    blocks = frame.plane_blocks
+    return blocks, _block_j(frame, blocks.m_planes)
+
+
 def _check_integrability(frame: RealFormFrame, rng, trials: int) -> CheckResult:
-    x = frame.random_m(rng, trials)
-    y = frame.random_m(rng, trials)
-    jx, jy = _apply_j(x), _apply_j(y)
-    res = (
-        bracket_m(frame, x, y)
-        + _apply_j(bracket_m(frame, jx, y))
-        + _apply_j(bracket_m(frame, x, jy))
-        - bracket_m(frame, jx, jy)
-    )
-    return CheckResult(
-        "integrability-defect",
-        "complex structure against the projected bracket",
-        trials, _max_norm(res), TOL_IDENTITY,
-    )
+    """B(x, y) + J B(Jx, y) + J B(x, Jy) - B(Jx, Jy) on every basis pair, with B
+    the tangent bracket.  Like every check decided on the plane blocks, it
+    takes ``rng`` and ``trials`` only to run in a suite."""
+    blocks, j = _tangent_blocks(frame)
+    c = blocks.m
+    res = None if j is None else (c + j.out(j.first(c)) + j.out(j.second(c))
+                                  - j.first(j.second(c)))
+    return _exhaustive("integrability-defect", "complex structure against the projected bracket",
+                       frame.m_dim ** 2, res)
 
 
 def _split_10(x_m):
@@ -867,41 +979,45 @@ def _split_10(x_m):
     return 0.5 * (x_m - 1j * _apply_j(x_m))
 
 
+def _holomorphic(j: _BlockJ, c: np.ndarray, conj_y: bool = False):
+    """Real and imaginary parts of the block of B(x10, y10), or of
+    B(x10, conj y10), from that of B(x, y): x10 = (x - iJx) / 2."""
+    jy = -j.second(c) if conj_y else j.second(c)
+    return 0.25 * (c - j.first(jy)), -0.25 * (j.first(c) + jy)
+
+
 def _check_holomorphic_closure(frame, rng, trials) -> CheckResult:
-    x10 = _split_10(frame.random_m(rng, trials))
-    y10 = _split_10(frame.random_m(rng, trials))
-    z = bracket_m(frame, x10, y10)
-    res = _apply_j(z) - 1j * z
-    return CheckResult(
-        "holomorphic-closure",
-        "brackets of (1,0) fields stay of type (1,0) in the tangent block",
-        trials, _max_norm(res), TOL_IDENTITY,
-    )
+    """J z - i z with z = B(x10, y10), as its real and imaginary parts."""
+    blocks, j = _tangent_blocks(frame)
+    res = None
+    if j is not None:
+        re, im = _holomorphic(j, blocks.m)
+        res = _modulus(j.out(re) + im, j.out(im) - re)
+    return _exhaustive("holomorphic-closure",
+                       "brackets of (1,0) fields stay of type (1,0) in the tangent block",
+                       frame.m_dim ** 2, res)
 
 
 def _check_r_operator_form(frame, rng, trials) -> CheckResult:
-    x = frame.random_m(rng, trials)
-    y = frame.random_m(rng, trials)
-    r_val = bracket_m(frame, y, x) + _apply_j(bracket_m(frame, _apply_j(y), x))
-    w = bracket_m(frame, _split_10(x), _split_10(y).conj())
-    z = w - 1j * _apply_j(w)
-    res = r_val + (z + z.conj()).real
-    return CheckResult(
-        "r-operator-form",
-        "the transport generator as the defect of a mixed-type bracket",
-        trials, _max_norm(res), TOL_IDENTITY,
-    )
+    """[y, x] + J [Jy, x] + 2 Re z with z = w - iJw, w = [x10, conj y10]:
+    [y, x] is the partner block with its arguments swapped."""
+    blocks, j = _tangent_blocks(frame)
+    res = None
+    if j is not None:
+        t = np.take(blocks.m, blocks.partner, axis=-1).transpose(1, 0, 2, 3)
+        re, im = _holomorphic(j, blocks.m, conj_y=True)
+        res = t + j.out(j.second(t)) + 2.0 * (re + j.out(im))
+    return _exhaustive("r-operator-form",
+                       "the transport generator as the defect of a mixed-type bracket",
+                       frame.m_dim ** 2, res)
 
 
 def _check_isotropy_vanishing(frame, rng, trials) -> CheckResult:
-    x10 = _split_10(frame.random_m(rng, trials))
-    y10 = _split_10(frame.random_m(rng, trials))
-    res = bracket_k(frame, x10, y10)
-    return CheckResult(
-        "isotropy-vanishing",
-        "brackets of two (1,0) fields have no isotropy part",
-        trials, _max_norm(res), TOL_IDENTITY,
-    )
+    """|[x10, y10]_k| on every basis pair."""
+    blocks = frame.plane_blocks
+    j = _block_j(frame, blocks.k_planes[:2])
+    return _exhaustive("isotropy-vanishing", "brackets of two (1,0) fields have no isotropy part",
+                       frame.m_dim ** 2, None if j is None else _modulus(*_holomorphic(j, blocks.k)))
 
 
 def _check_isotropy_pairing(frame, rng, trials) -> CheckResult:
@@ -937,37 +1053,37 @@ def _kernel_mask(frame) -> np.ndarray:
     return np.repeat(split.st_table[np.ix_(m, m)].T != 1, 2, axis=1)
 
 
-def _conditioned_batch(frame, rng, trials):
-    """Random (x, y) rows with y in one uniformly drawn tangent-positive plane
-    and x standard normal on that plane's kernel mask row, so that the
-    mixed-type bracket stays anti-holomorphic in the tangent block."""
-    pick = rng.integers(frame.v, size=trials)
-    y = np.zeros((trials, frame.v, 2))
-    y[np.arange(trials), pick] = rng.standard_normal((trials, 2))
-    x = rng.standard_normal((trials, frame.m_dim)) * _kernel_mask(frame)[pick]
-    return x, y.reshape(trials, frame.m_dim)
+def _conditioned(frame, identity) -> tuple[int, Optional[np.ndarray]]:
+    """The basis pairs (y, x) with y in one tangent-positive plane and x on
+    that plane's row of ``_kernel_mask`` (read on every call): their count,
+    and ``identity(c, j)`` on the blocks of [y, x] with the other pairs
+    zeroed."""
+    blocks, j = _tangent_blocks(frame)
+    mask = _kernel_mask(frame)
+    p, q, _ = blocks.m_planes
+    allowed = mask[p, 2 * q + np.arange(2)[:, None]][:, None]  # [t, 1, b]
+    res = None if j is None else np.where(allowed, identity(blocks.m, j), 0.0)
+    return 2 * int(np.count_nonzero(mask)), res
 
 
 def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
-    x, y = _conditioned_batch(frame, rng, trials)
-    res = _apply_j(bracket_m(frame, y, x)) - bracket_m(frame, _apply_j(y), x)
-    return CheckResult(
+    """J [y, x] - [Jy, x] on the conditioned basis pairs."""
+    pairs, res = _conditioned(frame, lambda c, j: j.out(c) - j.first(c))
+    return _exhaustive(
         "conditioned-commutation",
         "complex structure passes through the bracket when the transport "
         "generator annihilates the field",
-        trials, _max_norm(res), TOL_IDENTITY,
-    )
+        pairs, res)
 
 
 def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
-    x, y = _conditioned_batch(frame, rng, trials)
-    z = bracket_m(frame, _split_10(y), _split_10(x))
-    res = _apply_j(bracket_m(frame, y, x)) + bracket_m(frame, y, _apply_j(x)) + 4.0 * z.imag
-    return CheckResult(
+    """J [y, x] + [y, Jx] + 4 Im [y10, x10] on the conditioned basis pairs."""
+    pairs, res = _conditioned(
+        frame, lambda c, j: j.out(c) + j.second(c) + 4.0 * _holomorphic(j, c)[1])
+    return _exhaustive(
         "conditioned-skew",
         "the anti-linear defect of the bracket reduces to holomorphic terms",
-        trials, _max_norm(res), TOL_IDENTITY,
-    )
+        pairs, res)
 
 
 def _check_double_bracket(frame, rng, trials) -> CheckResult:
@@ -1108,12 +1224,14 @@ def _check_curvature_diagonal(frame, rng, trials) -> CheckResult:
 
 
 def curvature_quadratic(frame: RealFormFrame, x_m, y_m) -> np.ndarray:
-    """<R(x, y) y, x> = (1/4)|[x, y]_m|^2 + |[x, y]_k|^2."""
+    """<R(x, y) y, x> = (1/4)|[x, y]_m|^2 + |[x, y]_k|^2, over the leading axes
+    of x and y (at least one)."""
+    _require_tangent(frame, ndim=None, x_m=x_m, y_m=y_m)
     x2 = np.atleast_2d(x_m)
     y2 = np.atleast_2d(y_m)
     bm = bracket_m(frame, x2, y2)
     bk = bracket_k(frame, x2, y2)
-    return 0.25 * 2.0 * np.einsum("ni,ni->n", bm, bm) + frame.k_inner(bk, bk)
+    return 0.25 * 2.0 * np.einsum("...i,...i->...", bm, bm) + frame.k_inner(bk, bk)
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flagmorse.compact_geom import frame_for
-from flagmorse.parabolic import borel_split
+from flagmorse.compact_geom import build_frame, frame_for
+from flagmorse.parabolic import PaintedDiagram, borel_split, split
 from flagmorse.rootsys import build_root_system
 
 ALL_SYSTEMS = (
@@ -41,3 +41,23 @@ def system(family, rank):
 
 def borel(family, rank):
     return borel_split(build_root_system(family, rank))
+
+
+def fresh_frame(family, rank, painted=()):
+    """A frame built anew, outside ``frame_for``'s cache, so that a patched
+    J or kernel mask meets nothing cached; its last tangent plane is that of
+    the highest root theta."""
+    sys_ = build_root_system(family, rank)
+    frame = build_frame(split(sys_, PaintedDiagram.of(sys_, painted)))
+    assert frame.sys.height(frame.m_pos[-1]) == max(map(frame.sys.height, frame.m_pos))
+    return frame
+
+
+def reversed_on_theta(apply_j):
+    """J with its quarter turn reversed on the last tangent plane, that of the
+    highest root theta: still a complex structure and an isometry."""
+    def reversed_j(x):
+        out = apply_j(x)
+        out[..., -2:] *= -1.0
+        return out
+    return reversed_j

@@ -14,7 +14,6 @@ import pytest
 from flagmorse import compact_geom
 from flagmorse.chevalley import ComplexElement, bracket_c, build_chevalley, n0_constant
 from flagmorse.compact_geom import (
-    build_frame,
     complex_hessian_many,
     frame_for,
     hat_transport,
@@ -48,7 +47,7 @@ from flagmorse.rootsys import (
     w_set,
 )
 
-from conftest import ALL_SYSTEMS
+from conftest import ALL_SYSTEMS, END_NODE_FRAMES, fresh_frame, reversed_on_theta
 
 
 def _report(number, text):
@@ -349,52 +348,126 @@ def test_criterion_5_negative_control_short_delta():
 ACCEPTANCE_FRAMES = (("A", 3), ("B", 3), ("C", 3), ("D", 4))
 
 
+def _basis_pairs(frame, name):
+    """The ordered basis pairs an exhaustive check decides, by root
+    arithmetic: every pair, or for the conditioned checks y in the plane of
+    one tangent-positive delta and x in the plane of a tangent-positive alpha
+    with alpha - delta not a tangent-positive root."""
+    if name.startswith("conditioned-"):
+        m_pos = frame.split.delta_m_pos
+        return 4 * sum(alpha - delta not in m_pos for delta in frame.m_pos for alpha in frame.m_pos)
+    return frame.m_dim ** 2
+
+
+EXHAUSTIVE_CHECKS = ("integrability-defect", "holomorphic-closure", "r-operator-form",
+                     "isotropy-vanishing", "conditioned-commutation", "conditioned-skew")
+
+
 def test_criterion_6_identity_suites():
+    # the sampled checks over >= 10^4 seeded trials; the bilinear ones are
+    # decided on every ordered basis pair, whatever the trial count
     start = time.time()
     for family, rank in ACCEPTANCE_FRAMES:
         frame = frame_for(family, rank)
         report = identity_suite(frame, "all", trials=10_000, seed=42)
+        assert tuple(c.name for c in report.checks if c.exhaustive) == EXHAUSTIVE_CHECKS
         for check in report.checks:
-            assert check.trials >= 10_000 or check.trials == 0, check.name
+            if check.exhaustive:
+                assert check.trials == _basis_pairs(frame, check.name), check.name
+            else:
+                assert check.trials >= 10_000, check.name
             assert check.max_residual < 1e-10, (family, rank, check.name,
                                                 check.max_residual)
     elapsed = time.time() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
-    _report(6, f"all pointwise identity suites below 1e-10 over >= 10^4 seeded "
-               f"trials on A3/B3/C3/D4 ({elapsed:.1f}s)")
+    _report(6, f"all pointwise identity suites below 1e-10 on A3/B3/C3/D4: the sampled "
+               f"checks over >= 10^4 seeded trials, the bilinear ones on every basis "
+               f"pair ({elapsed:.1f}s)")
+
+
+def test_criterion_6_exhaustive_on_every_end_node_frame():
+    # the six bilinear identities decided on every basis pair of every
+    # END_NODE_FRAMES frame, E6-E8 and the painted frames included
+    start = time.time()
+    worst = dict.fromkeys(EXHAUSTIVE_CHECKS, 0.0)
+    for family, rank, painted in END_NODE_FRAMES:
+        frame = frame_for(family, rank, painted)
+        checks = [c for suite in ("integrability", "mel", "onemel")
+                  for c in identity_suite(frame, suite, trials=1, seed=42).checks if c.exhaustive]
+        assert tuple(c.name for c in checks) == EXHAUSTIVE_CHECKS
+        for check in checks:
+            assert check.trials == _basis_pairs(frame, check.name), check.name
+            assert check.max_residual < 1e-10, (family, rank, painted, check.name,
+                                                check.max_residual)
+            worst[check.name] = max(worst[check.name], check.max_residual)
+    assert len(END_NODE_FRAMES) == 111
+    elapsed = time.time() - start
+    _report(6, f"the six bilinear identities on every basis pair of all "
+               f"{len(END_NODE_FRAMES)} end-node frames, worst residual per check "
+               + ", ".join(f"{name} {value:.3g}" for name, value in worst.items())
+               + f" ({elapsed:.1f}s)")
 
 
 def test_criterion_6_negative_control_reversed_j_on_theta(monkeypatch):
-    # the control the paper motivates for integrability and mel: J with its
-    # quarter turn reversed on the last tangent plane, that of the highest
-    # root theta.  theta has an S pair on every Borel frame of rank >= 2, so
-    # [E_-theta, E_alpha] lands in a (0,1) direction under the reversed J and
-    # both checks must exceed tolerance.  The reversed J is still a complex
-    # structure and an isometry, so the frame invariants cannot see it.
-    # Fresh frames, so no cached frame meets the wrong J.
-    apply_j = compact_geom._apply_j
-
-    def reversed_on_theta(x):
-        out = apply_j(x)
-        out[..., -2:] *= -1.0
-        return out
-
-    monkeypatch.setattr(compact_geom, "_apply_j", reversed_on_theta)
+    # the control the paper motivates for integrability, mel and onemel: J
+    # with its quarter turn reversed on the last tangent plane, that of the
+    # highest root theta.  theta has an S pair on every Borel frame of rank
+    # >= 2, so [E_-theta, E_alpha] lands in a (0,1) direction under the
+    # reversed J and the checks must exceed tolerance; the conditioned ones
+    # see J pass through [y, x] with the wrong sign for y on theta's plane.
+    # The reversed J is still a complex structure and an isometry, so the
+    # frame invariants cannot see it.  Fresh frames, so no cached frame meets
+    # the wrong J.
+    monkeypatch.setattr(compact_geom, "_apply_j", reversed_on_theta(compact_geom._apply_j))
     worst = {}
     for family, rank in ACCEPTANCE_FRAMES:
-        frame = build_frame(borel_split(build_root_system(family, rank)))
-        assert frame.sys.height(frame.m_pos[-1]) == max(map(frame.sys.height, frame.m_pos))
+        frame = fresh_frame(family, rank)
         for suite, name in (("integrability", "integrability-defect"),
-                            ("mel", "holomorphic-closure")):
+                            ("mel", "holomorphic-closure"), ("mel", "r-operator-form"),
+                            ("onemel", "conditioned-commutation"),
+                            ("onemel", "conditioned-skew")):
             check = {c.name: c for c in identity_suite(frame, suite, trials=200,
                                                        seed=42).checks}[name]
             assert check.max_residual > 1e-10, (family, rank, name, check.max_residual)
             worst[family, rank, name] = check.max_residual
         invariants = validate_frame(frame)
         assert invariants["j_squared"] == invariants["hermitian"] == 0.0, invariants
-    _report(6, f"negative control: J reversed on the plane of theta fails integrability "
-               f"and holomorphic closure (least residual {min(worst.values()):.3g}); "
-               f"j_squared and hermitian read 0.0")
+    _report(6, f"negative control: J reversed on the plane of theta fails integrability, "
+               f"holomorphic closure, the r-operator form and both conditioned checks "
+               f"(least residual {min(worst.values()):.3g}); j_squared and hermitian read 0.0")
+
+
+def test_criterion_6_negative_control_reversed_j_reaches_the_isotropy_block(monkeypatch):
+    # the isotropy half of mel: under J reversed on theta's plane the (1,0)
+    # fields hold E_-theta, and [E_-theta, E_alpha] has an isotropy part only
+    # for alpha = theta - kappa with kappa a painted positive root.  A painted
+    # node 1 of A3 and node 2 of D4 give one, and both checks must fail.
+    monkeypatch.setattr(compact_geom, "_apply_j", reversed_on_theta(compact_geom._apply_j))
+    worst = {}
+    for family, rank, painted in (("A", 3, (0,)), ("D", 4, (1,))):
+        frame = fresh_frame(family, rank, painted)
+        checks = {c.name: c for c in identity_suite(frame, "mel", trials=200, seed=42).checks}
+        for name in ("isotropy-vanishing", "isotropy-pairing"):
+            assert checks[name].max_residual > 1e-10, (family, rank, name, checks[name])
+            worst[family, rank, name] = checks[name].max_residual
+    _report(6, f"negative control: J reversed on the plane of theta fails isotropy "
+               f"vanishing and pairing on A3 and D4 with node 1 and node 2 painted "
+               f"(least residual {min(worst.values()):.3g})")
+
+
+def test_criterion_6_negative_control_widened_kernel_mask(monkeypatch):
+    # the conditioned checks with the kernel mask keeping every plane: x may
+    # then sit on a plane that [y, .] moves into holomorphic directions
+    monkeypatch.setattr(compact_geom, "_kernel_mask",
+                        lambda frame: np.ones((frame.v, frame.m_dim), dtype=bool))
+    worst = {}
+    for family, rank in ACCEPTANCE_FRAMES:
+        frame = fresh_frame(family, rank)
+        for check in identity_suite(frame, "onemel", trials=200, seed=42).checks:
+            assert check.max_residual > 1e-10, (family, rank, check.name, check.max_residual)
+            worst[family, rank, check.name] = check.max_residual
+    _report(6, f"negative control: the kernel mask widened to every plane fails both "
+               f"conditioned checks (least residual {min(worst.values()):.3g})")
 
 
 # -- criterion 7 ---------------------------------------------------------------

@@ -22,8 +22,11 @@ from flagmorse.chevalley import (
 )
 from flagmorse.compact_geom import (
     adjoint_perturb,
+    bracket_k,
+    bracket_m,
     complex_hessian,
     complex_hessian_many,
+    curvature_quadratic,
     frame_for,
     hat_transport,
     holomorphic_kernel_classification,
@@ -247,6 +250,13 @@ TAKES_A_FIELD = {
     "k_search (y0)": ("y0", _frame, lambda f, x: k_search(f, GDOT, [(ONES, ONES), (ONES, x)])),
     "adjoint_perturb": ("gamma_coeffs", _painted_frame,
                         lambda f, x: adjoint_perturb(f, x, RootVector((0, 0, 2)))),
+    # fields or batches of them, with any leading shape
+    "bracket_m (x)": ("x_m", _frame, lambda f, x: bracket_m(f, x, ONES)),
+    "bracket_m (y)": ("y_m", _frame, lambda f, x: bracket_m(f, ONES, x)),
+    "bracket_k (x)": ("x_m", _painted_frame, lambda f, x: bracket_k(f, x, np.ones(f.m_dim))),
+    "bracket_k (y)": ("y_m", _painted_frame, lambda f, x: bracket_k(f, np.ones(f.m_dim), x)),
+    "curvature_quadratic (x)": ("x_m", _frame, lambda f, x: curvature_quadratic(f, x, ONES)),
+    "curvature_quadratic (y)": ("y_m", _frame, lambda f, x: curvature_quadratic(f, ONES, x)),
 }
 
 
@@ -259,6 +269,11 @@ def test_a_field_must_have_the_tangent_width(name):
         # rows too long, too short, one vector, a stack of batches
         shapes, want = ((2, n + 2), (2, n - 1), (n,), (2, 2, n)), f"(n, {n})"
         call(frame, np.ones((3, n)))  # the right shape goes through
+    elif field in ("x_m", "y_m"):
+        # too long, too short, a scalar, rows of a batch too long
+        shapes, want = ((n + 2,), (n - 1,), (), (2, n + 2)), f"(..., {n})"
+        for shape in ((n,), (3, n), (2, 3, n)):  # the right widths go through
+            call(frame, np.ones(shape))
     else:
         # too long, too short, 2-D, a scalar
         shapes, want = ((n + 2,), (n - 1,), (1, n), ()), f"({n},)"

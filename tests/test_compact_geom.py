@@ -11,6 +11,7 @@ from scipy.linalg import expm as scipy_expm
 from flagmorse import compact_geom
 from flagmorse.chevalley import ComplexElement, bracket_c, n0_constant
 from flagmorse.compact_geom import (
+    _CHECK_STREAMS,
     SUITES,
     CheckResult,
     adjoint_perturb,
@@ -49,7 +50,7 @@ from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
 from flagmorse.rootsys import RootVector, build_root_system, inner, is_long
 
-from conftest import ALL_SYSTEMS, END_NODE_FRAMES, SMALL_SYSTEMS
+from conftest import ALL_SYSTEMS, END_NODE_FRAMES, SMALL_SYSTEMS, fresh_frame, reversed_on_theta
 from test_rootsys import rv
 
 TOL = 1e-10
@@ -1379,7 +1380,7 @@ def test_kernel_mask_matches_root_arithmetic(family, rank, painted):
 def test_conditioned_batch_draws_one_plane_and_a_masked_field(family, rank, painted):
     frame = frame_for(family, rank, painted)
     trials = 10_000
-    x, y = compact_geom._conditioned_batch(frame, np.random.default_rng(11), trials)
+    x, y = _conditioned_batch(frame, np.random.default_rng(11), trials)
     assert x.shape == y.shape == (trials, frame.m_dim)
     slots = np.array([frame.m_slot(alpha) for alpha in frame.m_pos])
     in_plane = (y[:, slots] != 0).all(axis=2)
@@ -1658,6 +1659,225 @@ def test_twomel_checks_fail_on_wrong_inputs(family, rank, check):
     assert run(frame, np.random.default_rng(3), 200).passed
     result = run(TWOMEL_CONTROLS[check](frame), np.random.default_rng(3), 200)
     assert result.trials > 0 and result.max_residual > result.tolerance, result
+
+
+# -- sampled oracles of the exhaustive checks ------------------------------------
+#
+# The six bilinear identity checks as they ran before they were decided on
+# every basis pair: seeded random fields pushed through the bracket.  J, the
+# (1,0) split and the kernel mask are read through the module, so a patched
+# ``_apply_j`` or ``_kernel_mask`` reaches both forms.
+
+
+def _check_integrability(frame, rng, trials: int) -> CheckResult:
+    x = frame.random_m(rng, trials)
+    y = frame.random_m(rng, trials)
+    jx, jy = compact_geom._apply_j(x), compact_geom._apply_j(y)
+    res = (
+        bracket_m(frame, x, y)
+        + compact_geom._apply_j(bracket_m(frame, jx, y))
+        + compact_geom._apply_j(bracket_m(frame, x, jy))
+        - bracket_m(frame, jx, jy)
+    )
+    return CheckResult(
+        "integrability-defect",
+        "complex structure against the projected bracket",
+        trials, compact_geom._max_norm(res), compact_geom.TOL_IDENTITY,
+    )
+
+
+def _check_holomorphic_closure(frame, rng, trials) -> CheckResult:
+    x10 = compact_geom._split_10(frame.random_m(rng, trials))
+    y10 = compact_geom._split_10(frame.random_m(rng, trials))
+    z = bracket_m(frame, x10, y10)
+    res = compact_geom._apply_j(z) - 1j * z
+    return CheckResult(
+        "holomorphic-closure",
+        "brackets of (1,0) fields stay of type (1,0) in the tangent block",
+        trials, compact_geom._max_norm(res), compact_geom.TOL_IDENTITY,
+    )
+
+
+def _check_r_operator_form(frame, rng, trials) -> CheckResult:
+    x = frame.random_m(rng, trials)
+    y = frame.random_m(rng, trials)
+    r_val = bracket_m(frame, y, x) + compact_geom._apply_j(
+        bracket_m(frame, compact_geom._apply_j(y), x))
+    w = bracket_m(frame, compact_geom._split_10(x), compact_geom._split_10(y).conj())
+    z = w - 1j * compact_geom._apply_j(w)
+    res = r_val + (z + z.conj()).real
+    return CheckResult(
+        "r-operator-form",
+        "the transport generator as the defect of a mixed-type bracket",
+        trials, compact_geom._max_norm(res), compact_geom.TOL_IDENTITY,
+    )
+
+
+def _check_isotropy_vanishing(frame, rng, trials) -> CheckResult:
+    x10 = compact_geom._split_10(frame.random_m(rng, trials))
+    y10 = compact_geom._split_10(frame.random_m(rng, trials))
+    res = bracket_k(frame, x10, y10)
+    return CheckResult(
+        "isotropy-vanishing",
+        "brackets of two (1,0) fields have no isotropy part",
+        trials, compact_geom._max_norm(res), compact_geom.TOL_IDENTITY,
+    )
+
+
+def _conditioned_batch(frame, rng, trials):
+    """Random (x, y) rows with y in one uniformly drawn tangent-positive plane
+    and x standard normal on that plane's kernel mask row, so that the
+    mixed-type bracket stays anti-holomorphic in the tangent block."""
+    pick = rng.integers(frame.v, size=trials)
+    y = np.zeros((trials, frame.v, 2))
+    y[np.arange(trials), pick] = rng.standard_normal((trials, 2))
+    x = rng.standard_normal((trials, frame.m_dim)) * compact_geom._kernel_mask(frame)[pick]
+    return x, y.reshape(trials, frame.m_dim)
+
+
+def _check_conditioned_commutation(frame, rng, trials) -> CheckResult:
+    x, y = _conditioned_batch(frame, rng, trials)
+    res = (compact_geom._apply_j(bracket_m(frame, y, x))
+           - bracket_m(frame, compact_geom._apply_j(y), x))
+    return CheckResult(
+        "conditioned-commutation",
+        "complex structure passes through the bracket when the transport "
+        "generator annihilates the field",
+        trials, compact_geom._max_norm(res), compact_geom.TOL_IDENTITY,
+    )
+
+
+def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
+    x, y = _conditioned_batch(frame, rng, trials)
+    z = bracket_m(frame, compact_geom._split_10(y), compact_geom._split_10(x))
+    res = (compact_geom._apply_j(bracket_m(frame, y, x))
+           + bracket_m(frame, y, compact_geom._apply_j(x)) + 4.0 * z.imag)
+    return CheckResult(
+        "conditioned-skew",
+        "the anti-linear defect of the bracket reduces to holomorphic terms",
+        trials, compact_geom._max_norm(res), compact_geom.TOL_IDENTITY,
+    )
+
+
+SAMPLED_ORACLES = (_check_integrability, _check_holomorphic_closure, _check_r_operator_form,
+                   _check_isotropy_vanishing, _check_conditioned_commutation,
+                   _check_conditioned_skew)
+
+
+def _block_entries(blocks, planes):
+    """(i, j, k, c) of the nonzero block entries, sorted by (k, i, j) as a
+    plan's: coordinates 2p + s, 2q + t and 2r + u, or the isotropy output o."""
+    *offsets, b = np.nonzero(blocks)
+    coords = [2 * plane[b] + s for plane, s in zip(planes, offsets)]
+    if len(coords) < 3:
+        coords.append(planes[2][b])
+    i, j, k = coords
+    order = np.lexsort((j, i, k))
+    return i[order], j[order], k[order], blocks[(*offsets, b)][order]
+
+
+def test_plane_blocks_hold_the_plan_entries():
+    # every entry of plan_m and plan_k, each once in its block, and each
+    # tangent block's partner is the block of the swapped argument planes
+    for family, rank, painted in TABLE_FRAMES:
+        frame = frame_for(family, rank, painted)
+        blocks = frame.plane_blocks
+        for got, plan in ((_block_entries(blocks.m, blocks.m_planes), frame.plan_m),
+                          (_block_entries(blocks.k, blocks.k_planes), frame.plan_k)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, plan[:4])), (family, rank)
+        planes = blocks.m_planes
+        assert np.array_equal(planes[:, blocks.partner], planes[[1, 0, 2]])
+        assert np.unique(planes, axis=1).shape == planes.shape  # one block per triple
+
+
+def _basis_pairs(frame, oracle):
+    """The ordered basis pairs an exhaustive check decides: all of them, or
+    for onemel y in one tangent-positive plane and x on its allowed planes."""
+    if oracle in (_check_conditioned_commutation, _check_conditioned_skew):
+        return 2 * int(_allowed_coordinates(frame).sum())
+    return frame.m_dim ** 2
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_exhaustive_checks_match_sampled_oracles(family, rank, painted):
+    # each exhaustive check sits in the suite where its sampled form was, and
+    # decides the same identity: both pass at every seed and trial count, and
+    # the exhaustive residual is at rounding level
+    frame = frame_for(family, rank, painted)
+    for oracle in SAMPLED_ORACLES:
+        check = getattr(compact_geom, oracle.__name__)
+        assert check in _CHECK_STREAMS
+        got = check(frame, np.random.default_rng(0), 1)
+        assert got.exhaustive and got.to_json_dict()["exhaustive"] is True
+        assert got.trials == _basis_pairs(frame, oracle), oracle.__name__
+        for seed, trials in itertools.product((5, 23), (8, 500)):
+            want = oracle(frame, np.random.default_rng([seed, _CHECK_STREAMS[check]]), trials)
+            assert (want.name, want.description, want.trials) == (got.name, got.description,
+                                                                  trials)
+            assert want.passed and not want.exhaustive, (oracle.__name__, seed, trials)
+            assert got.passed and got.max_residual <= 1e-12, (oracle.__name__, got.max_residual)
+    # the layout is the one new cache: a fresh frame builds no dense J
+    fresh = build_frame(frame.split)
+    identity_suite(fresh, "all", trials=8)
+    assert "j_m" not in vars(fresh) and "plane_blocks" in vars(fresh)
+
+
+# the controls, fixed before they were run: J reversed on theta's plane, which
+# the isotropy check sees only where a painted node meets theta (node 1 of A3,
+# node 2 of D4), and the kernel mask widened to every plane
+SAMPLED_CONTROLS = [(oracle, (f, r, ()), "reversed J")
+                    for oracle in SAMPLED_ORACLES if oracle is not _check_isotropy_vanishing
+                    for f, r in (("A", 3), ("D", 4))]
+SAMPLED_CONTROLS += [(_check_isotropy_vanishing, frame, "reversed J")
+                     for frame in (("A", 3, (0,)), ("D", 4, (1,)))]
+SAMPLED_CONTROLS += [(oracle, (f, r, ()), "widened mask")
+                     for oracle in (_check_conditioned_commutation, _check_conditioned_skew)
+                     for f, r in (("A", 3), ("D", 4))]
+
+
+@pytest.mark.parametrize("oracle,frame_in,control", SAMPLED_CONTROLS,
+                         ids=[f"{o.__name__}-{f}{r}{list(p)}-{c}"
+                              for o, (f, r, p), c in SAMPLED_CONTROLS])
+def test_both_forms_fail_under_each_control(oracle, frame_in, control, monkeypatch):
+    frame = fresh_frame(*frame_in)
+    if control == "reversed J":
+        monkeypatch.setattr(compact_geom, "_apply_j", reversed_on_theta(compact_geom._apply_j))
+    else:
+        monkeypatch.setattr(compact_geom, "_kernel_mask",
+                            lambda frame: np.ones((frame.v, frame.m_dim), dtype=bool))
+    check = getattr(compact_geom, oracle.__name__)
+    for run in (oracle, check):
+        result = run(frame, np.random.default_rng([42, _CHECK_STREAMS[check]]), 200)
+        assert result.max_residual > 1e-10, (run.__module__, result)
+
+
+def test_reversed_j_reaches_the_isotropy_block_only_through_a_painted_root(monkeypatch):
+    # why the reversed-J control of isotropy-vanishing fails on few frames:
+    # under it the (1,0) fields hold E_-theta in place of E_theta, two other
+    # (1,0) root vectors bracket to a root of tangent degree 2 or more, and
+    # [E_-theta, E_alpha] has an isotropy part only for alpha = theta - kappa,
+    # kappa a painted positive root.  So the check fails exactly where some
+    # painted positive kappa has theta - kappa a root
+    monkeypatch.setattr(compact_geom, "_apply_j", reversed_on_theta(compact_geom._apply_j))
+    reached = 0
+    for family, rank, painted in END_NODE_FRAMES:
+        frame = frame_for(family, rank, painted)
+        theta = frame.m_pos[-1]
+        below = any(frame.sys.contains(theta - kappa) for kappa in frame.split.k_pos_sorted)
+        result = compact_geom._check_isotropy_vanishing(frame, None, 1)
+        assert (result.max_residual > 1e-10) == below, (family, rank, painted, result)
+        reached += below
+    assert 0 < reached < len(END_NODE_FRAMES)
+
+
+def test_exhaustive_checks_read_inf_when_j_is_no_plane_swap(monkeypatch):
+    # J read off _apply_j must be a signed swap inside each plane
+    frame = fresh_frame("A", 3)
+    monkeypatch.setattr(compact_geom, "_apply_j", lambda x: 2.0 * x)
+    for oracle in SAMPLED_ORACLES:
+        result = getattr(compact_geom, oracle.__name__)(frame, None, 1)
+        assert result.max_residual == float("inf") and not result.passed
 
 
 @pytest.mark.parametrize("family,rank,painted,pairs", [("E", 7, (0, 2), 335), ("E", 8, (), 1120)],

@@ -189,6 +189,19 @@ MUTANTS = (
     Mutant("pair-plane-x-and-y-swapped", "src/flagmorse/compact_geom.py",
            "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + k[keep],",
            "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + 1 - k[keep],", GEOM_TESTS),
+    # the plane blocks the exhaustive identity checks read: J left off the
+    # output axis of one term of integrability, the r-operator form reading
+    # [x, y] from its own block instead of [y, x] from the partner block, and
+    # the output coordinate's X and Y swapped in the layout
+    Mutant("integrability-j-off-the-output-axis", "src/flagmorse/compact_geom.py",
+           "res = None if j is None else (c + j.out(j.first(c)) + j.out(j.second(c))",
+           "res = None if j is None else (c + j.first(c) + j.out(j.second(c))", GEOM_TESTS),
+    Mutant("r-operator-form-own-block", "src/flagmorse/compact_geom.py",
+           "t = np.take(blocks.m, blocks.partner, axis=-1).transpose(1, 0, 2, 3)",
+           "t = blocks.m.transpose(1, 0, 2, 3)", GEOM_TESTS),
+    Mutant("plane-blocks-output-bit-flipped", "src/flagmorse/compact_geom.py",
+           "m[pm.i % 2, pm.j % 2, pm.k % 2, at] = pm.c",
+           "m[pm.i % 2, pm.j % 2, 1 - pm.k % 2, at] = pm.c", GEOM_TESTS),
     # every identity residual reads 0
     Mutant("max-norm-reads-zero", "src/flagmorse/compact_geom.py",
            "return float(np.max(np.abs(arr))) if arr.size else 0.0", "return 0.0", GEOM_TESTS),
