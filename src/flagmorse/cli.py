@@ -427,10 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=sorted(geom.SUITES) + ["all"])
     p.add_argument("--trials", type=int, default=10_000,
-                   help="random inputs per sampled check; an exhaustive check "
-                        "decides its identity on every ordered basis pair and "
-                        "reports that count as its trials (pairs in the text "
-                        "report, exhaustive: true in the JSON)")
+                   help="random inputs per sampled check (isotropy-pairing and "
+                        "hessian-chain); every other check is exhaustive: it "
+                        "decides its identity on every ordered basis pair, or "
+                        "twomel's on every pair block, and reports that count "
+                        "as its trials (pairs in the text report, exhaustive: "
+                        "true in the JSON); pair-bound draws one angle (a, b) "
+                        "per pair space from --seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

@@ -16,16 +16,19 @@ once and on first use, one table of the pair spaces S0(delta) of the
 tangent-positive roots, stacked over all pairs in delta order (``PairTable``):
 each space is a slice of it, and one plan brackets all pair coordinates onto
 all tangent delta planes.  The quarter-turn map reads a slice instead of full
-adjoint matrices; the twomel checks run on the whole arrays at once, with
-per-space sums by ``reduceat`` and one contraction.  It also builds, once and
-on first use, the tangent brackets cut into 2x2 blocks over planes
-(``PlaneBlocks``): J acts inside each plane, so a bilinear identity on every
-pair of basis vectors is flips and sign multiplies of those blocks, and six
-identity checks are decided that way, with no random draw.  The averaged
-Hessian, the tangent norm and the twist pairing are forms in the initial fields: each
-averaged matrix int_0^1 exp(tA)^T M exp(tA) dt is read off one block
-exponential (Van Loan), exactly in t, so no time grid or node count is
-involved.  A velocity on one long root plane delta needs no
+adjoint matrices; the twomel checks decide their identities on every pair's
+4x4 blocks at once: the block identities at three angles (a, b), the pair
+bound as the largest eigenvalue of one form per pair, at one drawn (a, b)
+per pair space.  It also builds, once and on first use, the tangent brackets
+cut into 2x2 blocks over planes (``PlaneBlocks``): J acts inside each plane,
+so a bilinear identity on every pair of basis vectors is flips and sign
+multiplies of those blocks, and seven identity checks are decided that way.
+The curvature quadratic is a sum of squares of brackets, and its check reads
+the weights.  Only isotropy-pairing and hessian-chain draw random fields.
+The averaged Hessian, the tangent norm and the twist pairing are forms in the
+initial fields: each averaged matrix int_0^1 exp(tA)^T M exp(tA) dt is read
+off one block exponential (Van Loan), exactly in t, so no time grid or node
+count is involved.  A velocity on one long root plane delta needs no
 exponential at all: for long delta, alpha - 2 delta is never a root when
 alpha - delta is one, so the transport generator A moves each plane it moves
 onto a plane it fixes, A^2 = 0 exactly, exp(tA) = I + tA, and every average
@@ -180,7 +183,8 @@ class PlaneBlocks(NamedTuple):
     with (p, q, r) = ``m_planes[:, b]``, and ``partner[b]`` the block of
     (q, p, r): the plan holds [e_j, e_i] beside every [e_i, e_j], so that
     block exists.  ``k[s, t, b]`` is the coefficient of isotropy
-    coordinate o in [e_{2p+s}, e_{2q+t}]_k with (p, q, o) = ``k_planes[:, b]``.
+    coordinate o in [e_{2p+s}, e_{2q+t}]_k with (p, q, o) = ``k_planes[:, b]``,
+    and ``k_partner[b]`` the block of (q, p, o).
     The block index is the last axis: flips and sign multiplies then run over
     contiguous rows of blocks, about three times faster than over trailing
     2x2x2 blocks.
@@ -191,6 +195,7 @@ class PlaneBlocks(NamedTuple):
     partner: np.ndarray
     k: np.ndarray
     k_planes: np.ndarray
+    k_partner: np.ndarray
 
 
 def _structure_constants(chev: ChevalleyData, x_slot: np.ndarray):
@@ -473,7 +478,8 @@ def _pair_table(frame: RealFormFrame) -> PairTable:
 def _plane_blocks(frame: RealFormFrame) -> PlaneBlocks:
     """One sort of the plane-triple keys of ``plan_m`` and one of the plane
     pairs of ``plan_k``; each plan entry is written into its block once, as
-    the plans hold each (i, j, k) once."""
+    the plans hold each (i, j, k) once, and each block's partner is found by
+    one search among the sorted keys."""
     v, pm, pk = frame.v, frame.plan_m, frame.plan_k
     keys, at = np.unique((pm.i // 2 * v + pm.j // 2) * v + pm.k // 2, return_inverse=True)
     m = np.zeros((2, 2, 2, keys.size))
@@ -485,7 +491,8 @@ def _plane_blocks(frame: RealFormFrame) -> PlaneBlocks:
     k = np.zeros((2, 2, keys.size))
     k[pk.i % 2, pk.j % 2, at] = pk.c
     k_planes = np.stack([keys // (v * n_k), keys // n_k % v, keys % n_k])
-    return PlaneBlocks(m, m_planes, partner, k, k_planes)
+    k_partner = np.searchsorted(keys, (k_planes[1] * v + k_planes[0]) * n_k + k_planes[2])
+    return PlaneBlocks(m, m_planes, partner, k, k_planes, k_partner)
 
 
 def frame_for(family: str, rank: int, painted: Sequence[int] = ()) -> RealFormFrame:
@@ -791,10 +798,15 @@ def k_search(
     """
     if len(configs) == 0:
         raise ValueError("k_search needs at least one configuration")
-    for x0, y0 in configs:
-        _require_tangent(frame, x0=x0, y0=y0)
-    e, a, b = _quadrature(frame, gdot, np.array([c[0] for c in configs]),
-                          np.array([c[1] for c in configs]))
+    try:
+        x0 = np.array([x for x, _ in configs])
+        y0 = np.array([y for _, y in configs])
+        _require_tangent(frame, ndim=2, x0=x0, y0=y0)
+    except ValueError:  # ragged fields, or a field of the wrong shape
+        for x, y in configs:  # name the field at fault, as one configuration has it
+            _require_tangent(frame, x0=x, y0=y)
+        raise
+    e, a, b = _quadrature(frame, gdot, x0, y0)
     k = 1.0
     for _ in range(60):
         qs = _twisted(e, a, b, k)
@@ -848,7 +860,8 @@ class CheckResult:
     max_residual: float
     tolerance: float
     note: str = ""
-    # decided on every ordered basis pair; ``trials`` counts the pairs
+    # decided for every input, not on samples; ``trials`` counts the ordered
+    # basis pairs, or for the twomel checks the pair blocks, decided
     exhaustive: bool = False
 
     @property
@@ -1086,140 +1099,148 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
         pairs, res)
 
 
+# (a, b) at which the twomel block identities are read: each, times a^2 + b^2,
+# is a binary quadratic form in (a, b) with matrix coefficients, and one that
+# vanishes at these three vanishes identically
+_ANGLES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _tangent_rows(table: PairTable) -> np.ndarray:
+    """The pairs of the spaces with all their roots in the tangent block."""
+    return np.flatnonzero(np.repeat(table.tangent, np.diff(table.starts)))
+
+
 def _check_double_bracket(frame, rng, trials) -> CheckResult:
+    """blk^2 + (a^2 + b^2) c^2 = 0 with blk = a bx + b by, on every pair of the
+    table and for every (a, b), read at ``_ANGLES``; blk^2 x + (a^2 + b^2) c^2 x
+    is the twice-projected bracket of x, so this holds for every x too."""
     table = frame.pair_table
-    bx, by, consts = table.bx, table.by, table.consts
-    if not consts.size:
+    if not table.consts.size:
         return CheckResult("double-bracket", "no decomposable roots in this frame",
-                           0, 0.0, TOL_IDENTITY)
-    combos = consts.size
-    per = -(-trials // combos)
-    # per pair, in pair order: a and b, then its ``per`` rows of x
-    draws = rng.standard_normal((combos, 2 + 4 * per))
-    a, b = draws[:, 0, None, None], draws[:, 1, None, None]
-    x = draws[:, 2:].reshape(combos, per, 4)
-    # bracketing with a X_delta + b Y_delta, projected back to the pair's
-    # root planes
-    blk = a * bx + b * by
-    twice = x @ (blk @ blk).transpose(0, 2, 1)
-    res = twice + (a * a + b * b) * (consts ** 2)[:, None, None] * x
-    worst, total = _max_norm(res), per * combos
+                           0, 0.0, TOL_IDENTITY, exhaustive=True)
+    a, b = _ANGLES.T[:, :, None, None, None]
+    blk = a * table.bx + b * table.by  # [angle, pair, 4, 4]
+    res = blk @ blk + ((a * a + b * b) * table.consts[:, None, None] ** 2) * np.eye(4)
     return CheckResult(
         "double-bracket",
         "twice-projected bracketing against a root plane scales by the "
         "squared structure constant",
-        total, worst, TOL_IDENTITY,
+        table.consts.size, _max_norm(res), TOL_IDENTITY, exhaustive=True,
     )
 
 
-def _quarter_turn_draws(frame, rng, trials):
-    """Inputs of the quarter-turn and pair-bound checks: (usable, rows, ab,
-    I, x), or None.  Each pair space with all its roots in the tangent
-    block (``usable``), in root order, draws (a, b) (a row of ``ab``), with
-    a = 1 if both vanish, then ceil(trials / spaces) rows of x on its pairs
-    (``rows``).  Per pair of the table: the quarter-turn block I, and x as
-    ``(rows per space, pairs, 4)``, both zero on the other spaces' pairs.  A
-    pair's four coordinates are two planes, so J there is ``_apply_j``."""
-    table = frame.pair_table
-    usable = np.flatnonzero(table.tangent)
-    if not usable.size:
-        return None
-    per = -(-trials // usable.size)
-    lo, hi = table.starts[usable], table.starts[usable + 1]
-    ab = np.empty((usable.size, 2))
-    x = np.zeros((per, table.consts.size, 4))
-    for g, (start, end) in enumerate(zip(lo.tolist(), hi.tolist())):
-        ab[g] = rng.standard_normal(2)
-        x[:, start:end] = rng.standard_normal((per, 4 * (end - start))).reshape(per, -1, 4)
-    ab[~ab.any(axis=1), 0] = 1.0
-    rows = np.flatnonzero(np.repeat(table.tangent, np.diff(table.starts)))
-    i_blk = np.zeros((table.consts.size, 4, 4))
-    i_blk[rows] = _quarter_blocks(table, rows, *np.repeat(ab, hi - lo, axis=0).T)
-    return usable, rows, ab, i_blk, x
-
-
-def _per_pair(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each pair's block applied to its four coordinates, on every row of x."""
-    return np.einsum("pij,rpj->rpi", blocks, x, optimize=True)
-
-
-def _space_norm2(table: PairTable, x: np.ndarray) -> np.ndarray:
-    """Squared norm of every row of x on each pair space: per-pair sums,
-    added over each space's run of pairs."""
-    return np.add.reduceat(np.einsum("rpi,rpi->rp", x, x), table.starts[:-1], axis=1)
-
-
 def _check_quarter_turn(frame, rng, trials) -> CheckResult:
-    """Involution, anticommutation and isometry of the pair-space operator,
-    block by block; the isometry sums each space's pairs."""
-    draws = _quarter_turn_draws(frame, rng, trials)
-    if draws is None:
-        return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY)
-    usable, rows, _, i_all, x = draws
-    i_blk = i_all[rows]
-    norm2 = [_space_norm2(frame.pair_table, v)[:, usable] for v in (_per_pair(i_all, x), x)]
+    """I^2 + 1, I^T I - 1 and IJ + JI on every pair of the tangent pair spaces,
+    with I from ``_quarter_blocks`` at ``_ANGLES``: times a^2 + b^2 the first
+    two are quadratic in (a, b) and, times |(a, b)|, the last is linear, so
+    they hold for every (a, b).  The isometry per pair gives it on each
+    space."""
+    table = frame.pair_table
+    rows = _tangent_rows(table)
+    if not rows.size:
+        return CheckResult("quarter-turn", "no usable pair sets", 0, 0.0, TOL_IDENTITY,
+                           exhaustive=True)
+    i_blk = _quarter_blocks(table, np.tile(rows, 3), *np.repeat(_ANGLES, rows.size, axis=0).T)
+    i_t = i_blk.swapaxes(1, 2)
     # IJ + JI, as J I = (I^T J^T)^T and I J = -I J^T
-    worst = max(_max_norm(i_blk @ i_blk + np.eye(4)),
-                _max_norm(_apply_j(i_blk.swapaxes(1, 2)).swapaxes(1, 2) - _apply_j(i_blk)),
-                _max_norm(norm2[0] - norm2[1]))
+    worst = max(_max_norm(i_blk @ i_blk + np.eye(4)), _max_norm(i_t @ i_blk - np.eye(4)),
+                _max_norm(_apply_j(i_t).swapaxes(1, 2) - _apply_j(i_blk)))
     return CheckResult(
         "quarter-turn",
         "pair-space operator squares to minus identity, anticommutes with "
         "the complex structure, and is an isometry",
-        x.shape[0] * usable.size, worst, TOL_IDENTITY,
+        rows.size, worst, TOL_IDENTITY, exhaustive=True,
     )
 
 
 def _check_pair_bounds(frame, rng, trials) -> CheckResult:
-    """Lower bound of the bracket pairing on pair spaces, slice level.
+    """Lower bound of the bracket pairing on pair spaces, slice level, for
+    every x, at one drawn (a, b) per tangent pair space.
 
-    The metric pairing with the twist direction reads only the bracket onto
-    delta's plane, so both brackets, [Ix, x] and [JIx, Jx], of every space
-    come from one contraction through the table's plane plan."""
-    draws = _quarter_turn_draws(frame, rng, trials)
-    if draws is None:
-        return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
-    usable, _, ab, i_blk, x = draws
-    table, per = frame.pair_table, x.shape[0]
-    ix = _per_pair(i_blk, x)
-    ins = np.stack([ix, _apply_j(ix), x, _apply_j(x)]).reshape(4, per, -1)
-    br = _contract(table.plane, ins[:2], ins[2:]).reshape(2, per, -1, 2)[:, :, usable]
-    # pairs with a*X_delta + b*Y_delta through the tangent metric, 2 * identity
-    val, val_j = np.einsum("nrsk,sk->nrs", br, 2.0 * ab)
+    Two pair roots bracket onto delta's plane only when they sum to delta, so
+    each entry of the table's plane plan stays inside one pair: (4p + s,
+    4p + t -> 2g + u).  The pairing of [Ix, x] with the twist a X_delta +
+    b Y_delta through the tangent metric, 2 * identity, is then
+    val = sum_p x_p^T I_p^T C_p x_p with C_p[s, t] = sum_u c 2 ab_u, and that
+    of [JIx, Jx] is val_j, the same with J I_p and J x_p.  The bound
+    val <= -n0 |ab| |x|^2 (norms in the tangent metric) holds for every x
+    exactly when lambda_max(sym(I_p^T C_p)) + 2 n0 |ab| <= 0 on every pair,
+    and so does the twisted one, val - val_j <= -2 n0 |ab| |x|^2."""
+    table = frame.pair_table
+    usable = np.flatnonzero(table.tangent)
+    if not usable.size:
+        return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8, exhaustive=True)
+    ab = rng.standard_normal((usable.size, 2))
+    ab[~ab.any(axis=1), 0] = 1.0
+    per_space = np.diff(table.starts)[usable]
+    rows = _tangent_rows(table)
+    i_blk = _quarter_blocks(table, rows, *np.repeat(ab, per_space, axis=0).T)
+    # by space row of the table: the twist through the tangent metric
+    twist = np.zeros((table.deltas.size, 2))
+    twist[usable] = 2.0 * ab
+    plane = table.plane
+    c = np.zeros((table.consts.size, 4, 4))
+    for u in (0, 1):  # one scatter per output: each (pair, s, t) once in it
+        e = plane.k % 2 == u
+        c[plane.i[e] // 4, plane.i[e] % 4, plane.j[e] % 4] += plane.c[e] * twist[plane.k[e] // 2, u]
+    c = c[rows]
+    jcj = _apply_j(_apply_j(c.swapaxes(1, 2)).swapaxes(1, 2))  # J^T C J
+    forms = i_blk.swapaxes(1, 2) @ np.stack([c, c - jcj])
+    top = np.linalg.eigvalsh(0.5 * (forms + forms.swapaxes(2, 3)))[..., -1]
     n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[:-1])[usable]
-    bound = n0 * np.hypot(*ab.T) * 2.0 * _space_norm2(table, x)[:, usable]
+    bound = np.repeat(2.0 * n0 * np.hypot(*ab.T), per_space)
     # and the slice-level form of the twisted pairing bound (rate-free)
-    worst = float(max(0.0, np.max(val + bound), np.max(val - val_j + 2.0 * bound)))
+    worst = float(max(0.0, np.max(top[0] + bound), np.max(top[1] + 2.0 * bound)))
     return CheckResult(
         "pair-bound",
         "bracket pairing against the twist direction is at most minus the "
         "minimal structure constant times the squared norm",
-        per * usable.size, worst, 1e-8,
+        rows.size, worst, 1e-8,
         note="the rate-free slice-level bound is checked; the literal "
-             "rate-weighted display is dimensionally inconsistent at a slice",
+             "rate-weighted display is dimensionally inconsistent at a slice; "
+             "(a, b) is drawn once per pair space from this check's seed stream",
+        exhaustive=True,
     )
 
 
+def _curvature_weights(frame: RealFormFrame) -> tuple[float, np.ndarray]:
+    """Weights of the sectional curvature quadratic as a sum of squares of
+    brackets: 1/4 of the tangent metric (2 * identity) on [x, y]_m, and the
+    isotropy block of the metric, read on every call, on [x, y]_k."""
+    return 0.25 * 2.0, frame.metric[: frame.m_start, : frame.m_start]
+
+
+def _curvature_from_brackets(frame: RealFormFrame, bm: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """The curvature quadratic from the brackets [x, y]_m and [x, y]_k."""
+    w_m, g_k = _curvature_weights(frame)
+    return w_m * np.einsum("...i,...i->...", bm, bm) + np.einsum("...i,ij,...j->...", bk, g_k, bk)
+
+
 def _check_curvature_nonneg(frame, rng, trials) -> CheckResult:
-    x = frame.random_m(rng, trials)
-    y = frame.random_m(rng, trials)
-    vals = curvature_quadratic(frame, x, y)
-    worst = float(np.max(np.maximum(-vals, 0.0)))
+    """The quadratic is a sum of squares of brackets with the weights of
+    ``_curvature_weights``, so it is nonnegative on all of m x m when they
+    are positive semidefinite: the residual is max(0, -lambda_min)."""
+    w_m, g_k = _curvature_weights(frame)
+    lowest = min(w_m, float(np.linalg.eigvalsh(0.5 * (g_k + g_k.T))[0]))
     return CheckResult(
         "curvature-nonnegativity",
         "sectional curvature quadratic is a sum of squares",
-        trials, worst, TOL_IDENTITY,
+        frame.m_dim ** 2, max(0.0, -lowest), TOL_IDENTITY, exhaustive=True,
     )
 
 
 def _check_curvature_diagonal(frame, rng, trials) -> CheckResult:
-    x = frame.random_m(rng, trials)
-    lam = rng.standard_normal((trials, 1))
-    vals = curvature_quadratic(frame, x, lam * x)
+    """[x, x] = 0 for every x, so the quadratic vanishes on proportional
+    arguments: every tangent and isotropy block plus the transpose of its
+    partner, the block of the swapped argument planes, vanishes."""
+    blocks = frame.plane_blocks
+    worst = max(
+        _max_norm(blocks.m + np.take(blocks.m, blocks.partner, axis=-1).transpose(1, 0, 2, 3)),
+        _max_norm(blocks.k + np.take(blocks.k, blocks.k_partner, axis=-1).transpose(1, 0, 2)))
     return CheckResult(
         "curvature-diagonal",
         "the quadratic vanishes on proportional arguments",
-        trials, _max_norm(vals), TOL_IDENTITY,
+        frame.m_dim ** 2, worst, TOL_IDENTITY, exhaustive=True,
     )
 
 
@@ -1229,31 +1250,29 @@ def curvature_quadratic(frame: RealFormFrame, x_m, y_m) -> np.ndarray:
     _require_tangent(frame, ndim=None, x_m=x_m, y_m=y_m)
     x2 = np.atleast_2d(x_m)
     y2 = np.atleast_2d(y_m)
-    bm = bracket_m(frame, x2, y2)
-    bk = bracket_k(frame, x2, y2)
-    return 0.25 * 2.0 * np.einsum("...i,...i->...", bm, bm) + frame.k_inner(bk, bk)
+    return _curvature_from_brackets(frame, bracket_m(frame, x2, y2), bracket_k(frame, x2, y2))
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:
+    """Each bracket once: the curvature terms read [g, x] and [g, Jx], and
+    [x, g]_k = -[g, x]_k has the same norm."""
     a_f = frame.random_m(rng, trials)
     x = frame.random_m(rng, trials)
     g = frame.random_m(rng, trials)
     jx = _apply_j(x)
-    bm = bracket_m(frame, g, x)
-    bmj = bracket_m(frame, g, jx)
+    bm, bmj = bracket_m(frame, g, x), bracket_m(frame, g, jx)
+    bk, bkj = bracket_k(frame, g, x), bracket_k(frame, g, jx)
     lhs = (
         frame.m_norm2(a_f + 0.5 * bm)
         + frame.m_norm2(_apply_j(a_f) + 0.5 * bmj)
-        - curvature_quadratic(frame, g, x)
-        - curvature_quadratic(frame, g, jx)
+        - _curvature_from_brackets(frame, bm, bk)
+        - _curvature_from_brackets(frame, bmj, bkj)
     )
-    kx = bracket_k(frame, x, g)
-    kjx = bracket_k(frame, jx, g)
     rhs = (
         2.0 * frame.m_norm2(a_f)
         + frame.m_inner(a_f, bm - _apply_j(bmj))
-        - frame.k_inner(kx, kx)
-        - frame.k_inner(kjx, kjx)
+        - frame.k_inner(bk, bk)
+        - frame.k_inner(bkj, bkj)
     )
     return CheckResult(
         "hessian-chain",

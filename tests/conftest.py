@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,56 @@ def reversed_on_theta(apply_j):
         out[..., -2:] *= -1.0
         return out
     return reversed_j
+
+
+def without_sign(apply_j):
+    """J as a symmetric swap of each tangent plane, J^2 = +I: still a
+    signed swap inside each plane, and an isometry."""
+    def symmetric_j(x):
+        out = apply_j(x)
+        out[..., 0::2] *= -1.0
+        return out
+    return symmetric_j
+
+
+def negated_cartan_metric(frame):
+    """A copy of the frame with the Cartan block of its metric negated, so
+    that the isotropy weight of the curvature quadratic is indefinite."""
+    metric = frame.metric.copy()
+    rank = frame.sys.rank
+    metric[:rank, :rank] *= -1.0
+    return dataclasses.replace(frame, metric=metric)
+
+
+def doubled_upper_plan_m(frame):
+    """A copy of the frame with every ``plan_m`` entry with i < j doubled, so
+    that [x, x]_m no longer vanishes; its plane blocks are built anew."""
+    plan = frame.plan_m
+    doubled = np.where(plan.i < plan.j, 2.0, 1.0) * plan.c
+    return dataclasses.replace(frame, plan_m=plan._replace(c=doubled))
+
+
+def with_pair_table(frame, **fields):
+    """A copy of the frame whose pair table has ``fields`` replaced."""
+    copy = dataclasses.replace(frame)
+    copy.__dict__["pair_table"] = frame.pair_table._replace(**fields)
+    return copy
+
+
+# one wrong input per twomel check, fixed before the run: the constants
+# doubled, the quarter turn without its 1/|c| scale (which matters only where
+# some |c| != 1, as the 1/sqrt 2 of C), and the quarter turn negated: both
+# brackets the pair bound pairs with the twist direction, [Ix, x] and
+# [JIx, Jx], are linear in I, so this flips the sign of both pairings, as
+# negating the direction would
+TWOMEL_CONTROLS = {
+    "double-bracket": lambda table: {"consts": 2.0 * table.consts},
+    "quarter-turn": lambda table: {"consts": np.sign(table.consts)},
+    "pair-bound": lambda table: {"bx": -table.bx, "by": -table.by},
+}
+
+
+def twomel_control(frame, name):
+    """A copy of the frame with the wrong pair table of the twomel check
+    ``name``."""
+    return with_pair_table(frame, **TWOMEL_CONTROLS[name](frame.pair_table))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from flagmorse import compact_geom
-from flagmorse.chevalley import ComplexElement, bracket_c, build_chevalley, n0_constant
+from flagmorse.chevalley import ComplexElement, bracket_c, build_chevalley
 from flagmorse.compact_geom import (
     complex_hessian_many,
     frame_for,
@@ -23,7 +23,6 @@ from flagmorse.compact_geom import (
     map_I,
     r_operator,
     s0_embedding,
-    tilde_vector,
     validate_frame,
 )
 from flagmorse.errors import HypothesisViolated
@@ -47,7 +46,8 @@ from flagmorse.rootsys import (
     w_set,
 )
 
-from conftest import ALL_SYSTEMS, END_NODE_FRAMES, fresh_frame, reversed_on_theta
+from conftest import (ALL_SYSTEMS, END_NODE_FRAMES, doubled_upper_plan_m, fresh_frame,
+                      negated_cartan_metric, reversed_on_theta, twomel_control, without_sign)
 
 
 def _report(number, text):
@@ -348,24 +348,40 @@ def test_criterion_5_negative_control_short_delta():
 ACCEPTANCE_FRAMES = (("A", 3), ("B", 3), ("C", 3), ("D", 4))
 
 
+TWOMEL_CHECKS = ("double-bracket", "quarter-turn", "pair-bound")
+
+
 def _basis_pairs(frame, name):
-    """The ordered basis pairs an exhaustive check decides, by root
-    arithmetic: every pair, or for the conditioned checks y in the plane of
-    one tangent-positive delta and x in the plane of a tangent-positive alpha
-    with alpha - delta not a tangent-positive root."""
+    """What an exhaustive check decides, by root arithmetic.  Ordered basis
+    pairs: every pair, or for the conditioned checks y in the plane of one
+    tangent-positive delta and x in the plane of a tangent-positive alpha
+    with alpha - delta not a tangent-positive root.  Or for twomel pair
+    blocks: every pair of positive roots summing to a tangent-positive delta,
+    or for the quarter turn and the pair bound those of the deltas whose
+    pair roots all lie in the tangent block."""
+    m_pos = frame.split.delta_m_pos
     if name.startswith("conditioned-"):
-        m_pos = frame.split.delta_m_pos
         return 4 * sum(alpha - delta not in m_pos for delta in frame.m_pos for alpha in frame.m_pos)
+    if name in TWOMEL_CHECKS:
+        sys_ = frame.sys
+        # each pair twice, as alpha and as delta - alpha
+        spaces = [[alpha for alpha in sys_.positives if sys_.is_positive(delta - alpha)]
+                  for delta in frame.m_pos]
+        if name != "double-bracket":
+            spaces = [roots for roots in spaces if all(alpha in m_pos for alpha in roots)]
+        return sum(map(len, spaces)) // 2
     return frame.m_dim ** 2
 
 
 EXHAUSTIVE_CHECKS = ("integrability-defect", "holomorphic-closure", "r-operator-form",
-                     "isotropy-vanishing", "conditioned-commutation", "conditioned-skew")
+                     "isotropy-vanishing", "conditioned-commutation", "conditioned-skew",
+                     *TWOMEL_CHECKS, "curvature-nonnegativity", "curvature-diagonal")
 
 
 def test_criterion_6_identity_suites():
-    # the sampled checks over >= 10^4 seeded trials; the bilinear ones are
-    # decided on every ordered basis pair, whatever the trial count
+    # the sampled checks over >= 10^4 seeded trials; the others are decided
+    # on every ordered basis pair, pair block or weight, whatever the trial
+    # count
     start = time.time()
     for family, rank in ACCEPTANCE_FRAMES:
         frame = frame_for(family, rank)
@@ -381,18 +397,18 @@ def test_criterion_6_identity_suites():
     elapsed = time.time() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report(6, f"all pointwise identity suites below 1e-10 on A3/B3/C3/D4: the sampled "
-               f"checks over >= 10^4 seeded trials, the bilinear ones on every basis "
-               f"pair ({elapsed:.1f}s)")
+               f"checks over >= 10^4 seeded trials, the exhaustive ones on every basis "
+               f"pair, pair block or weight ({elapsed:.1f}s)")
 
 
 def test_criterion_6_exhaustive_on_every_end_node_frame():
-    # the six bilinear identities decided on every basis pair of every
-    # END_NODE_FRAMES frame, E6-E8 and the painted frames included
+    # the eleven exhaustive checks on every END_NODE_FRAMES frame, E6-E8 and
+    # the painted frames included
     start = time.time()
     worst = dict.fromkeys(EXHAUSTIVE_CHECKS, 0.0)
     for family, rank, painted in END_NODE_FRAMES:
         frame = frame_for(family, rank, painted)
-        checks = [c for suite in ("integrability", "mel", "onemel")
+        checks = [c for suite in ("integrability", "mel", "onemel", "twomel", "curvature")
                   for c in identity_suite(frame, suite, trials=1, seed=42).checks if c.exhaustive]
         assert tuple(c.name for c in checks) == EXHAUSTIVE_CHECKS
         for check in checks:
@@ -402,7 +418,7 @@ def test_criterion_6_exhaustive_on_every_end_node_frame():
             worst[check.name] = max(worst[check.name], check.max_residual)
     assert len(END_NODE_FRAMES) == 111
     elapsed = time.time() - start
-    _report(6, f"the six bilinear identities on every basis pair of all "
+    _report(6, f"the {len(EXHAUSTIVE_CHECKS)} exhaustive checks on all "
                f"{len(END_NODE_FRAMES)} end-node frames, worst residual per check "
                + ", ".join(f"{name} {value:.3g}" for name, value in worst.items())
                + f" ({elapsed:.1f}s)")
@@ -468,6 +484,61 @@ def test_criterion_6_negative_control_widened_kernel_mask(monkeypatch):
             worst[family, rank, check.name] = check.max_residual
     _report(6, f"negative control: the kernel mask widened to every plane fails both "
                f"conditioned checks (least residual {min(worst.values()):.3g})")
+
+
+def _fails_on_acceptance_frames(name, suite, frame_of):
+    """The least residual of check ``name`` on fresh A3/B3/C3/D4 Borel frames
+    passed through ``frame_of``, each of which must fail it."""
+    worst = {}
+    for family, rank in ACCEPTANCE_FRAMES:
+        frame = frame_of(fresh_frame(family, rank))
+        check = {c.name: c for c in identity_suite(frame, suite, trials=200, seed=42).checks}[name]
+        assert check.max_residual > check.tolerance, (family, rank, name, check.max_residual)
+        worst[family, rank] = check.max_residual
+    return min(worst.values())
+
+
+def test_criterion_6_negative_control_negated_cartan_metric():
+    # the isotropy weight of the sum of squares, the Cartan block of the
+    # metric on a Borel frame, negated: the curvature quadratic is then
+    # negative on fields whose bracket has a Cartan part
+    least = _fails_on_acceptance_frames("curvature-nonnegativity", "curvature",
+                                        negated_cartan_metric)
+    _report(6, f"negative control: the Cartan block of the metric negated fails "
+               f"curvature nonnegativity (least residual {least:.3g})")
+
+
+def test_criterion_6_negative_control_doubled_upper_plan():
+    # the tangent brackets with every plan_m entry with i < j doubled: [x, x]
+    # no longer vanishes
+    least = _fails_on_acceptance_frames("curvature-diagonal", "curvature", doubled_upper_plan_m)
+    _report(6, f"negative control: the plan_m entries with i < j doubled fail "
+               f"curvature-diagonal (least residual {least:.3g})")
+
+
+def test_criterion_6_negative_control_j_squared_plus_one(monkeypatch):
+    # J as a symmetric swap of each plane, J^2 = +I: still an isometry, but
+    # the chain's J-terms no longer reduce
+    monkeypatch.setattr(compact_geom, "_apply_j", without_sign(compact_geom._apply_j))
+    least = _fails_on_acceptance_frames("hessian-chain", "ceh-chain", lambda frame: frame)
+    _report(6, f"negative control: J without its sign (J^2 = +I) fails hessian-chain "
+               f"(least residual {least:.3g})")
+
+
+def test_criterion_6_negative_control_twomel_wrong_inputs():
+    # one wrong pair table per twomel check on C3 and C4, where some |c| is
+    # 1/sqrt 2: the constants doubled, the quarter turn without its 1/|c|
+    # scale, and the quarter turn negated
+    worst = {}
+    for family, rank in (("C", 3), ("C", 4)):
+        frame = frame_for(family, rank)
+        for name in TWOMEL_CHECKS:
+            report = identity_suite(twomel_control(frame, name), "twomel", trials=200, seed=42)
+            check = {c.name: c for c in report.checks}[name]
+            assert check.trials > 0 and check.max_residual > check.tolerance, (family, rank, check)
+            worst[family, rank, name] = check.max_residual
+    _report(6, f"negative control: one wrong pair table per twomel check fails it on C3 "
+               f"and C4 (least residual {min(worst.values()):.3g})")
 
 
 # -- criterion 7 ---------------------------------------------------------------

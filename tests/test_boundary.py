@@ -248,6 +248,11 @@ TAKES_A_FIELD = {
     "q_form (y0)": ("y0", _frame, lambda f, x: q_form(f, GDOT, ONES, x, 0.5)),
     "k_search (x0)": ("x0", _frame, lambda f, x: k_search(f, GDOT, [(ONES, ONES), (x, ONES)])),
     "k_search (y0)": ("y0", _frame, lambda f, x: k_search(f, GDOT, [(ONES, ONES), (ONES, x)])),
+    # k_search checks the stacked fields once: ragged configurations (as in
+    # the two rows above, and with the wrong field first), or fields that
+    # stack to the wrong shape, fall back to the per-configuration checks
+    "k_search (ragged)": ("x0", _frame, lambda f, x: k_search(f, GDOT, [(x, ONES), (ONES, ONES)])),
+    "k_search (every x0)": ("x0", _frame, lambda f, x: k_search(f, GDOT, [(x, ONES), (x, ONES)])),
     "adjoint_perturb": ("gamma_coeffs", _painted_frame,
                         lambda f, x: adjoint_perturb(f, x, RootVector((0, 0, 2)))),
     # fields or batches of them, with any leading shape

@@ -175,20 +175,35 @@ MUTANTS = (
            'sp.require_tangent(self.support, "support roots outside the tangent positives: {}")',
            "pass", COMB_TESTS),
     # the stacked pair-space table and the twomel checks on it: each space's
-    # sums read from its last pair on (the isometry is a difference of sums,
-    # so only the pair bound's norms can see it), the quarter turn scaled by
-    # the signed constant (still an isometric involution: only the sign of
-    # the pairing shows it), and delta's X and Y outputs swapped in the plane
-    # plan
-    Mutant("pair-space-sums-shifted-starts", "src/flagmorse/compact_geom.py",
-           "np.einsum(\"rpi,rpi->rp\", x, x), table.starts[:-1], axis=1)",
-           "np.einsum(\"rpi,rpi->rp\", x, x), table.starts[1:] - 1, axis=1)", GEOM_TESTS),
+    # least constant n0 read from its last pair on (only the pair bound reads
+    # n0), the quarter turn scaled by the signed constant (still an isometric
+    # involution: only the sign of the pairing shows it), delta's X and Y
+    # outputs swapped in the plane plan, the double bracket read at (1, 0)
+    # and (0, 1) only (blind to the cross term bx by + by bx), and the pair
+    # bound reading the smallest eigenvalue of each pair's form in place of
+    # the largest (the same on a pair form that is a multiple of the
+    # identity, as every correct one is)
+    Mutant("pair-space-n0-shifted-starts", "src/flagmorse/compact_geom.py",
+           "n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[:-1])[usable]",
+           "n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[1:] - 1)[usable]",
+           GEOM_TESTS),
     Mutant("quarter-turn-scaled-by-signed-consts", "src/flagmorse/compact_geom.py",
            "scale = np.hypot(a, b) * np.abs(table.consts[rows])[:, None, None]",
            "scale = np.hypot(a, b) * table.consts[rows][:, None, None]", GEOM_TESTS),
     Mutant("pair-plane-x-and-y-swapped", "src/flagmorse/compact_geom.py",
            "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + k[keep],",
            "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + 1 - k[keep],", GEOM_TESTS),
+    Mutant("double-bracket-two-angles", "src/flagmorse/compact_geom.py",
+           "a, b = _ANGLES.T[:, :, None, None, None]",
+           "a, b = _ANGLES[:2].T[:, :, None, None, None]", GEOM_TESTS),
+    Mutant("pair-bound-lambda-min", "src/flagmorse/compact_geom.py",
+           "top = np.linalg.eigvalsh(0.5 * (forms + forms.swapaxes(2, 3)))[..., -1]",
+           "top = np.linalg.eigvalsh(0.5 * (forms + forms.swapaxes(2, 3)))[..., 0]", GEOM_TESTS),
+    # the isotropy weight of the curvature sum of squares negated in the one
+    # helper that curvature_quadratic and curvature-nonnegativity read
+    Mutant("curvature-k-weight-sign-flipped", "src/flagmorse/compact_geom.py",
+           "return 0.25 * 2.0, frame.metric[: frame.m_start, : frame.m_start]",
+           "return 0.25 * 2.0, -frame.metric[: frame.m_start, : frame.m_start]", GEOM_TESTS),
     # the plane blocks the exhaustive identity checks read: J left off the
     # output axis of one term of integrability, the r-operator form reading
     # [x, y] from its own block instead of [y, x] from the partner block, and
