@@ -14,8 +14,9 @@ frame, so transport is a single matrix exponential and all the pointwise
 identities become finite-dimensional residual checks.  Each frame also builds,
 once and on first use, one table of the pair spaces S0(delta) of the
 tangent-positive roots, stacked over all pairs in delta order (``PairTable``):
-each space is a slice of it, and one plan brackets all pair coordinates onto
-all tangent delta planes.  The quarter-turn map reads a slice instead of full
+each space is a slice of it, and each pair holds four 4x4 blocks read off the
+plan by key, ad(X_delta), ad(Y_delta) and the X_delta and Y_delta parts of
+the pair's own brackets.  The quarter-turn map reads a slice instead of full
 adjoint matrices; the twomel checks decide their identities on every pair's
 4x4 blocks at once: the block identities at three angles (a, b), the pair
 bound as the largest eigenvalue of one form per pair, at one drawn (a, b)
@@ -147,6 +148,16 @@ def _ad(plan: BracketPlan, w: np.ndarray) -> np.ndarray:
     return flat.reshape(plan.n_out, plan.n_in)
 
 
+def _entries(plan: BracketPlan, i, j, k) -> np.ndarray:
+    """The coefficient of e_k in [e_i, e_j] at index arrays that broadcast,
+    0.0 where the plan has no entry: one search among the plan's (k, i, j)
+    keys, which its sort leaves increasing."""
+    keys = (plan.k * plan.n_in + plan.i) * plan.n_in + plan.j
+    want = (k * plan.n_in + i) * plan.n_in + j
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[at] == want, plan.c[at], 0.0)
+
+
 class PairTable(NamedTuple):
     """The pair spaces S0(delta) of the tangent-positive roots, stacked.
 
@@ -156,11 +167,11 @@ class PairTable(NamedTuple):
     ``starts[g]:starts[g + 1]`` (``starts`` ends with the pair count), and
     ``tangent[g]`` says whether all their roots lie in the tangent block.
     Per pair: ``consts`` c_{alpha,beta}, ``slots`` the full-frame X_alpha,
-    Y_alpha, X_beta, Y_beta, and ``bx``, ``by`` ad(X_delta) and ad(Y_delta) on
-    those four, so ad(a X_delta + b Y_delta) there is ``a * bx + b * by``.
-    ``plane`` brackets the pair coordinates (pair p's at 4p to 4p + 3) onto
-    the tangent spaces' planes (space g's X_delta, Y_delta at 2g, 2g + 1): a
-    space's entries are the run with ``k // 2 == g``, none if not tangent.
+    Y_alpha, X_beta, Y_beta, and four 4x4 blocks on those four: ``bx``, ``by``
+    ad(X_delta) and ad(Y_delta), so ad(a X_delta + b Y_delta) there is
+    ``a * bx + b * by``, and ``px``, ``py`` the X_delta and Y_delta
+    coefficients of the pair's own brackets, ``px[p, s, t]`` that of
+    [e_slots[p, s], e_slots[p, t]].  ``consts`` is ``px[:, 0, 2]``.
     """
 
     deltas: np.ndarray
@@ -171,7 +182,8 @@ class PairTable(NamedTuple):
     slots: np.ndarray
     bx: np.ndarray
     by: np.ndarray
-    plane: BracketPlan
+    px: np.ndarray
+    py: np.ndarray
 
 
 class PlaneBlocks(NamedTuple):
@@ -412,17 +424,16 @@ def build_frame(split: ParabolicSplit) -> RealFormFrame:
 
 def _pair_table(frame: RealFormFrame) -> PairTable:
     """Every positive pair summing to a tangent-positive root, grouped by that
-    root, in one pass over the root index and two over the plan.
+    root, in one pass over the root index, and its four blocks read off the
+    plan by key.
 
-    Bracketing with delta's plane sends the plane of a pair root alpha to the
-    planes of delta - alpha, its partner, and of delta + alpha, which is in no
-    pair of delta; two pair roots bracket onto delta's plane only when they
-    sum to delta.  So a plan entry whose third slot is in delta's plane and
-    whose other two are pair coordinates of delta stays within one pair: the
-    blocks keep those with delta's plane as input, the plane plan those with
-    it as output.
+    ad(X_delta) sends the plane of a pair root alpha only to the planes of its
+    partner delta - alpha and of delta + alpha, which is in no pair of delta,
+    and two pair roots bracket onto delta's plane only when they sum to
+    delta.  So the blocks on each pair's own slots hold every entry that
+    pairs delta's plane with pair coordinates of delta.
     """
-    sys, part, plan = frame.sys, frame.split.part, frame.plan
+    sys, part = frame.sys, frame.split.part
     pos = np.flatnonzero(sys.heights > 0)
     s = sys.sums[np.ix_(pos, pos)]
     hit = np.triu(s >= 0, 1)  # ids follow the root order, so alpha < beta
@@ -436,40 +447,18 @@ def _pair_table(frame: RealFormFrame) -> PairTable:
     new = np.ones(d.size, dtype=bool)
     new[1:] = d[1:] != d[:-1]
     starts = np.flatnonzero(new)
-    deltas = d[starts]
-    # by delta row and full-frame slot: 4 * pair + offset, over all pairs
-    at = np.full((deltas.size, frame.dim), -1)
-    at[np.cumsum(new)[:, None] - 1, slots] = np.arange(slots.size).reshape(slots.shape)
-    row = np.full(frame.dim, -1)
-    row[x_slot[deltas]] = row[x_slot[deltas] + 1] = np.arange(deltas.size)
-
-    def entries(third, first_in, second_in):
-        """Plan entries whose ``third`` slot is in a delta plane and whose other
-        two are pair coordinates of that delta: (entry, row, the two positions)."""
-        r = row[third]
-        n = np.flatnonzero(r >= 0)
-        r = r[n]
-        u, v = at[r, first_in[n]], at[r, second_in[n]]
-        keep = (u >= 0) & (v >= 0)
-        return n[keep], r[keep], u[keep], v[keep]
-
-    n, r, j, k = entries(plan.i, plan.j, plan.k)
-    blocks = np.zeros((2, d.size, 4, 4))
-    blocks[plan.i[n] - x_slot[deltas[r]], j // 4, k % 4, j % 4] = plan.c[n]
-
-    n, r, i, j = entries(plan.k, plan.i, plan.j)
-    k = plan.k[n] - x_slot[deltas[r]]
-    # c_{alpha,beta} is the X_delta coefficient of [X_alpha, X_beta]
-    consts = np.zeros(d.size)
-    own = (k == 0) & (i % 4 == 0) & (j == i + 2)
-    consts[i[own] // 4] = plan.c[n[own]]
+    # bx, by: [delta's X or Y, slot t] on slot s; px, py: [slot s, slot t] on
+    # delta's X or Y
+    role = np.arange(4)[:, None, None, None]
+    plane = x_slot[d][:, None, None] + role % 2
+    s_slot, t_slot = slots[:, :, None], slots[:, None, :]
+    blocks = _entries(frame.plan, np.where(role < 2, plane, s_slot), t_slot,
+                      np.where(role < 2, s_slot, plane))
+    blocks.flags.writeable = False  # before its views are taken
     tangent = np.logical_and.reduceat((part[a] == 1) & (part[b] == 1), starts)
-    keep = tangent[r]
-    plane = _make_plan(i[keep], j[keep], 2 * r[keep] + k[keep], plan.c[n[keep]],
-                       slots.size, 2 * deltas.size)
-    blocks.flags.writeable = False  # before its views bx and by are taken
-    table = PairTable(deltas, np.append(starts, d.size), tangent, np.stack([a, b], axis=1),
-                      consts, slots, *blocks, plane)
+    # c_{alpha,beta} is the X_delta coefficient of [X_alpha, X_beta]
+    table = PairTable(d[starts], np.append(starts, d.size), tangent, np.stack([a, b], axis=1),
+                      blocks[2, :, 0, 2], slots, *blocks)
     for shared in table[:6]:  # every caller reads these, or views of them
         shared.flags.writeable = False
     return table
@@ -1158,14 +1147,13 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     every x, at one drawn (a, b) per tangent pair space.
 
     Two pair roots bracket onto delta's plane only when they sum to delta, so
-    each entry of the table's plane plan stays inside one pair: (4p + s,
-    4p + t -> 2g + u).  The pairing of [Ix, x] with the twist a X_delta +
-    b Y_delta through the tangent metric, 2 * identity, is then
-    val = sum_p x_p^T I_p^T C_p x_p with C_p[s, t] = sum_u c 2 ab_u, and that
-    of [JIx, Jx] is val_j, the same with J I_p and J x_p.  The bound
-    val <= -n0 |ab| |x|^2 (norms in the tangent metric) holds for every x
-    exactly when lambda_max(sym(I_p^T C_p)) + 2 n0 |ab| <= 0 on every pair,
-    and so does the twisted one, val - val_j <= -2 n0 |ab| |x|^2."""
+    the pairing of [Ix, x] with the twist a X_delta + b Y_delta through the
+    tangent metric, 2 * identity, is val = sum_p x_p^T I_p^T C_p x_p with
+    C_p = 2a px_p + 2b py_p, and that of [JIx, Jx] is val_j, the same with
+    J I_p and J x_p.  The bound val <= -n0 |ab| |x|^2 (norms in the tangent
+    metric) holds for every x exactly when lambda_max(sym(I_p^T C_p)) +
+    2 n0 |ab| <= 0 on every pair, and so does the twisted one, val - val_j <=
+    -2 n0 |ab| |x|^2."""
     table = frame.pair_table
     usable = np.flatnonzero(table.tangent)
     if not usable.size:
@@ -1174,16 +1162,9 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     ab[~ab.any(axis=1), 0] = 1.0
     per_space = np.diff(table.starts)[usable]
     rows = _tangent_rows(table)
-    i_blk = _quarter_blocks(table, rows, *np.repeat(ab, per_space, axis=0).T)
-    # by space row of the table: the twist through the tangent metric
-    twist = np.zeros((table.deltas.size, 2))
-    twist[usable] = 2.0 * ab
-    plane = table.plane
-    c = np.zeros((table.consts.size, 4, 4))
-    for u in (0, 1):  # one scatter per output: each (pair, s, t) once in it
-        e = plane.k % 2 == u
-        c[plane.i[e] // 4, plane.i[e] % 4, plane.j[e] % 4] += plane.c[e] * twist[plane.k[e] // 2, u]
-    c = c[rows]
+    a, b = np.repeat(ab, per_space, axis=0).T[:, :, None, None]
+    i_blk = _quarter_blocks(table, rows, a, b)
+    c = 2.0 * a * table.px[rows] + 2.0 * b * table.py[rows]
     jcj = _apply_j(_apply_j(c.swapaxes(1, 2)).swapaxes(1, 2))  # J^T C J
     forms = i_blk.swapaxes(1, 2) @ np.stack([c, c - jcj])
     top = np.linalg.eigvalsh(0.5 * (forms + forms.swapaxes(2, 3)))[..., -1]

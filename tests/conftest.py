@@ -116,3 +116,24 @@ def twomel_control(frame, name):
     """A copy of the frame with the wrong pair table of the twomel check
     ``name``."""
     return with_pair_table(frame, **TWOMEL_CONTROLS[name](frame.pair_table))
+
+
+def _x_alpha_dropped(table):
+    """``px`` and ``py`` with each pair's row of X_alpha as the first
+    argument zeroed."""
+    fields = {name: getattr(table, name).copy() for name in ("px", "py")}
+    for block in fields.values():
+        block[:, 0] = 0.0
+    return fields
+
+
+# defects that only part of an exhaustive twomel form can see, fixed before
+# they were run: the twist's Y block read as its X block, which every block
+# identity survives at (a, b) = (1, 0) and (0, 1) and fails at (1, 1); and
+# each pair's brackets of X_alpha onto delta's plane dropped, which leaves
+# each pair's form of the pair bound indefinite, so that its largest
+# eigenvalue exceeds the bound and its smallest stays below it
+PARTIAL_TWOMEL_CONTROLS = {
+    "Y block read as X": lambda table: {"by": table.bx},
+    "X_alpha brackets dropped": _x_alpha_dropped,
+}

@@ -46,8 +46,9 @@ from flagmorse.rootsys import (
     w_set,
 )
 
-from conftest import (ALL_SYSTEMS, END_NODE_FRAMES, doubled_upper_plan_m, fresh_frame,
-                      negated_cartan_metric, reversed_on_theta, twomel_control, without_sign)
+from conftest import (ALL_SYSTEMS, END_NODE_FRAMES, PARTIAL_TWOMEL_CONTROLS,
+                      doubled_upper_plan_m, fresh_frame, negated_cartan_metric, reversed_on_theta,
+                      twomel_control, with_pair_table, without_sign)
 
 
 def _report(number, text):
@@ -539,6 +540,31 @@ def test_criterion_6_negative_control_twomel_wrong_inputs():
             worst[family, rank, name] = check.max_residual
     _report(6, f"negative control: one wrong pair table per twomel check fails it on C3 "
                f"and C4 (least residual {min(worst.values()):.3g})")
+
+
+def test_criterion_6_negative_control_twomel_partial_defects():
+    # defects that only part of a twomel form can see, on fresh C3 and C4
+    # Borel frames: the twist's Y block read as its X block, seen only at
+    # (a, b) = (1, 1), must fail double-bracket and quarter-turn; each pair's
+    # X_alpha brackets onto delta dropped, which leaves every pair form
+    # indefinite, must fail pair-bound
+    worst = {}
+    for family, rank in (("C", 3), ("C", 4)):
+        frame = fresh_frame(family, rank)
+        for control, names in (("Y block read as X", ("double-bracket", "quarter-turn")),
+                               ("X_alpha brackets dropped", ("pair-bound",))):
+            wrong = with_pair_table(frame, **PARTIAL_TWOMEL_CONTROLS[control](frame.pair_table))
+            checks = {c.name: c for c in identity_suite(wrong, "twomel", trials=200,
+                                                        seed=42).checks}
+            for name in names:
+                check = checks[name]
+                assert check.trials > 0 and check.max_residual > check.tolerance, (
+                    family, rank, control, check)
+                worst[family, rank, name] = check.max_residual
+    _report(6, f"negative control: the twist's Y block read as its X block fails "
+               f"double-bracket and quarter-turn, and each pair's X_alpha brackets onto "
+               f"delta dropped fail pair-bound, on C3 and C4 "
+               f"(least residual {min(worst.values()):.3g})")
 
 
 # -- criterion 7 ---------------------------------------------------------------

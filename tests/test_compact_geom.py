@@ -49,9 +49,9 @@ from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
 from flagmorse.rootsys import RootVector, build_root_system, inner, is_long
 
-from conftest import (ACCEPTANCE_FRAMES, ALL_SYSTEMS, END_NODE_FRAMES, SMALL_SYSTEMS,
-                      doubled_upper_plan_m, fresh_frame, negated_cartan_metric, reversed_on_theta,
-                      twomel_control, with_pair_table, without_sign)
+from conftest import (ACCEPTANCE_FRAMES, ALL_SYSTEMS, END_NODE_FRAMES, PARTIAL_TWOMEL_CONTROLS,
+                      SMALL_SYSTEMS, doubled_upper_plan_m, fresh_frame, negated_cartan_metric,
+                      reversed_on_theta, twomel_control, with_pair_table, without_sign)
 from test_rootsys import rv
 
 TOL = 1e-10
@@ -846,17 +846,18 @@ def test_classifier_rejects_keys_that_are_not_roots():
 
 
 def _table_spaces(frame):
-    """The frame's pair table by delta, in table order: per space its index
-    ``g``, its pairs as root pairs, its ``tangent`` flag, and its slices of
-    the per-pair arrays."""
+    """The frame's pair table by delta, in table order: per space its pairs
+    as root pairs, its ``tangent`` flag, and its slices of the per-pair
+    arrays."""
     table, roots = frame.pair_table, frame.sys.roots
     out = {}
     for g, d in enumerate(table.deltas.tolist()):
         rows = slice(table.starts[g], table.starts[g + 1])
         pairs = tuple((roots[a], roots[b]) for a, b in table.pairs[rows].tolist())
         out[roots[d]] = SimpleNamespace(
-            g=g, start=rows.start, pairs=pairs, tangent=bool(table.tangent[g]),
-            **{name: getattr(table, name)[rows] for name in ("consts", "slots", "bx", "by")})
+            pairs=pairs, tangent=bool(table.tangent[g]),
+            **{name: getattr(table, name)[rows]
+               for name in ("consts", "slots", "bx", "by", "px", "py")})
     return out
 
 
@@ -1462,11 +1463,9 @@ def test_pair_space_table_matches_reference(family, rank, painted):
     reference = _reference_pair_sets(frame)
     spaces = _table_spaces(frame)
     assert list(spaces) == list(reference)
-    # one plan onto every tangent delta plane: pair p's coordinates in at 4p
-    # to 4p + 3, space g's plane out at 2g and 2g + 1
     table = frame.pair_table
-    plane = table.plane
-    assert (plane.n_in, plane.n_out) == (4 * table.consts.size, 2 * table.deltas.size)
+    assert all(getattr(table, name).shape == (table.consts.size, 4, 4)
+               for name in ("bx", "by", "px", "py"))
     m_pos = frame.split.delta_m_pos
     a, b = 0.6, -1.7
     tangent = subsets = 0
@@ -1478,21 +1477,16 @@ def test_pair_space_table_matches_reference(family, rank, painted):
         assert np.array_equal(space.bx, _reference_blocks(frame, delta, pairs, 1.0, 0.0))
         assert np.array_equal(space.by, _reference_blocks(frame, delta, pairs, 0.0, 1.0))
         assert space.tangent == all(r in m_pos for pair in pairs for r in pair)
-        # delta's entries of the combined plan, shifted back to its own pairs
-        # and plane: (i, j, k, c)
-        own = plane.k // 2 == space.g
-        entries = (plane.i[own] - 4 * space.start, plane.j[own] - 4 * space.start,
-                   plane.k[own] - 2 * space.g, plane.c[own])
+        # px and py on every space, tangent or mixed: delta's plane
+        # coordinates of the bracket of each pair's basis vectors
+        basis = np.eye(frame.dim)[space.slots]
+        own = frame.bracket_full(basis[:, :, None], basis[:, None, :])[..., list(frame.slot(delta))]
+        assert own.any()
+        assert np.array_equal(space.px, own[..., 0]) and np.array_equal(space.py, own[..., 1])
         if space.tangent:
             tangent += 1
-            want = _sorted_sub_plan(frame.plan, s0_embedding(frame, pairs),
-                                    np.array(frame.slot(delta)))
-            assert want.c.size > 0
-            assert all(np.array_equal(got, ref) for got, ref in zip(entries, want))
             assert np.array_equal(map_I(frame, delta, a, b, pairs),
                                   _reference_map_i(frame, delta, a, b, pairs))
-        else:
-            assert not own.any()
         # the S-set pairs: every pair of tangent roots, all of them or a subset
         s_set = st_sets(frame.split, GammaSet.singleton(delta), delta).s_set
         s_pairs = {frozenset((x, delta - x)) for x in s_set}
@@ -1644,12 +1638,7 @@ def test_twomel_checks_fail_on_wrong_inputs(family, rank, check):
         assert failed, (run.__module__, result)
 
 
-# defects that only part of an exhaustive twomel form can see: the twist's Y
-# block read as its X block, which every block identity survives at (a, b) =
-# (1, 0) and (0, 1) and fails at (1, 1); and the plane brackets of X_alpha
-# dropped (each pair's first coordinate as the first argument), which leaves
-# each pair's form of the pair bound indefinite, so that its largest
-# eigenvalue exceeds the bound and its smallest stays below it
+# each check with the one of conftest's PARTIAL_TWOMEL_CONTROLS it must fail
 PARTIAL_CONTROLS = [("_check_double_bracket", "Y block read as X"),
                     ("_check_quarter_turn", "Y block read as X"),
                     ("_check_pair_bounds", "X_alpha brackets dropped")]
@@ -1660,13 +1649,7 @@ PARTIAL_CONTROLS = [("_check_double_bracket", "Y block read as X"),
 @pytest.mark.parametrize("family,rank", [("C", 3), ("C", 4)])
 def test_twomel_checks_see_defects_on_part_of_the_form(family, rank, check, control):
     frame = frame_for(family, rank)
-    table = frame.pair_table
-    if control == "Y block read as X":
-        wrong = with_pair_table(frame, by=table.bx)
-    else:
-        plane = table.plane
-        wrong = with_pair_table(frame, plane=plane._replace(c=np.where(plane.i % 4 == 0, 0.0,
-                                                                        plane.c)))
+    wrong = with_pair_table(frame, **PARTIAL_TWOMEL_CONTROLS[control](frame.pair_table))
     for run in (getattr(compact_geom, check), globals()[check]):
         result = run(wrong, np.random.default_rng(3), 200)
         failed = result.trials > 0 and result.max_residual > result.tolerance
@@ -1873,16 +1856,19 @@ def _check_pair_bounds(frame, rng, trials) -> CheckResult:
     """Lower bound of the bracket pairing on pair spaces, slice level.
 
     The metric pairing with the twist direction reads only the bracket onto
-    delta's plane, so both brackets, [Ix, x] and [JIx, Jx], of every space
-    come from one contraction through the table's plane plan."""
+    delta's plane, so both brackets, [Ix, x] and [JIx, Jx], of every pair
+    come from one contraction with the table's px and py, added over each
+    space's pairs."""
     draws = _quarter_turn_draws(frame, rng, trials)
     if draws is None:
         return CheckResult("pair-bound", "no usable pair sets", 0, 0.0, 1e-8)
     usable, _, ab, i_blk, x = draws
     table, per = frame.pair_table, x.shape[0]
     ix = _per_pair(i_blk, x)
-    ins = np.stack([ix, compact_geom._apply_j(ix), x, compact_geom._apply_j(x)]).reshape(4, per, -1)
-    br = compact_geom._contract(table.plane, ins[:2], ins[2:]).reshape(2, per, -1, 2)[:, :, usable]
+    ins = np.stack([ix, compact_geom._apply_j(ix), x, compact_geom._apply_j(x)])
+    per_pair = np.einsum("nrps,nrpt,kpst->nrpk", ins[:2], ins[2:], np.stack([table.px, table.py]),
+                         optimize=True)
+    br = np.add.reduceat(per_pair, table.starts[:-1], axis=2)[:, :, usable]
     # pairs with a*X_delta + b*Y_delta through the tangent metric, 2 * identity
     val, val_j = np.einsum("nrsk,sk->nrs", br, 2.0 * ab)
     n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[:-1])[usable]

@@ -178,11 +178,13 @@ MUTANTS = (
     # least constant n0 read from its last pair on (only the pair bound reads
     # n0), the quarter turn scaled by the signed constant (still an isometric
     # involution: only the sign of the pairing shows it), delta's X and Y
-    # outputs swapped in the plane plan, the double bracket read at (1, 0)
-    # and (0, 1) only (blind to the cross term bx by + by bx), and the pair
-    # bound reading the smallest eigenvalue of each pair's form in place of
-    # the largest (the same on a pair form that is a multiple of the
-    # identity, as every correct one is)
+    # outputs swapped in the pair bound's form (px and py exchanged there;
+    # at the table build it would move consts too), the table's lookup
+    # taking the nearest key's constant whether or not the key matches, the
+    # double bracket read at (1, 0) and (0, 1) only (blind to the cross term
+    # bx by + by bx), and the pair bound reading the smallest eigenvalue of
+    # each pair's form in place of the largest (the same on a pair form that
+    # is a multiple of the identity, as every correct one is)
     Mutant("pair-space-n0-shifted-starts", "src/flagmorse/compact_geom.py",
            "n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[:-1])[usable]",
            "n0 = np.minimum.reduceat(np.abs(table.consts), table.starts[1:] - 1)[usable]",
@@ -191,8 +193,11 @@ MUTANTS = (
            "scale = np.hypot(a, b) * np.abs(table.consts[rows])[:, None, None]",
            "scale = np.hypot(a, b) * table.consts[rows][:, None, None]", GEOM_TESTS),
     Mutant("pair-plane-x-and-y-swapped", "src/flagmorse/compact_geom.py",
-           "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + k[keep],",
-           "plane = _make_plan(i[keep], j[keep], 2 * r[keep] + 1 - k[keep],", GEOM_TESTS),
+           "c = 2.0 * a * table.px[rows] + 2.0 * b * table.py[rows]",
+           "c = 2.0 * a * table.py[rows] + 2.0 * b * table.px[rows]", GEOM_TESTS),
+    Mutant("pair-entries-without-key-match", "src/flagmorse/compact_geom.py",
+           "return np.where(keys[at] == want, plan.c[at], 0.0)", "return plan.c[at]",
+           GEOM_TESTS),
     Mutant("double-bracket-two-angles", "src/flagmorse/compact_geom.py",
            "a, b = _ANGLES.T[:, :, None, None, None]",
            "a, b = _ANGLES[:2].T[:, :, None, None, None]", GEOM_TESTS),
