@@ -27,13 +27,13 @@ multiplies of those blocks, and seven identity checks are decided that way.
 The curvature quadratic is a sum of squares of brackets, and its check reads
 the weights.  Only isotropy-pairing and hessian-chain draw random fields.
 The averaged Hessian, the tangent norm and the twist pairing are forms in the
-initial fields: each averaged matrix int_0^1 exp(tA)^T M exp(tA) dt is read
-off one block exponential (Van Loan), exactly in t, so no time grid or node
-count is involved.  A velocity on one long root plane delta needs no
-exponential at all: for long delta, alpha - 2 delta is never a root when
-alpha - delta is one, so the transport generator A moves each plane it moves
-onto a plane it fixes, A^2 = 0 exactly, exp(tA) = I + tA, and every average
-is a closed form in A and M.
+initial fields, built once per velocity (``_Velocity``): each averaged matrix
+int_0^1 exp(tA)^T M exp(tA) dt is read off one block exponential (Van Loan),
+exactly in t, so no time grid or node count is involved.  A velocity on one
+long root plane delta needs no exponential at all: for long delta,
+alpha - 2 delta is never a root when alpha - delta is one, so the transport
+generator A moves each plane it moves onto a plane it fixes, A^2 = 0 exactly,
+exp(tA) = I + tA, and every average is a closed form in A and M.
 """
 
 from __future__ import annotations
@@ -538,14 +538,61 @@ def _apply_j(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Velocity:
+    """One velocity on one frame: its shape is checked and ad_m(gdot) scattered
+    once, for ``r`` and ``p`` both.  The transport generator ``r``, the
+    energy-Hessian integrand ``h``, the pairing matrix ``p`` and the average
+    ``h_bar`` along the transport exp(-t r / 2) are built on first read."""
+
+    def __init__(self, frame: RealFormFrame, gdot: np.ndarray):
+        _require_tangent(frame, velocity=gdot)
+        self.frame, self.gdot = frame, gdot
+        self.ad_m = _ad(frame.plan_m, gdot)  # X -> [gdot, X]_m
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        if not np.any(self.gdot):
+            raise DegenerateCoefficients("velocity must be nonzero")
+        a2 = _ad(self.frame.plan_m, _apply_j(self.gdot))
+        return self.ad_m + _apply_j(a2.T).T
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """x.h.x = |r x|^2 + |[x, gdot]_k|^2_g + |[Jx, gdot]_k|^2_g."""
+        frame, r = self.frame, self.r
+        ad_k = _ad(frame.plan_k, self.gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
+        kk = ad_k.T @ frame.metric[: frame.m_start, : frame.m_start] @ ad_k  # g on k
+        return r.T @ r + kk + _apply_j(_apply_j(kk.T).T)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """P(x, y) = <[y, x]_m - [Jy, Jx]_m, gdot> = x.p.y.  By ad-invariance
+        of the metric <[y, x]_m, gdot> = y.C.x with C = -2 ad_m(gdot), so no
+        bracket is evaluated."""
+        c = -2.0 * self.ad_m
+        return (c - _apply_j(_apply_j(c.T).T)).T
+
+    def _average(self, m: np.ndarray) -> np.ndarray:
+        return _averaged(-0.5 * self.r, m)
+
+    @cached_property
+    def h_bar(self) -> np.ndarray:
+        return self._average(self.h)
+
+    def quadrature(self, x0: np.ndarray, y0: np.ndarray):
+        """Averages of the transported fields x0, y0 (one row per
+        configuration): e = -int h(x_t) + h(y_t), a = int |x_t|^2 + |y_t|^2
+        (no constant: the transport is no isometry for a generic velocity) and
+        b = int P(x_t, y_t); the twisted form at rate k is e + 2 k^2 a + 2 k b."""
+        e = -(_form(x0, self.h_bar, x0) + _form(y0, self.h_bar, y0))
+        g_bar = self._average(2.0 * np.eye(self.frame.m_dim))  # the tangent metric
+        a = _form(x0, g_bar, x0) + _form(y0, g_bar, y0)
+        return e, a, _form(x0, self._average(self.p), y0)
+
+
 def r_operator(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
     """Matrix of X -> [gdot, X]_m + J [J gdot, X]_m on the tangent block."""
-    _require_tangent(frame, velocity=gdot)
-    if not np.any(gdot):
-        raise ValueError("velocity must be nonzero")
-    a1 = _ad(frame.plan_m, gdot)
-    a2 = _ad(frame.plan_m, _apply_j(gdot))
-    return a1 + _apply_j(a2.T).T
+    return _Velocity(frame, gdot).r
 
 
 def _square_zero(gen: np.ndarray) -> bool:
@@ -558,40 +605,16 @@ def _square_zero(gen: np.ndarray) -> bool:
 def hat_transport(frame: RealFormFrame, gdot: np.ndarray, t: float) -> np.ndarray:
     """Transport matrix exp(-t r / 2) at time t (identity at t = 0).
 
-    On a long root plane delta the generator squares to zero, and the
-    transport is I - t r / 2 exactly: r sends the plane of alpha only to
-    that of alpha - delta, and alpha - 2 delta is never a root when
-    alpha - delta is one (a delta-string through alpha != +-delta has length
-    at most 2 for long delta), so no plane is both moved and reached.
-    ``_square_zero`` tests this on the matrix itself; any other generator
-    (a short delta in B or C, a velocity off one root plane) takes scipy's
-    ``expm``.
+    On a long root plane the generator squares to zero (module docstring),
+    and the transport is I - t r / 2 exactly.  ``_square_zero`` tests this on
+    the matrix itself; any other generator (a short delta in B or C, a
+    velocity off one root plane) takes scipy's ``expm``.
     """
-    gen = -0.5 * t * r_operator(frame, gdot)
+    gen = -0.5 * t * _Velocity(frame, gdot).r
     if _square_zero(gen):
         return np.eye(frame.m_dim) + gen
     from scipy.linalg import expm  # here, so the exact commands never load scipy
     return expm(gen)
-
-
-def _pairing_matrix(frame: RealFormFrame, gdot: np.ndarray) -> np.ndarray:
-    """Matrix p of the bracket pairing, P(x, y) = <[y, x]_m - [Jy, Jx]_m, gdot>
-    = x.p.y.  By ad-invariance of the metric <[y, x]_m, gdot> = y.C.x with
-    C = -2 ad_m(gdot), so no bracket is evaluated."""
-    _require_tangent(frame, velocity=gdot)
-    c = -2.0 * _ad(frame.plan_m, gdot)
-    return (c - _apply_j(_apply_j(c.T).T)).T
-
-
-def _forms(frame: RealFormFrame, gdot: np.ndarray):
-    """Transport generator r and the energy-Hessian integrand h of one
-    velocity: x.h.x = |r x|^2 + |[x, gdot]_k|^2_g + |[Jx, gdot]_k|^2_g."""
-    r = r_operator(frame, gdot)
-    ad_k = _ad(frame.plan_k, gdot)  # X -> [gdot, X]_k ; [X, gdot]_k = -that
-    g_k = frame.metric[: frame.m_start, : frame.m_start]
-    kk = ad_k.T @ g_k @ ad_k
-    h = r.T @ r + kk + _apply_j(_apply_j(kk.T).T)
-    return r, h
 
 
 def _averaged(gen: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -621,24 +644,6 @@ def _form(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", x @ m, y)
 
 
-def _quadrature(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray, y0: np.ndarray):
-    """Averages over [0, 1] of the fields x0, y0 (one row per configuration)
-    transported by exp(-t r / 2): e = -int h(x_t) + h(y_t),
-    a = int |x_t|^2 + |y_t|^2 in the tangent metric, and b = int P(x_t, y_t).
-
-    Each is a form in the initial fields whose matrix ``_averaged`` integrates
-    exactly, so no time grid is involved.  The twisted form at rate k is
-    e + 2 k^2 a + 2 k b.  ``a`` stays an integral: for a generic velocity the
-    transport is not an isometry.
-    """
-    r, h = _forms(frame, gdot)
-    h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m)
-                           for m in (h, 2.0 * np.eye(frame.m_dim), _pairing_matrix(frame, gdot)))
-    e = -(_form(x0, h_bar, x0) + _form(y0, h_bar, y0))
-    a = _form(x0, g_bar, x0) + _form(y0, g_bar, y0)
-    return e, a, _form(x0, p_bar, y0)
-
-
 def _twisted(e, a, b, k: float):
     return e + 2.0 * k * k * a + 2.0 * k * b
 
@@ -651,11 +656,8 @@ def complex_hessian(frame: RealFormFrame, gdot: np.ndarray, x0: np.ndarray) -> f
 
 def complex_hessian_many(frame: RealFormFrame, gdot: np.ndarray,
                          x0_batch: np.ndarray) -> np.ndarray:
-    # the e part of _quadrature alone: one block exponential, not three, and
-    # none when r is exactly zero
     _require_tangent(frame, ndim=2, x0_batch=x0_batch)
-    r, h = _forms(frame, gdot)
-    return -_form(x0_batch, _averaged(-0.5 * r, h), x0_batch)
+    return -_form(x0_batch, _Velocity(frame, gdot).h_bar, x0_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -742,13 +744,13 @@ def p_pairing(
 ) -> float:
     """Slice value of the mixed bracket pairing against the velocity."""
     _require_tangent(frame, x=x, y=y)
-    return float(x @ _pairing_matrix(frame, gdot) @ y)
+    return float(x @ _Velocity(frame, gdot).p @ y)
 
 
 def p_bound(frame: RealFormFrame, gdot: np.ndarray) -> float:
     """Operator-norm bound N with |P(x, y)| <= N |x| |y|."""
     # metric is 2*identity on the block: normalized bound is ||p||_2 / 2
-    return float(np.linalg.norm(_pairing_matrix(frame, gdot), 2) / 2.0)
+    return float(np.linalg.norm(_Velocity(frame, gdot).p, 2) / 2.0)
 
 
 def q_form(
@@ -762,7 +764,7 @@ def q_form(
     configuration, as ``k_search`` takes them.  A pair-space twist w enters
     as (x0 + w, y0 + I w), with I from ``map_I``."""
     _require_tangent(frame, x0=x0, y0=y0)
-    e, a, b = _quadrature(frame, gdot, np.atleast_2d(x0), np.atleast_2d(y0))
+    e, a, b = _Velocity(frame, gdot).quadrature(np.atleast_2d(x0), np.atleast_2d(y0))
     return float(_twisted(e, a, b, k)[0])
 
 
@@ -795,7 +797,7 @@ def k_search(
         for x, y in configs:  # name the field at fault, as one configuration has it
             _require_tangent(frame, x0=x, y0=y)
         raise
-    e, a, b = _quadrature(frame, gdot, x0, y0)
+    e, a, b = _Velocity(frame, gdot).quadrature(x0, y0)
     k = 1.0
     for _ in range(60):
         qs = _twisted(e, a, b, k)
@@ -1314,13 +1316,13 @@ def identity_suite(
 
 def validate_frame(frame: RealFormFrame, trials: int = 2000, seed: int = 1) -> dict:
     """Numeric residuals for the structural frame invariants."""
+    if trials < 1 or seed < 0:
+        raise InvalidSampling(f"need trials >= 1 and seed >= 0, got {trials} and {seed}")
     rng = np.random.default_rng(seed)
     x, y, z = (rng.standard_normal((trials, frame.dim)) for _ in range(3))
     bxy = frame.bracket_full(x, y)
     byz = frame.bracket_full(y, z)
-    assoc = np.einsum("ni,ij,nj->n", x, frame.metric, byz) - np.einsum(
-        "ni,ij,nj->n", bxy, frame.metric, z
-    )
+    assoc = frame.inner(x, byz) - frame.inner(bxy, z)
     jac = (
         frame.bracket_full(x, byz)
         + frame.bracket_full(y, frame.bracket_full(z, x))

@@ -38,7 +38,7 @@ class NoTangentBlock(FlagmorseError, ValueError):
 
 
 class DegenerateCoefficients(FlagmorseError, ValueError):
-    """Both twisting coefficients vanish."""
+    """Both twisting coefficients vanish, or a velocity that must move is zero."""
 
 
 class UnknownSuite(FlagmorseError, ValueError):

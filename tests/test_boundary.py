@@ -4,7 +4,9 @@ another ambient dimension raises ``DimensionMismatch``, and the three
 predicates say False for both.  Exact elements of two systems never mix.
 Every public function that takes a velocity or a field raises
 ``DimensionMismatch`` for one that is not a vector (or, for a batch, rows) of
-the frame's tangent coordinates, naming the argument."""
+the frame's tangent coordinates, naming the argument; a zero velocity, where
+a transport is read, raises ``DegenerateCoefficients``.  A trial count below
+one or a negative seed raises ``InvalidSampling``."""
 
 import re
 
@@ -37,10 +39,13 @@ from flagmorse.compact_geom import (
     q_form,
     r_operator,
     tilde_vector,
+    validate_frame,
 )
 from flagmorse.errors import (
+    DegenerateCoefficients,
     DimensionMismatch,
     FlagmorseError,
+    InvalidSampling,
     NoTangentBlock,
     NotARoot,
     NotInK,
@@ -225,9 +230,21 @@ def test_a_velocity_must_be_one_tangent_vector(name):
         with pytest.raises(DimensionMismatch, match=re.escape(f"velocity has shape {shape}")):
             call(np.ones(shape))
     call(ONES)  # the right shape goes through
-    if name not in ("p_pairing", "p_bound"):  # these two read no transport
-        with pytest.raises(ValueError, match="velocity must be nonzero"):
+    if name in ("p_pairing", "p_bound"):  # these two read no transport
+        assert call(np.zeros(M_DIM)) == 0.0
+    else:
+        with pytest.raises(DegenerateCoefficients, match="^velocity must be nonzero$"):
             call(np.zeros(M_DIM))
+
+
+@pytest.mark.parametrize("trials,seed", [(0, 1), (-3, 1), (1, -1)])
+def test_validate_frame_needs_a_trial_and_a_seed(trials, seed):
+    # no trial read as all-zero residuals, a vacuous pass; a negative count
+    # reached numpy's bare "negative dimensions" error
+    message = f"need trials >= 1 and seed >= 0, got {trials} and {seed}"
+    with pytest.raises(InvalidSampling, match=f"^{re.escape(message)}$"):
+        validate_frame(_frame(), trials=trials, seed=seed)
+    assert max(validate_frame(_frame(), trials=1, seed=0).values()) < 1e-10
 
 
 def _painted_frame():

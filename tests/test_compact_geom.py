@@ -1191,11 +1191,11 @@ def test_zero_generator_forms_match_van_loan(family, rank, painted):
     assert not r.any()
     for t in (0.0, 0.37, 1.0):
         assert np.array_equal(hat_transport(frame, gdot, t), np.eye(frame.m_dim))
-    _, h = compact_geom._forms(frame, gdot)
+    velocity = compact_geom._Velocity(frame, gdot)
     gen = -0.5 * r
-    h_bar = _van_loan(gen, h)
+    h_bar = _van_loan(gen, velocity.h)
     g_bar = _van_loan(gen, 2.0 * np.eye(frame.m_dim))
-    p_bar = _van_loan(gen, compact_geom._pairing_matrix(frame, gdot))
+    p_bar = _van_loan(gen, velocity.p)
 
     def form(x, m, y):
         return np.einsum("ni,ij,nj->n", x, m, y)
@@ -1248,14 +1248,15 @@ def test_square_zero_closed_forms_match_expm_and_van_loan(family, rank, painted)
     longs = _long_roots_by_height(frame)
     for delta in dict.fromkeys((longs[0], longs[len(longs) // 2], longs[-1])):
         gdot = _plane_vector(frame, delta, 0.9, -0.5)
-        r, h = compact_geom._forms(frame, gdot)
+        velocity = compact_geom._Velocity(frame, gdot)
+        r = velocity.r
         for t in (0.37, 1.0):
             want = scipy_expm(-0.5 * t * r)
             _assert_relative(hat_transport(frame, gdot, t), want, np.abs(want))
         gen = -0.5 * r
-        for m in (h, 2.0 * np.eye(frame.m_dim), compact_geom._pairing_matrix(frame, gdot)):
+        for m in (velocity.h, 2.0 * np.eye(frame.m_dim), velocity.p):
             want = _van_loan(gen, m)
-            _assert_relative(compact_geom._averaged(gen, m), want, np.abs(want))
+            _assert_relative(velocity._average(m), want, np.abs(want))
 
 
 # -- slice pairing -----------------------------------------------------------------
@@ -1532,9 +1533,10 @@ def test_j_sign_and_swap_matches_dense_products(family, rank, painted):
         assert np.array_equal(r_operator(frame, gdot), r)
         ad_k = compact_geom._ad(frame.plan_k, gdot)
         kk = ad_k.T @ frame.metric[:frame.m_start, :frame.m_start] @ ad_k
-        assert np.array_equal(compact_geom._forms(frame, gdot)[1], r.T @ r + kk + j.T @ kk @ j)
+        velocity = compact_geom._Velocity(frame, gdot)
+        assert np.array_equal(velocity.h, r.T @ r + kk + j.T @ kk @ j)
         c = -2.0 * a1
-        assert np.array_equal(compact_geom._pairing_matrix(frame, gdot), (c - j.T @ c @ j).T)
+        assert np.array_equal(velocity.p, (c - j.T @ c @ j).T)
 
 
 def _reference_twomel_spaces(frame):
@@ -2163,3 +2165,151 @@ def test_curvature_quadratic_nonnegative(borel_frame, rng):
     x = frame.random_m(rng, 200)
     y = frame.random_m(rng, 200)
     assert np.all(curvature_quadratic(frame, x, y) >= 0.0)
+
+
+# -- one object per velocity against the per-call path --------------------------
+#
+# Each public velocity function once rebuilt what it read: the shape check and
+# ad_m(gdot) for r and again for p, and r, h and their averages per call.  The
+# bodies below are that per-call path, kept as the oracle of
+# ``compact_geom._Velocity``, which builds each of them once.
+
+
+def _per_call_r(frame, gdot):
+    compact_geom._require_tangent(frame, velocity=gdot)
+    if not np.any(gdot):
+        raise ValueError("velocity must be nonzero")
+    a1 = compact_geom._ad(frame.plan_m, gdot)
+    a2 = compact_geom._ad(frame.plan_m, compact_geom._apply_j(gdot))
+    return a1 + compact_geom._apply_j(a2.T).T
+
+
+def _per_call_transport(frame, gdot, t):
+    gen = -0.5 * t * _per_call_r(frame, gdot)
+    if compact_geom._square_zero(gen):
+        return np.eye(frame.m_dim) + gen
+    return scipy_expm(gen)
+
+
+def _per_call_pairing(frame, gdot):
+    compact_geom._require_tangent(frame, velocity=gdot)
+    c = -2.0 * compact_geom._ad(frame.plan_m, gdot)
+    return (c - compact_geom._apply_j(compact_geom._apply_j(c.T).T)).T
+
+
+def _per_call_forms(frame, gdot):
+    r = _per_call_r(frame, gdot)
+    ad_k = compact_geom._ad(frame.plan_k, gdot)
+    g_k = frame.metric[: frame.m_start, : frame.m_start]
+    kk = ad_k.T @ g_k @ ad_k
+    h = r.T @ r + kk + compact_geom._apply_j(compact_geom._apply_j(kk.T).T)
+    return r, h
+
+
+def _per_call_quadrature(frame, gdot, x0, y0):
+    form = compact_geom._form
+    r, h = _per_call_forms(frame, gdot)
+    h_bar, g_bar, p_bar = (compact_geom._averaged(-0.5 * r, m)
+                           for m in (h, 2.0 * np.eye(frame.m_dim), _per_call_pairing(frame, gdot)))
+    e = -(form(x0, h_bar, x0) + form(y0, h_bar, y0))
+    a = form(x0, g_bar, x0) + form(y0, g_bar, y0)
+    return e, a, form(x0, p_bar, y0)
+
+
+def _per_call_hessian_many(frame, gdot, x0_batch):
+    r, h = _per_call_forms(frame, gdot)
+    return -compact_geom._form(x0_batch, compact_geom._averaged(-0.5 * r, h), x0_batch)
+
+
+def _per_call_k_search(frame, gdot, x0, y0):
+    """(k, margin, q_values) of the first dyadic rate that makes every form
+    negative, or None where there is none."""
+    e, a, b = _per_call_quadrature(frame, gdot, x0, y0)
+    k = 1.0
+    for _ in range(60):
+        qs = compact_geom._twisted(e, a, b, k)
+        value = float(np.max(qs))
+        if value < 0:
+            return k, -value, tuple(qs)
+        k /= 2.0
+    return None
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _assert_velocity_functions_match_per_call_path(frame, gdot, rng):
+    x, y = frame.random_m(rng, 4), frame.random_m(rng, 4)
+    pairs = [
+        ("r_operator", r_operator(frame, gdot), _per_call_r(frame, gdot)),
+        *((f"hat_transport t={t}", hat_transport(frame, gdot, t),
+           _per_call_transport(frame, gdot, t)) for t in (0.0, 0.37, 1.0)),
+        ("complex_hessian_many", complex_hessian_many(frame, gdot, x),
+         _per_call_hessian_many(frame, gdot, x)),
+        ("complex_hessian", complex_hessian(frame, gdot, x[0]),
+         float(_per_call_hessian_many(frame, gdot, x[:1])[0])),
+        ("q_form", q_form(frame, gdot, x[0], y[0], 0.3),
+         float(compact_geom._twisted(*_per_call_quadrature(frame, gdot, x[:1], y[:1]), 0.3)[0])),
+        ("p_pairing", p_pairing(frame, x[0], y[0], gdot),
+         float(x[0] @ _per_call_pairing(frame, gdot) @ y[0])),
+        ("p_bound", p_bound(frame, gdot),
+         float(np.linalg.norm(_per_call_pairing(frame, gdot), 2) / 2.0)),
+    ]
+    for name, got, want in pairs:
+        assert _same_bytes(got, want), name
+    want = _per_call_k_search(frame, gdot, x, y)
+    if want is None:
+        with pytest.raises(RuntimeError, match="no negative twisting rate"):
+            k_search(frame, gdot, list(zip(x, y)))
+    else:
+        got = k_search(frame, gdot, list(zip(x, y)))
+        assert _same_bytes(got.k, want[0]) and _same_bytes(got.margin, want[1])
+        assert _same_bytes(got.q_values, want[2])
+
+
+@pytest.mark.parametrize("family,rank,painted", END_NODE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in END_NODE_FRAMES])
+def test_velocity_functions_match_the_per_call_path_on_root_planes(family, rank, painted):
+    # the lowest and the highest long root's plane (r = 0 on many of the
+    # latter), and the lowest short root's plane where the frame has one,
+    # whose generator takes the exponential
+    frame = frame_for(family, rank, painted)
+    longs = _long_roots_by_height(frame)
+    shorts = [r for r in frame.m_pos if not is_long(frame.sys, r)]
+    rng = np.random.default_rng(29)
+    for delta in dict.fromkeys((longs[0], longs[-1], *shorts[:1])):
+        _assert_velocity_functions_match_per_call_path(
+            frame, _plane_vector(frame, delta, 0.8, -0.6), rng)
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_velocity_functions_match_the_per_call_path_off_root_planes(family, rank, painted):
+    frame = frame_for(family, rank, painted)
+    rng = np.random.default_rng(31)
+    _assert_velocity_functions_match_per_call_path(frame, _unit(frame, frame.random_m(rng)), rng)
+
+
+def test_each_velocity_function_scatters_each_adjoint_once(monkeypatch):
+    # ad_m(gdot) is shared by r and p, ad_m(J gdot) is read by r alone and
+    # ad_k(gdot) by h alone; the per-call path scattered ad_m(gdot) twice in
+    # k_search, once for r and once for p
+    frame = frame_for("D", 4)
+    rng = np.random.default_rng(7)
+    gdot = _unit(frame, frame.random_m(rng))
+    x, y = frame.random_m(rng, 3), frame.random_m(rng, 3)
+    plans = []
+    ad = compact_geom._ad
+    monkeypatch.setattr(compact_geom, "_ad", lambda plan, w: plans.append(plan) or ad(plan, w))
+    for call, m_scatters, k_scatters in (
+            (lambda: k_search(frame, gdot, list(zip(x, y))), 2, 1),
+            (lambda: complex_hessian_many(frame, gdot, x), 2, 1),
+            (lambda: hat_transport(frame, gdot, 0.37), 2, 0),
+            (lambda: p_bound(frame, gdot), 1, 0)):
+        plans.clear()
+        call()
+        assert len(plans) == m_scatters + k_scatters
+        assert sum(p is frame.plan_m for p in plans) == m_scatters
+        assert sum(p is frame.plan_k for p in plans) == k_scatters

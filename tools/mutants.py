@@ -98,7 +98,8 @@ MUTANTS = (
            "return (c - _apply_j(_apply_j(c.T).T)).T", "return (c - _apply_j(_apply_j(c.T).T))",
            GEOM_TESTS),
     Mutant("r-operator-j-term-sign-flipped", "src/flagmorse/compact_geom.py",
-           "return a1 + _apply_j(a2.T).T", "return a1 - _apply_j(a2.T).T", GEOM_TESTS),
+           "return self.ad_m + _apply_j(a2.T).T", "return self.ad_m - _apply_j(a2.T).T",
+           GEOM_TESTS),
     # J as a symmetric swap of each tangent plane, J^2 = +I: every J in the
     # package goes through this one function
     Mutant("apply-j-without-sign", "src/flagmorse/compact_geom.py",
@@ -106,8 +107,8 @@ MUTANTS = (
     # both branches of the transport read this generator; criterion 7's group
     # law kills it in acceptance
     Mutant("hat-transport-ignores-t", "src/flagmorse/compact_geom.py",
-           "gen = -0.5 * t * r_operator(frame, gdot)",
-           "gen = -0.5 * r_operator(frame, gdot)", GEOM_TESTS),
+           "gen = -0.5 * t * _Velocity(frame, gdot).r",
+           "gen = -0.5 * _Velocity(frame, gdot).r", GEOM_TESTS),
     # the closed forms of a generator that squares to zero (every long root
     # plane): the group law holds with either sign, so only a comparison with
     # the exponential or the per-node oracle can kill these
@@ -117,17 +118,16 @@ MUTANTS = (
            "return m + 0.5 * (gen.T @ m + m_gen) + (gen.T @ m_gen) / 3.0",
            "return m + 0.5 * (gen.T @ m + m_gen)", GEOM_TESTS),
     Mutant("quadrature-generator-sign-flipped", "src/flagmorse/compact_geom.py",
-           "h_bar, g_bar, p_bar = (_averaged(-0.5 * r, m)",
-           "h_bar, g_bar, p_bar = (_averaged(0.5 * r, m)", GEOM_TESTS),
+           "return _averaged(-0.5 * self.r, m)", "return _averaged(0.5 * self.r, m)", GEOM_TESTS),
     Mutant("averaged-without-f22", "src/flagmorse/compact_geom.py",
            "return f[n:, n:].T @ f[:n, n:]", "return f[:n, n:]", GEOM_TESTS),
     Mutant("tangent-metric-i-not-2i", "src/flagmorse/compact_geom.py",
-           "for m in (h, 2.0 * np.eye(frame.m_dim),", "for m in (h, np.eye(frame.m_dim),",
-           GEOM_TESTS),
+           "self._average(2.0 * np.eye(self.frame.m_dim))",
+           "self._average(np.eye(self.frame.m_dim))", GEOM_TESTS),
     Mutant("forms-without-j-conjugate-k-term", "src/flagmorse/compact_geom.py",
-           "h = r.T @ r + kk + _apply_j(_apply_j(kk.T).T)", "h = r.T @ r + kk", GEOM_TESTS),
+           "return r.T @ r + kk + _apply_j(_apply_j(kk.T).T)", "return r.T @ r + kk", GEOM_TESTS),
     Mutant("p-bound-factor-1", "src/flagmorse/compact_geom.py",
-           "_pairing_matrix(frame, gdot), 2) / 2.0)", "_pairing_matrix(frame, gdot), 2) / 1.0)",
+           "_Velocity(frame, gdot).p, 2) / 2.0)", "_Velocity(frame, gdot).p, 2) / 1.0)",
            GEOM_TESTS),
     Mutant("k-search-two-rates", "src/flagmorse/compact_geom.py",
            "    for _ in range(60):", "    for _ in range(2):", GEOM_TESTS),
