@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=sorted(geom.SUITES) + ["all"])
     p.add_argument("--trials", type=int, default=10_000,
-                   help="random inputs per sampled check (isotropy-pairing and "
-                        "hessian-chain); every other check is exhaustive: it "
+                   help="random inputs of the one sampled check, "
+                        "isotropy-pairing; every other check is exhaustive: it "
                         "decides its identity on every ordered basis pair, or "
                         "twomel's on every pair block, and reports that count "
                         "as its trials (pairs in the text report, exhaustive: "

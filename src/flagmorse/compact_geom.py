@@ -25,7 +25,8 @@ cut into 2x2 blocks over planes (``PlaneBlocks``): J acts inside each plane,
 so a bilinear identity on every pair of basis vectors is flips and sign
 multiplies of those blocks, and seven identity checks are decided that way.
 The curvature quadratic is a sum of squares of brackets, and its check reads
-the weights.  Only isotropy-pairing and hessian-chain draw random fields.
+the weights; in the hessian-chain reduction the brackets cancel term by term,
+so it reads J, the metric and those weights.  Only isotropy-pairing draws.
 The averaged Hessian, the tangent norm and the twist pairing are forms in the
 initial fields, built once per velocity (``_Velocity``): each averaged matrix
 int_0^1 exp(tA)^T M exp(tA) dt is read off one block exponential (Van Loan),
@@ -788,7 +789,7 @@ def k_search(
     are integrated once and the bisection runs on the closed forms.
     """
     if len(configs) == 0:
-        raise ValueError("k_search needs at least one configuration")
+        raise InvalidSampling("k_search needs at least one configuration")
     try:
         x0 = np.array([x for x, _ in configs])
         y0 = np.array([y for _, y in configs])
@@ -1030,7 +1031,11 @@ def _check_isotropy_pairing(frame, rng, trials) -> CheckResult:
     With u = 2w and g_k symmetric, lhs - rhs is summed as the two differences
     of squares (kxy - Re u) g (kxy + Re u) + (kjxy + Im u) g (kjxy - Im u): its
     rounding then follows the residual, not the size of either side (about
-    6,500 on E8 at unnormalized inputs)."""
+    6,500 on E8 at unnormalized inputs).  With A = [x, y]_k, B = [Jx, y]_k,
+    P = A - [Jx, Jy]_k and Q = B + [x, Jy]_k it is <A, P> + <B, Q> - (|P|^2 +
+    |Q|^2)/4, for any J and symmetric g_k, and [x10, y10]_k = (P - iQ)/4: it
+    vanishes with isotropy-vanishing's blocks, and whether it needs an exact
+    form depends only on which mutants this check alone kills."""
     x = frame.random_m(rng, trials)
     y = frame.random_m(rng, trials)
     kxy = bracket_k(frame, x, y)
@@ -1193,12 +1198,6 @@ def _curvature_weights(frame: RealFormFrame) -> tuple[float, np.ndarray]:
     return 0.25 * 2.0, frame.metric[: frame.m_start, : frame.m_start]
 
 
-def _curvature_from_brackets(frame: RealFormFrame, bm: np.ndarray, bk: np.ndarray) -> np.ndarray:
-    """The curvature quadratic from the brackets [x, y]_m and [x, y]_k."""
-    w_m, g_k = _curvature_weights(frame)
-    return w_m * np.einsum("...i,...i->...", bm, bm) + np.einsum("...i,ij,...j->...", bk, g_k, bk)
-
-
 def _check_curvature_nonneg(frame, rng, trials) -> CheckResult:
     """The quadratic is a sum of squares of brackets with the weights of
     ``_curvature_weights``, so it is nonnegative on all of m x m when they
@@ -1231,36 +1230,34 @@ def curvature_quadratic(frame: RealFormFrame, x_m, y_m) -> np.ndarray:
     """<R(x, y) y, x> = (1/4)|[x, y]_m|^2 + |[x, y]_k|^2, over the leading axes
     of x and y (at least one)."""
     _require_tangent(frame, ndim=None, x_m=x_m, y_m=y_m)
-    x2 = np.atleast_2d(x_m)
-    y2 = np.atleast_2d(y_m)
-    return _curvature_from_brackets(frame, bracket_m(frame, x2, y2), bracket_k(frame, x2, y2))
+    x2, y2 = np.atleast_2d(x_m), np.atleast_2d(y_m)
+    bm, bk = bracket_m(frame, x2, y2), bracket_k(frame, x2, y2)
+    w_m, g_k = _curvature_weights(frame)
+    return w_m * np.einsum("...i,...i->...", bm, bm) + np.einsum("...i,ij,...j->...", bk, g_k, bk)
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:
-    """Each bracket once: the curvature terms read [g, x] and [g, Jx], and
-    [x, g]_k = -[g, x]_k has the same norm."""
-    a_f = frame.random_m(rng, trials)
-    x = frame.random_m(rng, trials)
-    g = frame.random_m(rng, trials)
-    jx = _apply_j(x)
-    bm, bmj = bracket_m(frame, g, x), bracket_m(frame, g, jx)
-    bk, bkj = bracket_k(frame, g, x), bracket_k(frame, g, jx)
-    lhs = (
-        frame.m_norm2(a_f + 0.5 * bm)
-        + frame.m_norm2(_apply_j(a_f) + 0.5 * bmj)
-        - _curvature_from_brackets(frame, bm, bk)
-        - _curvature_from_brackets(frame, bmj, bkj)
-    )
-    rhs = (
-        2.0 * frame.m_norm2(a_f)
-        + frame.m_inner(a_f, bm - _apply_j(bmj))
-        - frame.k_inner(bk, bk)
-        - frame.k_inner(bkj, bkj)
-    )
+    """The chain |a + b/2|^2 + |Ja + b'/2|^2 - R(g, x) - R(g, Jx) = 2|a|^2 +
+    <a, b - Jb'> - |[g, x]_k|^2 - |[g, Jx]_k|^2, norms in the metric, with
+    b = [g, x]_m, b' = [g, Jx]_m and R the curvature quadratic.  Its lhs - rhs
+    is mu(|Ja|^2 - |a|^2) + mu(Ja.b' + a.Jb') + (mu/4 - w_m)(|b|^2 + |b'|^2) +
+    q([g, x]_k) + q([g, Jx]_k), q(z) = z (g_i - g_c) z, with mu the tangent
+    metric factor, (w_m, g_c) the curvature weights and g_i the isotropy
+    metric: the brackets cancel term by term.  So it holds for every field
+    once J^T J = I, J^T = -J, w_m = mu/4 and g_c = g_i, decided on the basis:
+    J^T as ``_apply_j`` on the identity, mu as ``m_inner`` on each basis
+    vector and g_i as ``k_inner`` on each pair of isotropy basis vectors."""
+    eye, e_k = np.eye(frame.m_dim), np.eye(frame.m_start)
+    rows = _apply_j(eye)  # row i is J e_i: J^T
+    w_m, g_c = _curvature_weights(frame)
+    worst = max(_max_norm(rows @ rows.T - eye),  # J^T J = I
+                _max_norm(rows + rows.T),  # J^T = -J
+                _max_norm(0.25 * frame.m_inner(eye, eye) - w_m),  # w_m = mu/4
+                _max_norm(frame.k_inner(e_k[:, None], e_k[None]) - g_c))  # g_c = g_i
     return CheckResult(
         "hessian-chain",
         "pointwise reduction of the averaged second variation integrand",
-        trials, _max_norm(lhs - rhs), TOL_IDENTITY,
+        frame.m_dim ** 2, worst, TOL_IDENTITY, exhaustive=True,
     )
 
 

@@ -46,7 +46,7 @@ class UnknownSuite(FlagmorseError, ValueError):
 
 
 class InvalidSampling(FlagmorseError, ValueError):
-    """A trial count below one or a negative seed."""
+    """A trial count below one, a negative seed, or no configuration to search."""
 
 
 class NegativeDimension(FlagmorseError, ValueError):

@@ -92,6 +92,23 @@ def doubled_upper_plan_m(frame):
     return dataclasses.replace(frame, plan_m=plan._replace(c=doubled))
 
 
+# wrong weights of the curvature sum of squares, fixed before hessian-chain
+# was decided on its coefficients: the isotropy weight negated, and the
+# tangent weight w_m doubled.  Each leaves one term of the chain's reduction,
+# (g_i - g_c) or (mu/4 - w_m), nonzero
+CURVATURE_WEIGHT_CONTROLS = {
+    "negated isotropy weight": lambda w_m, g_k: (w_m, -g_k),
+    "doubled tangent weight": lambda w_m, g_k: (2.0 * w_m, g_k),
+}
+
+
+def wrong_curvature_weights(curvature_weights, control):
+    """``curvature_weights`` with the wrong weights of ``control``."""
+    def wrong(frame):
+        return CURVATURE_WEIGHT_CONTROLS[control](*curvature_weights(frame))
+    return wrong
+
+
 def with_pair_table(frame, **fields):
     """A copy of the frame whose pair table has ``fields`` replaced."""
     copy = dataclasses.replace(frame)

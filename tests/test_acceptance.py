@@ -48,7 +48,7 @@ from flagmorse.rootsys import (
 
 from conftest import (ALL_SYSTEMS, END_NODE_FRAMES, PARTIAL_TWOMEL_CONTROLS,
                       doubled_upper_plan_m, fresh_frame, negated_cartan_metric, reversed_on_theta,
-                      twomel_control, with_pair_table, without_sign)
+                      twomel_control, with_pair_table, without_sign, wrong_curvature_weights)
 
 
 def _report(number, text):
@@ -376,13 +376,14 @@ def _basis_pairs(frame, name):
 
 EXHAUSTIVE_CHECKS = ("integrability-defect", "holomorphic-closure", "r-operator-form",
                      "isotropy-vanishing", "conditioned-commutation", "conditioned-skew",
-                     *TWOMEL_CHECKS, "curvature-nonnegativity", "curvature-diagonal")
+                     *TWOMEL_CHECKS, "curvature-nonnegativity", "curvature-diagonal",
+                     "hessian-chain")
 
 
 def test_criterion_6_identity_suites():
-    # the sampled checks over >= 10^4 seeded trials; the others are decided
-    # on every ordered basis pair, pair block or weight, whatever the trial
-    # count
+    # the sampled check, isotropy-pairing, over >= 10^4 seeded trials; the
+    # others are decided on every ordered basis pair, pair block or weight,
+    # whatever the trial count
     start = time.time()
     for family, rank in ACCEPTANCE_FRAMES:
         frame = frame_for(family, rank)
@@ -398,18 +399,19 @@ def test_criterion_6_identity_suites():
     elapsed = time.time() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report(6, f"all pointwise identity suites below 1e-10 on A3/B3/C3/D4: the sampled "
-               f"checks over >= 10^4 seeded trials, the exhaustive ones on every basis "
+               f"check over >= 10^4 seeded trials, the exhaustive ones on every basis "
                f"pair, pair block or weight ({elapsed:.1f}s)")
 
 
 def test_criterion_6_exhaustive_on_every_end_node_frame():
-    # the eleven exhaustive checks on every END_NODE_FRAMES frame, E6-E8 and
-    # the painted frames included
+    # the twelve exhaustive checks on every END_NODE_FRAMES frame, E6-E8 and
+    # the painted frames included; hessian-chain reads exactly 0.0
     start = time.time()
     worst = dict.fromkeys(EXHAUSTIVE_CHECKS, 0.0)
     for family, rank, painted in END_NODE_FRAMES:
         frame = frame_for(family, rank, painted)
-        checks = [c for suite in ("integrability", "mel", "onemel", "twomel", "curvature")
+        checks = [c for suite in ("integrability", "mel", "onemel", "twomel", "curvature",
+                                  "ceh-chain")
                   for c in identity_suite(frame, suite, trials=1, seed=42).checks if c.exhaustive]
         assert tuple(c.name for c in checks) == EXHAUSTIVE_CHECKS
         for check in checks:
@@ -417,7 +419,7 @@ def test_criterion_6_exhaustive_on_every_end_node_frame():
             assert check.max_residual < 1e-10, (family, rank, painted, check.name,
                                                 check.max_residual)
             worst[check.name] = max(worst[check.name], check.max_residual)
-    assert len(END_NODE_FRAMES) == 111
+    assert len(END_NODE_FRAMES) == 111 and worst["hessian-chain"] == 0.0
     elapsed = time.time() - start
     _report(6, f"the {len(EXHAUSTIVE_CHECKS)} exhaustive checks on all "
                f"{len(END_NODE_FRAMES)} end-node frames, worst residual per check "
@@ -524,6 +526,26 @@ def test_criterion_6_negative_control_j_squared_plus_one(monkeypatch):
     least = _fails_on_acceptance_frames("hessian-chain", "ceh-chain", lambda frame: frame)
     _report(6, f"negative control: J without its sign (J^2 = +I) fails hessian-chain "
                f"(least residual {least:.3g})")
+
+
+def test_criterion_6_negative_control_negated_isotropy_weight(monkeypatch):
+    # the isotropy weight of the curvature sum of squares negated: the chain's
+    # isotropy terms no longer cancel those of the curvature quadratic
+    monkeypatch.setattr(compact_geom, "_curvature_weights", wrong_curvature_weights(
+        compact_geom._curvature_weights, "negated isotropy weight"))
+    least = _fails_on_acceptance_frames("hessian-chain", "ceh-chain", lambda frame: frame)
+    _report(6, f"negative control: the isotropy curvature weight negated fails "
+               f"hessian-chain (least residual {least:.3g})")
+
+
+def test_criterion_6_negative_control_doubled_tangent_weight(monkeypatch):
+    # the tangent weight of the curvature sum of squares doubled, 1 in place of
+    # mu/4 = 1/2: the chain's tangent bracket terms no longer cancel
+    monkeypatch.setattr(compact_geom, "_curvature_weights", wrong_curvature_weights(
+        compact_geom._curvature_weights, "doubled tangent weight"))
+    least = _fails_on_acceptance_frames("hessian-chain", "ceh-chain", lambda frame: frame)
+    _report(6, f"negative control: the tangent curvature weight doubled fails "
+               f"hessian-chain (least residual {least:.3g})")
 
 
 def test_criterion_6_negative_control_twomel_wrong_inputs():

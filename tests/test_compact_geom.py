@@ -49,9 +49,10 @@ from flagmorse.index_comb import GammaSet, st_sets
 from flagmorse.parabolic import PaintedDiagram, borel_split, split
 from flagmorse.rootsys import RootVector, build_root_system, inner, is_long
 
-from conftest import (ACCEPTANCE_FRAMES, ALL_SYSTEMS, END_NODE_FRAMES, PARTIAL_TWOMEL_CONTROLS,
-                      SMALL_SYSTEMS, doubled_upper_plan_m, fresh_frame, negated_cartan_metric,
-                      reversed_on_theta, twomel_control, with_pair_table, without_sign)
+from conftest import (ACCEPTANCE_FRAMES, ALL_SYSTEMS, CURVATURE_WEIGHT_CONTROLS, END_NODE_FRAMES,
+                      PARTIAL_TWOMEL_CONTROLS, SMALL_SYSTEMS, doubled_upper_plan_m, fresh_frame,
+                      negated_cartan_metric, reversed_on_theta, twomel_control, with_pair_table,
+                      without_sign, wrong_curvature_weights)
 from test_rootsys import rv
 
 TOL = 1e-10
@@ -1057,8 +1058,9 @@ def test_k_search_non_borel(family, rank):
 def test_k_search_needs_a_configuration():
     frame = frame_for("A", 3)
     _, gdot = _delta_and_gdot(frame)
-    with pytest.raises(ValueError, match="at least one configuration"):
+    with pytest.raises(InvalidSampling, match="^k_search needs at least one configuration$"):
         k_search(frame, gdot, [])
+    assert issubclass(InvalidSampling, ValueError)
     # a fourth positional argument (once a node count) is refused
     x = np.ones(frame.m_dim)
     with pytest.raises(TypeError):
@@ -1756,16 +1758,55 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
     )
 
 
-SAMPLED_ORACLES = (_check_integrability, _check_holomorphic_closure, _check_r_operator_form,
-                   _check_isotropy_vanishing, _check_conditioned_commutation,
-                   _check_conditioned_skew)
+# hessian-chain as it ran before it was decided on its coefficients: seeded
+# fields, each of its four brackets taken once, [x, g]_k = -[g, x]_k having
+# the norm of [g, x]_k
+
+
+def _curvature_from_brackets(frame, bm, bk):
+    """The curvature quadratic from [x, y]_m and [x, y]_k, with the weights
+    read through the module."""
+    w_m, g_k = compact_geom._curvature_weights(frame)
+    return w_m * np.einsum("...i,...i->...", bm, bm) + np.einsum("...i,ij,...j->...", bk, g_k, bk)
+
+
+def _check_hessian_chain(frame, rng, trials) -> CheckResult:
+    a_f = frame.random_m(rng, trials)
+    x = frame.random_m(rng, trials)
+    g = frame.random_m(rng, trials)
+    jx = compact_geom._apply_j(x)
+    bm, bmj = bracket_m(frame, g, x), bracket_m(frame, g, jx)
+    bk, bkj = bracket_k(frame, g, x), bracket_k(frame, g, jx)
+    lhs = (
+        frame.m_norm2(a_f + 0.5 * bm)
+        + frame.m_norm2(compact_geom._apply_j(a_f) + 0.5 * bmj)
+        - _curvature_from_brackets(frame, bm, bk)
+        - _curvature_from_brackets(frame, bmj, bkj)
+    )
+    rhs = (
+        2.0 * frame.m_norm2(a_f)
+        + frame.m_inner(a_f, bm - compact_geom._apply_j(bmj))
+        - frame.k_inner(bk, bk)
+        - frame.k_inner(bkj, bkj)
+    )
+    return CheckResult(
+        "hessian-chain",
+        "pointwise reduction of the averaged second variation integrand",
+        trials, compact_geom._max_norm(lhs - rhs), compact_geom.TOL_IDENTITY,
+    )
+
+
+# the checks decided on the plane blocks, which read J through _block_j
+PLANE_ORACLES = (_check_integrability, _check_holomorphic_closure, _check_r_operator_form,
+                 _check_isotropy_vanishing, _check_conditioned_commutation,
+                 _check_conditioned_skew)
+SAMPLED_ORACLES = PLANE_ORACLES + (_check_hessian_chain,)
 
 
 # The twomel and curvature checks as they ran before they were decided on
-# every pair block, basis pair or weight, and hessian-chain before it read
-# each bracket once: seeded random fields and pair coordinates.  J, the
-# quarter-turn blocks and the contraction are read through the module, so a
-# patched ``_apply_j`` reaches both forms.
+# every pair block, basis pair or weight: seeded random fields and pair
+# coordinates.  J, the quarter-turn blocks and the contraction are read
+# through the module, so a patched ``_apply_j`` reaches both forms.
 
 
 def _check_double_bracket(frame, rng, trials) -> CheckResult:
@@ -1910,36 +1951,6 @@ def _check_curvature_diagonal(frame, rng, trials) -> CheckResult:
     )
 
 
-def _check_hessian_chain(frame, rng, trials) -> CheckResult:
-    a_f = frame.random_m(rng, trials)
-    x = frame.random_m(rng, trials)
-    g = frame.random_m(rng, trials)
-    jx = compact_geom._apply_j(x)
-    bm = bracket_m(frame, g, x)
-    bmj = bracket_m(frame, g, jx)
-    lhs = (
-        frame.m_norm2(a_f + 0.5 * bm)
-        + frame.m_norm2(compact_geom._apply_j(a_f) + 0.5 * bmj)
-        - curvature_quadratic(frame, g, x)
-        - curvature_quadratic(frame, g, jx)
-    )
-    kx = bracket_k(frame, x, g)
-    kjx = bracket_k(frame, jx, g)
-    rhs = (
-        2.0 * frame.m_norm2(a_f)
-        + frame.m_inner(a_f, bm - compact_geom._apply_j(bmj))
-        - frame.k_inner(kx, kx)
-        - frame.k_inner(kjx, kjx)
-    )
-    return CheckResult(
-        "hessian-chain",
-        "pointwise reduction of the averaged second variation integrand",
-        trials, compact_geom._max_norm(lhs - rhs), compact_geom.TOL_IDENTITY,
-    )
-
-
-
-
 BLOCK_ORACLES = (_check_double_bracket, _check_quarter_turn, _check_pair_bounds,
                  _check_curvature_nonneg, _check_curvature_diagonal)
 
@@ -1972,11 +1983,12 @@ def test_plane_blocks_hold_the_plan_entries():
 
 
 def _basis_pairs(frame, oracle):
-    """What an exhaustive check decides: all ordered basis pairs, or for
-    onemel y in one tangent-positive plane and x on its allowed planes; for
-    twomel the pair blocks, found by the scan of the pairs with a root sum:
-    every pair, or for the quarter turn and the pair bound those of the
-    spaces with every pair root in the tangent block."""
+    """What an exhaustive check decides: all ordered basis pairs (the
+    curvature checks and hessian-chain, decided on weights, count them too),
+    or for onemel y in one tangent-positive plane and x on its allowed
+    planes; for twomel the pair blocks, found by the scan of the pairs with a
+    root sum: every pair, or for the quarter turn and the pair bound those of
+    the spaces with every pair root in the tangent block."""
     if oracle in (_check_conditioned_commutation, _check_conditioned_skew):
         return 2 * int(_allowed_coordinates(frame).sum())
     if oracle in (_check_double_bracket, _check_quarter_turn, _check_pair_bounds):
@@ -2024,7 +2036,7 @@ def test_exhaustive_checks_match_sampled_oracles(family, rank, painted):
 # the isotropy check sees only where a painted node meets theta (node 1 of A3,
 # node 2 of D4), and the kernel mask widened to every plane
 SAMPLED_CONTROLS = [(oracle, (f, r, ()), "reversed J")
-                    for oracle in SAMPLED_ORACLES if oracle is not _check_isotropy_vanishing
+                    for oracle in PLANE_ORACLES if oracle is not _check_isotropy_vanishing
                     for f, r in (("A", 3), ("D", 4))]
 SAMPLED_CONTROLS += [(_check_isotropy_vanishing, frame, "reversed J")
                      for frame in (("A", 3, (0,)), ("D", 4, (1,)))]
@@ -2033,11 +2045,14 @@ SAMPLED_CONTROLS += [(oracle, (f, r, ()), "widened mask")
                      for f, r in (("A", 3), ("D", 4))]
 # and those of the curvature and ceh-chain suites, on the four acceptance
 # frames: the Cartan block of the metric negated, the plan_m entries with
-# i < j doubled, and J without its sign (J^2 = +I)
+# i < j doubled, J without its sign (J^2 = +I), and the curvature weights
+# with the isotropy one negated or the tangent one doubled
 SAMPLED_CONTROLS += [(oracle, (f, r, ()), control)
                      for oracle, control in ((_check_curvature_nonneg, "negated Cartan metric"),
                                              (_check_curvature_diagonal, "doubled upper plan_m"),
-                                             (_check_hessian_chain, "J squared +I"))
+                                             (_check_hessian_chain, "J squared +I"),
+                                             *((_check_hessian_chain, control)
+                                               for control in CURVATURE_WEIGHT_CONTROLS))
                      for f, r in ACCEPTANCE_FRAMES]
 
 
@@ -2055,6 +2070,9 @@ def test_both_forms_fail_under_each_control(oracle, frame_in, control, monkeypat
                             lambda frame: np.ones((frame.v, frame.m_dim), dtype=bool))
     elif control == "negated Cartan metric":
         frame = negated_cartan_metric(frame)
+    elif control in CURVATURE_WEIGHT_CONTROLS:
+        monkeypatch.setattr(compact_geom, "_curvature_weights",
+                            wrong_curvature_weights(compact_geom._curvature_weights, control))
     else:
         frame = doubled_upper_plan_m(frame)
     check = getattr(compact_geom, oracle.__name__)
@@ -2083,46 +2101,66 @@ def test_reversed_j_reaches_the_isotropy_block_only_through_a_painted_root(monke
 
 
 def test_exhaustive_checks_read_inf_when_j_is_no_plane_swap(monkeypatch):
-    # J read off _apply_j must be a signed swap inside each plane
+    # J read off _apply_j must be a signed swap inside each plane.
+    # hessian-chain reads J as a matrix: J = 2I gives J^T J - I = 3I and
+    # J^T + J = 4I
     frame = fresh_frame("A", 3)
     monkeypatch.setattr(compact_geom, "_apply_j", lambda x: 2.0 * x)
-    for oracle in SAMPLED_ORACLES:
+    for oracle in PLANE_ORACLES:
         result = getattr(compact_geom, oracle.__name__)(frame, None, 1)
         assert result.max_residual == float("inf") and not result.passed
+    assert compact_geom._check_hessian_chain(frame, None, 1).max_residual == 4.0
 
 
 @pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
                          ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
 def test_hessian_chain_reads_each_bracket_once(family, rank, painted, monkeypatch):
-    # the same draws as the oracle, which brackets four times through each of
-    # plan_m and plan_k: same trials, both passing, with two contractions
-    # through each plan.  The residuals agree within 1e-12 or 16 ulps of the
-    # largest compared term, the curvature terms: the oracle's holds the
-    # rounding mismatch between |[x, g]_k|^2 and |[g, x]_k|^2, which reaches
-    # 1e-11 on E8
+    # decided on its coefficients, it reads no bracket at all: no contraction
+    # and no draw, and the same residual, exactly 0.0, at every seed and trial
+    # count; its oracle contracts twice through each of plan_m and plan_k
     frame = frame_for(family, rank, painted)
     check = compact_geom._check_hessian_chain
-    for seed, trials in itertools.product((5, 23), (8, 500)):
-        rng = np.random.default_rng([seed, _CHECK_STREAMS[check]])
-        got = check(frame, rng, trials)
-        rng = np.random.default_rng([seed, _CHECK_STREAMS[check]])
-        want = _check_hessian_chain(frame, rng, trials)
-        assert (got.name, got.description) == (want.name, want.description)
-        assert got.trials == want.trials == trials
-        rng = np.random.default_rng([seed, _CHECK_STREAMS[check]])
-        _, x, g = (frame.random_m(rng, trials) for _ in range(3))
-        terms = curvature_quadratic(frame, g, x) + curvature_quadratic(frame, g,
-                                                                      compact_geom._apply_j(x))
-        ulps = 16 * np.finfo(float).eps * np.max(terms)
-        assert abs(got.max_residual - want.max_residual) <= max(1e-12, ulps), (seed, trials)
-        assert got.passed and want.passed
     plans = []
     contract = compact_geom._contract
     monkeypatch.setattr(compact_geom, "_contract",
                         lambda plan, x, y: plans.append(plan) or contract(plan, x, y))
-    check(frame, np.random.default_rng(0), 8)
+    for seed, trials in itertools.product((5, 23), (8, 500)):
+        rng = np.random.default_rng([seed, _CHECK_STREAMS[check]])
+        state = rng.bit_generator.state
+        got = check(frame, rng, trials)
+        assert rng.bit_generator.state == state
+        assert (got.max_residual, got.trials, got.exhaustive) == (0.0, frame.m_dim ** 2, True)
+    assert plans == []
+    _check_hessian_chain(frame, np.random.default_rng(0), 8)
     assert len(plans) == 4
     assert sum(p is frame.plan_m for p in plans) == sum(p is frame.plan_k for p in plans) == 2
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_isotropy_pairing_reduces_to_the_vanishing_blocks(family, rank, painted, monkeypatch):
+    # with A = [x, y]_k, B = [Jx, y]_k, P = A - [Jx, Jy]_k and Q = B + [x, Jy]_k
+    # the residual is <A, P> + <B, Q> - (|P|^2 + |Q|^2)/4 in k_inner, for any J
+    # and any symmetric metric, and [x10, y10]_k = (P - iQ)/4: it vanishes
+    # with isotropy-vanishing's blocks.  Checked on the drawn fields, within
+    # 1e-12 of the largest compared term, with J as it is and without its sign
+    frame = frame_for(family, rank, painted)
+    check = compact_geom._check_isotropy_pairing
+    for control in ("J", "J without its sign"):
+        if control != "J":
+            monkeypatch.setattr(compact_geom, "_apply_j", without_sign(compact_geom._apply_j))
+        apply_j = compact_geom._apply_j
+        got = check(frame, np.random.default_rng([7, _CHECK_STREAMS[check]]), 200)
+        rng = np.random.default_rng([7, _CHECK_STREAMS[check]])
+        x, y = frame.random_m(rng, 200), frame.random_m(rng, 200)
+        a, b = bracket_k(frame, x, y), bracket_k(frame, apply_j(x), y)
+        p = a - bracket_k(frame, apply_j(x), apply_j(y))
+        q = b + bracket_k(frame, x, apply_j(y))
+        want = (frame.k_inner(a, p) + frame.k_inner(b, q)
+                - 0.25 * (frame.k_inner(p, p) + frame.k_inner(q, q)))
+        scale = np.max(frame.k_inner(a, a) + frame.k_inner(b, b))
+        assert abs(got.max_residual - np.max(np.abs(want))) <= 1e-12 * scale, (control, got)
+        assert got.passed == (control == "J"), (control, got)
 
 
 @pytest.mark.parametrize("family,rank,painted,pairs", [("E", 7, (0, 2), 335), ("E", 8, (), 1120)],

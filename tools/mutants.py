@@ -209,6 +209,10 @@ MUTANTS = (
     Mutant("curvature-k-weight-sign-flipped", "src/flagmorse/compact_geom.py",
            "return 0.25 * 2.0, frame.metric[: frame.m_start, : frame.m_start]",
            "return 0.25 * 2.0, -frame.metric[: frame.m_start, : frame.m_start]", GEOM_TESTS),
+    # the exact hessian-chain without its J^T = -J term: J without its sign
+    # is still an isometry, so only that control can show it
+    Mutant("hessian-chain-without-j-skew", "src/flagmorse/compact_geom.py",
+           "                _max_norm(rows + rows.T),  # J^T = -J\n", "", GEOM_TESTS),
     # the plane blocks the exhaustive identity checks read: J left off the
     # output axis of one term of integrability, the r-operator form reading
     # [x, y] from its own block instead of [y, x] from the partner block, and
