@@ -1246,7 +1246,9 @@ def _check_hessian_chain(frame, rng, trials) -> CheckResult:
     metric: the brackets cancel term by term.  So it holds for every field
     once J^T J = I, J^T = -J, w_m = mu/4 and g_c = g_i, decided on the basis:
     J^T as ``_apply_j`` on the identity, mu as ``m_inner`` on each basis
-    vector and g_i as ``k_inner`` on each pair of isotropy basis vectors."""
+    vector and g_i as ``k_inner`` on each pair of isotropy basis vectors.
+    Reading mu on the diagonal and J^T J = I in the Euclidean sense is
+    complete because ``m_inner`` is exactly mu times the Euclidean product."""
     eye, e_k = np.eye(frame.m_dim), np.eye(frame.m_start)
     rows = _apply_j(eye)  # row i is J e_i: J^T
     w_m, g_c = _curvature_weights(frame)

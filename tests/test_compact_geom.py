@@ -1759,15 +1759,9 @@ def _check_conditioned_skew(frame, rng, trials) -> CheckResult:
 
 
 # hessian-chain as it ran before it was decided on its coefficients: seeded
-# fields, each of its four brackets taken once, [x, g]_k = -[g, x]_k having
-# the norm of [g, x]_k
-
-
-def _curvature_from_brackets(frame, bm, bk):
-    """The curvature quadratic from [x, y]_m and [x, y]_k, with the weights
-    read through the module."""
-    w_m, g_k = compact_geom._curvature_weights(frame)
-    return w_m * np.einsum("...i,...i->...", bm, bm) + np.einsum("...i,ij,...j->...", bk, g_k, bk)
+# fields, the curvature terms through the public ``curvature_quadratic``, so
+# the quadratic's value stays tied to the chain, and [x, g]_k = -[g, x]_k
+# having the norm of [g, x]_k
 
 
 def _check_hessian_chain(frame, rng, trials) -> CheckResult:
@@ -1780,8 +1774,8 @@ def _check_hessian_chain(frame, rng, trials) -> CheckResult:
     lhs = (
         frame.m_norm2(a_f + 0.5 * bm)
         + frame.m_norm2(compact_geom._apply_j(a_f) + 0.5 * bmj)
-        - _curvature_from_brackets(frame, bm, bk)
-        - _curvature_from_brackets(frame, bmj, bkj)
+        - curvature_quadratic(frame, g, x)
+        - curvature_quadratic(frame, g, jx)
     )
     rhs = (
         2.0 * frame.m_norm2(a_f)
@@ -2117,7 +2111,7 @@ def test_exhaustive_checks_read_inf_when_j_is_no_plane_swap(monkeypatch):
 def test_hessian_chain_reads_each_bracket_once(family, rank, painted, monkeypatch):
     # decided on its coefficients, it reads no bracket at all: no contraction
     # and no draw, and the same residual, exactly 0.0, at every seed and trial
-    # count; its oracle contracts twice through each of plan_m and plan_k
+    # count
     frame = frame_for(family, rank, painted)
     check = compact_geom._check_hessian_chain
     plans = []
@@ -2131,9 +2125,6 @@ def test_hessian_chain_reads_each_bracket_once(family, rank, painted, monkeypatc
         assert rng.bit_generator.state == state
         assert (got.max_residual, got.trials, got.exhaustive) == (0.0, frame.m_dim ** 2, True)
     assert plans == []
-    _check_hessian_chain(frame, np.random.default_rng(0), 8)
-    assert len(plans) == 4
-    assert sum(p is frame.plan_m for p in plans) == sum(p is frame.plan_k for p in plans) == 2
 
 
 @pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
@@ -2203,6 +2194,19 @@ def test_curvature_quadratic_nonnegative(borel_frame, rng):
     x = frame.random_m(rng, 200)
     y = frame.random_m(rng, 200)
     assert np.all(curvature_quadratic(frame, x, y) >= 0.0)
+
+
+@pytest.mark.parametrize("family,rank,painted", TABLE_FRAMES,
+                         ids=[f"{f}{r}{list(p)}" for f, r, p in TABLE_FRAMES])
+def test_curvature_quadratic_is_its_weighted_brackets(family, rank, painted):
+    # <R(x, y) y, x> = (1/4)|[x, y]_m|^2 + |[x, y]_k|^2 in the metric, read
+    # through m_norm2 and k_inner, not through the curvature weights
+    frame = frame_for(family, rank, painted)
+    rng = np.random.default_rng(11)
+    x, y = frame.random_m(rng, 50), frame.random_m(rng, 50)
+    bm, bk = bracket_m(frame, x, y), bracket_k(frame, x, y)
+    want = 0.25 * frame.m_norm2(bm) + frame.k_inner(bk, bk)
+    np.testing.assert_allclose(curvature_quadratic(frame, x, y), want, rtol=1e-12, atol=1e-12)
 
 
 # -- one object per velocity against the per-call path --------------------------

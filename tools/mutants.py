@@ -209,6 +209,13 @@ MUTANTS = (
     Mutant("curvature-k-weight-sign-flipped", "src/flagmorse/compact_geom.py",
            "return 0.25 * 2.0, frame.metric[: frame.m_start, : frame.m_start]",
            "return 0.25 * 2.0, -frame.metric[: frame.m_start, : frame.m_start]", GEOM_TESTS),
+    # the public quadratic without its isotropy term: the exhaustive checks
+    # read the weights, not the quadratic, so the sampled hessian-chain oracle
+    # and the quadratic's own test must show it
+    Mutant("curvature-quadratic-without-k-term", "src/flagmorse/compact_geom.py",
+           'return w_m * np.einsum("...i,...i->...", bm, bm) + '
+           'np.einsum("...i,ij,...j->...", bk, g_k, bk)',
+           'return w_m * np.einsum("...i,...i->...", bm, bm)', GEOM_TESTS),
     # the exact hessian-chain without its J^T = -J term: J without its sign
     # is still an isometry, so only that control can show it
     Mutant("hessian-chain-without-j-skew", "src/flagmorse/compact_geom.py",
